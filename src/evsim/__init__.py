@@ -5,21 +5,18 @@ from .engine import (ExperimentSpec, HouseholdBaseload, ScenarioData,
                      SimulationOutput, VehiclePlan, build_fleet, run_experiment,
                      simulate)
 from .fleet import (AdoptionCurve, DrivingPattern, EvModel, TripEvent, Vehicle,
-                    charge_step, sample_adoptions, sample_daily_trips)
-from .grid import (LoadSeries, OverloadEvent, Transformer, aggregate_load,
-                   available_capacity, detect_overloads, hourly_max)
+                    sample_adoptions, sample_daily_trips)
+from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
+                   detect_overloads, hourly_max)
 from .kpi import (ComparisonRow, KpiReport, YearLedger, assemble_report,
-                  avg_charging_cost, compare_reports, dso_revenue, load_factor,
-                  pct_difference)
+                  compare_reports, load_factor, pct_difference)
 from .rng import RngStreams
 from .scenario import Scenario, ScenarioError, load_scenario
 from .strategies import (Allocation, ChargeRequest, FcfsState, RoundRobinState,
-                         STRATEGY_NAMES, compute_budget, dispatch_edf,
-                         dispatch_equal_charge, dispatch_fcfs,
-                         dispatch_round_robin, dispatch_traditional)
-from .tariffs import (Co2IntensitySeries, DistributionTariff, PriceQuote,
-                      SpotPriceSeries, TouBand, cost_of_energy, co2_of_energy,
-                      quote_at)
+                         STRATEGY_NAMES, dispatch_edf, dispatch_equal_charge,
+                         dispatch_fcfs, dispatch_round_robin, dispatch_traditional)
+from .tariffs import (Co2IntensitySeries, DistributionTariff, SpotPriceSeries,
+                      TouBand)
 from .timebase import SimulationSpan, Timestamp
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import outputs
 from .engine import SimulationOutput, run_experiment
+from .grid import LoadSeries
 from .kpi import pct_difference
 from .scenario import Scenario, ScenarioError, load_scenario
 
@@ -104,6 +105,10 @@ def cmd_run(args) -> int:
                 failures[s.id] = exc
 
     out_root = Path(args.out)
+    out_root.mkdir(parents=True, exist_ok=True)
+    baseload = scn.data.baseload
+    outputs.write_load_csv(out_root / "baseload_hourly.csv",
+                           LoadSeries(baseload.start, 60, baseload.matrix.sum(axis=0)))
     for s in specs:
         if s.id not in results:
             continue
@@ -130,10 +135,10 @@ def cmd_gen_synthetic(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs.write_baseload_csv(out / "baseload.csv", scn.data.baseload)
-    outputs.write_hourly_csv(out / "spot.csv", scn.data.spot.start,
-                             scn.data.spot.values, "dkk_per_kwh")
-    outputs.write_hourly_csv(out / "co2.csv", scn.data.co2.start,
-                             scn.data.co2.values, "kg_per_kwh")
+    for name, series, column in (("spot.csv", scn.data.spot, "dkk_per_kwh"),
+                                 ("co2.csv", scn.data.co2, "kg_per_kwh")):
+        outputs.write_load_csv(out / name, LoadSeries(series.start, 60, series.values),
+                               column)
     print(f"wrote baseload.csv, spot.csv, co2.csv to {out}")
     return EXIT_OK
 
@@ -143,13 +148,11 @@ def cmd_compare(args) -> int:
     rows_b = outputs.read_kpi_csv(Path(args.kpi_b))
     by_year_b = {r["year"]: r for r in rows_b}
     print("year,metric,value,baseline,pct_difference")
-    metrics = ["overload_count", "avg_charging_cost", "avg_total_bill",
-               "avg_total_co2", "dissatisfaction", "load_factor", "dso_revenue"]
     for ra in rows_a:
         rb = by_year_b.get(ra["year"])
         if rb is None:
             continue
-        for m in metrics:
+        for m in outputs.KPI_HEADER[2:]:
             try:
                 va, vb = float(ra[m]), float(rb[m])
             except ValueError:

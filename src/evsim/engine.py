@@ -8,24 +8,22 @@ Identical (spec, inputs) reproduce identical outputs bit for bit.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import strategies as strat
-from .fleet import (SOC_EPS, AdoptionCurve, AdoptionEvent, DrivingPattern, EvModel,
-                    TripEvent, Vehicle, apply_trip_energy, sample_adoptions,
-                    sample_daily_trips, validate_catalog)
-from .grid import LoadSeries, OverloadEvent, Transformer, detect_overloads, hourly_max
+from .fleet import (SOC_EPS, AdoptionCurve, DrivingPattern, EvModel, TripEvent,
+                    Vehicle, apply_trip_energy, sample_adoptions, sample_daily_trips,
+                    validate_catalog)
+from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
+                   detect_overloads, hourly_max)
 from .kpi import KpiReport, YearLedger, assemble_report
 from .rng import RngStreams
 from .tariffs import (Co2IntensitySeries, CoverageError, DistributionTariff,
                       SpotPriceSeries)
 from .timebase import (MINUTES_PER_DAY, SimulationSpan, Timestamp,
                        year_start_minutes)
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -137,7 +135,6 @@ class VehicleSummary:
 class SimulationOutput:
     spec: ExperimentSpec
     load: LoadSeries                     # per tick, aggregate
-    baseload: LoadSeries                 # per tick, households only
     hourly_max: LoadSeries
     overload_events: list[OverloadEvent]
     reports: list[KpiReport]
@@ -211,7 +208,6 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     n_hours = span.n_hours
     interval = spec.interval
     tr = data.transformer
-    budget_cap = tr.capacity_kw - tr.buffer_kw
 
     tariff = data.tariffs.get(spec.tariff_mode)
     if tariff is None:
@@ -223,7 +219,9 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     co2_h = data.co2.slice_hours(span)
     tariff_h = tariff.hourly_rates(span)
     price_h = spot_h + tariff_h + data.addons_dkk_per_kwh
-    base_total_min = np.repeat(base_matrix.sum(axis=0), 60 // dt)
+    base_total_h = base_matrix.sum(axis=0)
+    base_h = base_total_h.tolist()
+    budget_h = available_capacity(tr, base_total_h).tolist()
 
     year_of_hour = np.empty(n_hours, dtype=int)
     for y in span.years():
@@ -292,6 +290,7 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
 
     for i in range(n_ticks):
         m = start_min + i * dt
+        h = i // per_hour
 
         # phase 1: adoptions, departures, arrivals
         while ev_ptr < n_events and events[ev_ptr][0] < m + dt:
@@ -299,7 +298,6 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
             ev_ptr += 1
             v = vehicles[vid]
             if kind == _ADOPT:
-                v.location = "home"
                 v.plugged = True
                 v.arrival = Timestamp(m)
                 v.planned_departure = Timestamp(first_departure[vid])
@@ -314,7 +312,6 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
                         dissatisfactions.append((Timestamp(m), vid))
                     close_session(vid, m)
                 v.plugged = False
-                v.location = "away"
                 grants.pop(vid, None)
                 requesting.discard(vid)
                 req_cache.pop(vid, None)
@@ -329,13 +326,18 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
                     requesting.add(vid)
 
         # phase 2: baseload for this tick
-        base_now = base_total_min[i]
+        base_now = base_h[h]
 
         # phase 3: dispatch on decision boundaries only (hold-last otherwise)
         if m % interval == 0:
-            budget = max(0.0, budget_cap - base_now)
+            budget = budget_h[h]
             reqs = [req_cache[vid] for vid in sorted(requesting)]
             grants = dict(dispatch(reqs, budget))
+            if check_invariants:
+                for vid, g in grants.items():
+                    assert 0.0 <= g <= vehicles[vid].model.max_rate_kw + strat.CAPACITY_EPS
+                if spec.strategy != "traditional":
+                    assert sum(grants.values()) <= budget + strat.CAPACITY_EPS
 
         # phase 4: charging physics for one tick; fixed id order keeps the
         # float sum independent of the dispatcher's dict ordering
@@ -371,7 +373,6 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
 
         # hour closed: book the hour's charging at this hour's prices
         if (i + 1) % per_hour == 0 and hour_kwh:
-            h = i // per_hour
             year = int(year_of_hour[h])
             led = ledgers[year]
             dby = delivered_by_year[year]
@@ -392,7 +393,6 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
 
     # per-year post-processing: overloads, hourly maxima, baseload billing
     load_series = LoadSeries(span.start, dt, load)
-    base_series = LoadSeries(span.start, dt, base_total_min.copy())
     hmax = hourly_max(load_series)
     all_events: list[OverloadEvent] = []
     hh_ids = data.household_ids
@@ -400,18 +400,16 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
         y0 = max(span.start.minutes, year_start_minutes(y))
         y1 = min(span.end.minutes, year_start_minutes(y + 1))
         led = ledgers[y]
-        year_slice = load_series.slice_minutes(y0, y1) if dt == 1 else None
-        if year_slice is not None:
-            evts = detect_overloads(year_slice, tr)
-            led.overload_events = evts
-            led.overload_minutes = sum(e.duration_minutes for e in evts)
-            over_hours: set[int] = set()
-            for e in evts:
-                first = e.start.minutes // 60
-                last = (e.start.minutes + e.duration_minutes - 1) // 60
-                over_hours.update(range(first, last + 1))
-            led.overload_hours = len(over_hours)
-            all_events.extend(evts)
+        evts = detect_overloads(load_series.slice_minutes(y0, y1), tr)
+        led.overload_events = evts
+        led.overload_minutes = sum(e.duration_minutes for e in evts)
+        over_hours: set[int] = set()
+        for e in evts:
+            first = e.start.minutes // 60
+            last = (e.start.minutes + e.duration_minutes - 1) // 60
+            over_hours.update(range(first, last + 1))
+        led.overload_hours = len(over_hours)
+        all_events.extend(evts)
         h0 = (y0 - span.start.minutes) // 60
         h1 = (y1 - span.start.minutes) // 60
         led.hourly_max_load = hmax.values[h0:h1]
@@ -440,7 +438,7 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
         for vid in sorted(vehicles)]
 
     return SimulationOutput(
-        spec=spec, load=load_series, baseload=base_series, hourly_max=hmax,
+        spec=spec, load=load_series, hourly_max=hmax,
         overload_events=all_events, reports=reports, sessions=sessions,
         dissatisfactions=dissatisfactions, vehicles=summaries,
         delivered_by_year=delivered_by_year)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class Vehicle:
     household_id: int
     model: EvModel
     soc_kwh: float
-    location: str = "home"          # "home" | "away"
     plugged: bool = False
     arrival: Timestamp | None = None
     planned_departure: Timestamp | None = None
@@ -218,24 +217,5 @@ def apply_trip_energy(v: Vehicle, trip: TripEvent) -> None:
                     v.id, v.soc_kwh, trip.energy_kwh)
         new_soc = 0.0
     v.soc_kwh = new_soc
-    v.location = "home"
     v.plugged = True
     v.arrival = trip.arrival
-
-
-def charge_step(v: Vehicle, granted_kw: float, dt_minutes: float) -> float:
-    """Advance charging physics one tick; returns energy actually delivered.
-
-    Delivery is clamped at the desired target, so the grant auto-releases
-    once the target is reached.
-    """
-    if granted_kw < 0 or granted_kw > v.model.max_rate_kw + 1e-9:
-        raise ValueError("grant outside [0, max rate]")
-    delivered = min(granted_kw * dt_minutes / 60.0, v.remaining_kwh)
-    v.soc_kwh += delivered
-    return delivered
-
-
-def record_departure_satisfaction(v: Vehicle) -> bool:
-    """True when the vehicle leaves with its desired charge reached."""
-    return v.soc_kwh >= v.desired_target_kwh - SOC_EPS

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -61,27 +60,22 @@ class LoadSeries:
 
 @dataclass(frozen=True)
 class OverloadEvent:
-    """A maximal contiguous run of minutes with load above capacity."""
+    """A maximal contiguous run of ticks with load above capacity."""
 
     start: Timestamp
     duration_minutes: int
     peak_excess_kw: float
 
 
-def aggregate_load(baseload_kw: Iterable[float], charging_kw: Iterable[float]) -> float:
-    """Total transformer load: household baseloads plus granted charging rates."""
-    return float(sum(baseload_kw) + sum(charging_kw))
-
-
-def available_capacity(tr: Transformer, baseload_total_kw: float) -> float:
-    """Dispatch budget: capacity minus buffer minus current baseload, floored at 0."""
-    return max(0.0, tr.capacity_kw - tr.buffer_kw - baseload_total_kw)
+def available_capacity(tr: Transformer, baseload_total_kw):
+    """Dispatch budget: capacity minus buffer minus baseload, floored at 0;
+    elementwise for an array of baseload totals."""
+    return np.maximum(0.0, tr.capacity_kw - tr.buffer_kw - baseload_total_kw)
 
 
 def detect_overloads(series: LoadSeries, tr: Transformer) -> list[OverloadEvent]:
-    """Find maximal runs of minutes where load exceeds the raw capacity."""
-    if series.resolution_minutes != 1:
-        raise ValueError("overload detection requires 1-minute resolution")
+    """Find maximal runs of ticks where load exceeds the raw capacity; an
+    event lasts its tick count times the series resolution."""
     # tiny tolerance so a dispatch that exactly fills the budget is not
     # flagged through float round-off in the grant sums
     over = series.values > tr.capacity_kw + 1e-9
@@ -91,11 +85,12 @@ def detect_overloads(series: LoadSeries, tr: Transformer) -> list[OverloadEvent]
     padded = np.diff(np.concatenate(([0], over.view(np.int8), [0])))
     starts = np.flatnonzero(padded == 1)
     ends = np.flatnonzero(padded == -1)
+    res = series.resolution_minutes
     events = []
     for s, e in zip(starts, ends):
         peak = float(series.values[s:e].max() - tr.capacity_kw)
-        events.append(OverloadEvent(Timestamp(series.start.minutes + int(s)),
-                                    int(e - s), peak))
+        events.append(OverloadEvent(Timestamp(series.minute_of(int(s))),
+                                    int(e - s) * res, peak))
     return events
 
 

@@ -58,33 +58,9 @@ def load_factor(series) -> float:
     return float(values.mean()) / peak
 
 
-def avg_charging_cost(delivered_kwh, cost_dkk) -> float:
-    """Energy-weighted average price actually paid for charging, DKK/kWh."""
-    total_kwh = float(np.sum(delivered_kwh))
-    if total_kwh <= 0:
-        raise UndefinedKpiError("no energy charged")
-    return float(np.sum(cost_dkk)) / total_kwh
-
-
-def dso_revenue(consumption_kwh: np.ndarray, tariff_rates: np.ndarray) -> float:
-    """Distribution-tariff income over all households and hours.
-
-    consumption_kwh: (households, hours) including EV charging;
-    tariff_rates: per-hour DKK/kWh. Spot price and addons are excluded.
-    """
-    consumption_kwh = np.asarray(consumption_kwh, float)
-    return float((consumption_kwh * np.asarray(tariff_rates, float)).sum())
-
-
-_METRICS = [
-    ("overload_count", "overload_count"),
-    ("avg_charging_cost_dkk_per_kwh", "avg_charging_cost_dkk_per_kwh"),
-    ("avg_total_bill_dkk", "avg_total_bill_dkk"),
-    ("avg_total_co2_kg", "avg_total_co2_kg"),
-    ("dissatisfaction_count", "dissatisfaction_count"),
-    ("load_factor", "load_factor"),
-    ("dso_revenue_dkk", "dso_revenue_dkk"),
-]
+_METRICS = ("overload_count", "avg_charging_cost_dkk_per_kwh", "avg_total_bill_dkk",
+            "avg_total_co2_kg", "dissatisfaction_count", "load_factor",
+            "dso_revenue_dkk")
 
 
 def compare_reports(a: KpiReport, b: KpiReport) -> list[ComparisonRow]:
@@ -92,8 +68,8 @@ def compare_reports(a: KpiReport, b: KpiReport) -> list[ComparisonRow]:
     if a.year != b.year:
         raise ValueError(f"comparing different years: {a.year} vs {b.year}")
     rows = []
-    for name, attr in _METRICS:
-        va, vb = getattr(a, attr), getattr(b, attr)
+    for name in _METRICS:
+        va, vb = getattr(a, name), getattr(b, name)
         if va is not None and vb == 0 and va == 0:
             rows.append(ComparisonRow(name, 0.0, 0.0, 0.0))
         elif va is None or vb is None or vb == 0:

@@ -24,10 +24,10 @@ def _fmt(value, decimals: int) -> str:
     return f"{value:.{decimals}f}"
 
 
-def write_load_csv(path: Path, series: LoadSeries) -> None:
+def write_load_csv(path: Path, series: LoadSeries, column: str = "load_kw") -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["timestamp_iso8601", "load_kw"])
+        w.writerow(["timestamp_iso8601", column])
         for i, v in enumerate(series.values):
             w.writerow([Timestamp(series.minute_of(i)).isoformat(), f"{v:.6f}"])
 
@@ -91,14 +91,6 @@ def write_dissatisfactions_csv(path: Path, out: SimulationOutput) -> None:
         w.writerow(["timestamp_iso8601", "vehicle_id"])
         for t, vid in out.dissatisfactions:
             w.writerow([t.isoformat(), vid])
-
-
-def write_hourly_csv(path: Path, start: Timestamp, values, column: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp_iso8601", column])
-        for i, v in enumerate(values):
-            w.writerow([Timestamp(start.minutes + 60 * i).isoformat(), f"{v:.6f}"])
 
 
 def write_baseload_csv(path: Path, baseload) -> None:
@@ -172,7 +164,6 @@ def write_all(out_dir: Path, out: SimulationOutput, scenario_hash: str,
     write_manifest(out_dir / "manifest.txt", scenario_hash, out.spec)
     write_load_csv(out_dir / "load_minute.csv", out.load)
     write_load_csv(out_dir / "load_hourly_max.csv", out.hourly_max)
-    write_load_csv(out_dir / "baseload_minute.csv", out.baseload)
     write_kpi_csv(out_dir / "kpi.csv", out.spec.id, out.reports)
     write_overloads_csv(out_dir / "overloads.csv", out)
     write_sessions_csv(out_dir / "sessions.csv", out)

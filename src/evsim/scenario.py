@@ -9,7 +9,7 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +156,6 @@ class Scenario:
     seed: int
     experiments: list[ExperimentSpec]
     content_hash: str
-    synthetic_sources: dict[str, object] = field(default_factory=dict)
 
     def experiment(self, exp_id: str) -> ExperimentSpec:
         for e in self.experiments:
@@ -219,7 +218,6 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
         buffer_kw=_get(cfg, "transformer", "buffer_kw", sp, float, default=0.0))
 
     streams = RngStreams(seed)
-    synthetic_sources: dict[str, object] = {}
 
     def source_of(section: str) -> str:
         src = _get(cfg, section, "source", sp, str, default="synthetic").strip()
@@ -245,7 +243,6 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             weekend_factor=_get(cfg, "baseload", "weekend_factor", sp, float, 1.1),
             noise_std=_get(cfg, "baseload", "noise_std", sp, float, 0.1))
         baseload = generate_baseload(bl_spec, household_ids, span, streams)
-        synthetic_sources["baseload"] = bl_spec
 
     # spot prices
     if source_of("spot") == "csv":
@@ -258,7 +255,6 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             diurnal_amplitude=_get(cfg, "spot", "diurnal_amplitude", sp, float, 0.3),
             noise_std=_get(cfg, "spot", "noise_std", sp, float, 0.05))
         spot = generate_spot(spot_spec, span, streams)
-        synthetic_sources["spot"] = spot_spec
 
     # co2 intensity
     if source_of("co2") == "csv":
@@ -271,7 +267,6 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             diurnal_amplitude=_get(cfg, "co2", "diurnal_amplitude", sp, float, 0.05),
             noise_std=_get(cfg, "co2", "noise_std", sp, float, 0.01))
         co2 = generate_co2(co2_spec, span, streams)
-        synthetic_sources["co2"] = co2_spec
 
     # tariffs
     tariffs: dict[str, DistributionTariff] = {}
@@ -334,8 +329,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
                                 " (add tariff.tou_path for time_of_use)")
 
     return Scenario(path=path, data=data, span=span, seed=seed,
-                    experiments=experiments, content_hash=content_hash,
-                    synthetic_sources=synthetic_sources)
+                    experiments=experiments, content_hash=content_hash)
 
 
 def _parse_time_of_day(text: str, path: str) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grid import Transformer, available_capacity
 from .timebase import Timestamp
 
 CAPACITY_EPS = 1e-9
@@ -182,8 +181,3 @@ def dispatch_edf(requests: list[ChargeRequest],
         return (dep, r.arrival.minutes, r.vehicle_id)
 
     return _greedy_admit(sorted(requests, key=deadline), capacity_kw)
-
-
-def compute_budget(tr: Transformer, baseload_total_kw: float) -> float:
-    """Per-boundary dispatch budget (capacity minus buffer minus baseload)."""
-    return available_capacity(tr, baseload_total_kw)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,14 +34,6 @@ class HourlySeries:
     def covers(self, span: SimulationSpan) -> bool:
         return self.start.minutes <= span.start.minutes and \
             self.end.minutes >= span.end.minutes
-
-    def at(self, t: Timestamp) -> float:
-        idx = (t.minutes - self.start.minutes) // 60
-        if idx < 0 or idx >= len(self.values):
-            raise CoverageError(
-                f"series covers [{self.start.isoformat()}, {self.end.isoformat()}),"
-                f" requested {t.isoformat()}")
-        return float(self.values[idx])
 
     def slice_hours(self, span: SimulationSpan) -> np.ndarray:
         """Hourly values over the span (must be covered)."""
@@ -139,34 +130,3 @@ class DistributionTariff:
         for i in range(span.n_hours):
             out[i] = self.rate_at(Timestamp(span.start.minutes + i * 60))
         return out
-
-
-@dataclass(frozen=True)
-class PriceQuote:
-    """Per-kWh price decomposition at one point in time."""
-
-    spot: float
-    tariff: float
-    addons: float
-
-    @property
-    def total(self) -> float:
-        return self.spot + self.tariff + self.addons
-
-
-def quote_at(t: Timestamp, spot: SpotPriceSeries, tariff: DistributionTariff,
-             addons_dkk_per_kwh: float = 0.0) -> PriceQuote:
-    """Price components for the hour containing t (constant within the hour)."""
-    return PriceQuote(spot.at(t), tariff.rate_at(t), addons_dkk_per_kwh)
-
-
-def cost_of_energy(kwh: float, q: PriceQuote) -> float:
-    if kwh < 0 or not math.isfinite(kwh):
-        raise ValueError("energy must be a non-negative finite amount")
-    return kwh * q.total
-
-
-def co2_of_energy(kwh: float, intensity_kg_per_kwh: float) -> float:
-    if kwh < 0:
-        raise ValueError("energy must be non-negative")
-    return kwh * intensity_kg_per_kwh

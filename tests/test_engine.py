@@ -144,9 +144,26 @@ class TestBaseloadIsolation:
                          curve=AdoptionCurve([(2035, 5)]))
         a = run_experiment(spec_for(span, "traditional", seed=4), data)
         b = run_experiment(spec_for(span, "round_robin", seed=4), data)
-        assert np.array_equal(a.baseload.values, b.baseload.values)
+        # load energy = household baseload + delivered charging, in both runs
+        base_kwh = data.baseload.matrix.sum()
+        for out in (a, b):
+            delivered = sum(v.delivered_kwh for v in out.vehicles)
+            assert out.load.values.sum() / 60 == pytest.approx(base_kwh + delivered)
         # same fleet, same trips: charging dispatch is the only difference
         assert sum(sum(d.values()) for d in a.delivered_by_year.values()) > 0
+
+
+class TestOverloads:
+    @pytest.mark.parametrize("tick", [1, 5, 15])
+    def test_same_overload_count_at_any_tick(self, tick):
+        span = make_span(tick=tick)
+        data = flat_data(span, n_households=2, base_kw=1.0, capacity=10.0)
+        data.baseload.matrix[:, 17:20] = 10.0    # 20 kW on 10 kW, 17:00-20:00
+        out = simulate(spec_for(span, "traditional", decision_interval_min=15),
+                       data, [])
+        assert out.reports[0].overload_count == 3            # hours
+        assert [(e.start.minutes - span.start.minutes, e.duration_minutes)
+                for e in out.overload_events] == [(17 * 60, 180)]
 
 
 class TestDissatisfaction:

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from evsim import strategies
+from evsim.engine import ExperimentSpec, VehiclePlan, simulate
 from evsim.fleet import (AdoptionCurve, DrivingPattern, EvModel, TripEvent,
-                         Vehicle, apply_trip_energy, charge_step,
-                         record_departure_satisfaction, sample_adoptions,
+                         Vehicle, apply_trip_energy, sample_adoptions,
                          sample_daily_trips, validate_catalog)
 from evsim.rng import RngStreams
 from evsim.timebase import Timestamp
 
-from conftest import FAST, LEAF
+from conftest import FAST, LEAF, flat_data, make_span
 
 
 def make_vehicle(model=LEAF, soc=20.0, target=None):
@@ -17,6 +18,19 @@ def make_vehicle(model=LEAF, soc=20.0, target=None):
     if target is not None:
         v.desired_target_kwh = target
     return v
+
+
+def charge_window(model, soc, minutes, check_invariants=False):
+    """Simulate one vehicle plugged in at the span start that leaves after
+    `minutes`, on an unconstrained transformer under traditional charging,
+    next to a constant 0.5 kW household baseload."""
+    span = make_span()
+    departure = Timestamp(span.start.minutes + minutes)
+    trips = [TripEvent(departure, Timestamp(departure.minutes + 60), 0.0)]
+    plans = [VehiclePlan(make_vehicle(model, soc), span.start, trips)]
+    return simulate(ExperimentSpec("t", "traditional", span),
+                    flat_data(span, n_households=1, base_kw=0.5), plans,
+                    check_invariants=check_invariants)
 
 
 class TestCatalog:
@@ -34,24 +48,27 @@ class TestCatalog:
 
 class TestChargeStep:
     def test_one_hour_at_rate(self):
-        v = make_vehicle(soc=20.0)
-        assert charge_step(v, 3.7, 60) == pytest.approx(3.7)
-        assert v.soc_kwh == pytest.approx(23.7)
+        out = charge_window(LEAF, 20.0, 60)
+        assert out.sessions[0].delivered_kwh == pytest.approx(3.7)
+        assert out.vehicles[0].final_soc_kwh == pytest.approx(40.0)
 
     def test_idempotent_at_target(self):
-        v = make_vehicle(soc=40.0)
-        assert charge_step(v, 3.7, 60) == 0.0
+        out = charge_window(LEAF, 40.0, 60)
+        assert out.sessions[0].delivered_kwh == 0.0
+        assert (out.load.values == 0.5).all()
 
     def test_clamps_at_target_and_releases(self):
-        v = make_vehicle(model=FAST, soc=59.0)
-        delivered = charge_step(v, 11.0, 15)    # 2.75 kWh would overshoot
-        assert delivered == pytest.approx(1.0)
-        assert v.satisfied
+        out = charge_window(FAST, 59.0, 15)     # 2.75 kWh would overshoot
+        assert out.sessions[0].delivered_kwh == pytest.approx(1.0)
+        assert out.load.values[6:15].max() == 0.5   # released after ~5.5 min
+        assert out.dissatisfactions == []
 
-    def test_rejects_grant_above_rate(self):
-        v = make_vehicle()
-        with pytest.raises(ValueError):
-            charge_step(v, 5.0, 1)
+    def test_rejects_grant_above_rate(self, monkeypatch):
+        monkeypatch.setattr(strategies, "dispatch_traditional",
+                            lambda reqs, budget: {r.vehicle_id: 2 * r.max_rate_kw
+                                                  for r in reqs})
+        with pytest.raises(AssertionError):
+            charge_window(LEAF, 20.0, 60, check_invariants=True)
 
 
 class TestTripEnergy:
@@ -60,7 +77,7 @@ class TestTripEnergy:
         trip = TripEvent(Timestamp(0), Timestamp(600), 8.0)
         apply_trip_energy(v, trip)
         assert v.soc_kwh == pytest.approx(22.0)
-        assert v.plugged and v.location == "home"
+        assert v.plugged
 
     def test_floor_at_zero(self, caplog):
         v = make_vehicle(soc=5.0)
@@ -77,20 +94,21 @@ class TestTripEnergy:
 
 class TestSatisfaction:
     def test_boundary_exact_target_is_satisfied(self):
-        v = make_vehicle(soc=40.0)
-        assert record_departure_satisfaction(v)
+        assert make_vehicle(soc=40.0).satisfied
+        assert not make_vehicle(soc=40.0 - 1e-5).satisfied
+        assert charge_window(LEAF, 40.0, 60).dissatisfactions == []
 
     def test_leaf_overnight_window_infeasible(self):
-        # 3.7 kW, 23:00 arrival at 5/40 kWh, 05:00 departure: 22.2 < 35 needed
-        v = make_vehicle(soc=5.0)
-        delivered = charge_step(v, 3.7, 6 * 60)
-        assert delivered == pytest.approx(22.2)
-        assert not record_departure_satisfaction(v)
+        # 3.7 kW for the 6 hours from 23:00 to 05:00 at 5/40 kWh: 22.2 < 35 needed
+        out = charge_window(LEAF, 5.0, 6 * 60)
+        assert out.sessions[0].delivered_kwh == pytest.approx(22.2)
+        assert [vid for _, vid in out.dissatisfactions] == [1]
+        assert out.reports[0].dissatisfaction_count == 1
 
     def test_fast_twin_same_window_satisfied(self):
-        v = make_vehicle(model=FAST, soc=25.0)   # needs 35 kWh
-        charge_step(v, 11.0, 6 * 60)             # could deliver 66
-        assert record_departure_satisfaction(v)
+        out = charge_window(FAST, 25.0, 6 * 60)  # needs 35 kWh, could get 66
+        assert out.sessions[0].delivered_kwh == pytest.approx(35.0)
+        assert out.dissatisfactions == []
 
 
 class TestAdoption:

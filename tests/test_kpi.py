@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
+from evsim.engine import ExperimentSpec, VehiclePlan, simulate
+from evsim.fleet import Vehicle
 from evsim.kpi import (KpiReport, UndefinedKpiError, YearLedger, assemble_report,
-                       avg_charging_cost, compare_reports, dso_revenue,
-                       load_factor, pct_difference, round_half_away)
+                       compare_reports, load_factor, pct_difference,
+                       round_half_away)
+from evsim.tariffs import DistributionTariff, TouBand
+from evsim.timebase import Timestamp
+
+from conftest import LEAF, flat_data, make_span
 
 
 def report(**overrides):
@@ -13,6 +19,26 @@ def report(**overrides):
                 dso_revenue_dkk=150_000.0)
     base.update(overrides)
     return KpiReport(**base)
+
+
+def charging_ledger(kwh, cost):
+    """A year's ledger with per-household charged energy and its cost."""
+    led = YearLedger(year=2039, hourly_max_load=np.array([100.0, 300.0]))
+    led.charging_kwh = dict(enumerate(kwh, 1))
+    led.charging_cost = dict(enumerate(cost, 1))
+    led.ev_households = sorted(led.charging_kwh)
+    return led
+
+
+def charge_from(hour, data, tariff_mode="fixed"):
+    """Year report of a run where one LEAF plugs in at `hour` of the first
+    day needing one hour at full rate (3.7 kWh)."""
+    span = make_span()
+    vehicle = Vehicle(id=1, household_id=1, model=LEAF,
+                      soc_kwh=LEAF.battery_kwh - 3.7)
+    plan = VehiclePlan(vehicle, Timestamp(span.start.minutes + hour * 60), [])
+    spec = ExperimentSpec("t", "traditional", span, tariff_mode=tariff_mode)
+    return simulate(spec, data, [plan]).reports[0]
 
 
 class TestLoadFactor:
@@ -33,35 +59,45 @@ class TestLoadFactor:
 
 class TestAvgChargingCost:
     def test_flat_rate(self):
-        assert avg_charging_cost([5.0, 5.0], [5 * 1.3495, 5 * 1.3495]) == \
-            pytest.approx(1.3495)
+        rep = assemble_report(charging_ledger([5.0, 5.0], [5 * 1.3495, 5 * 1.3495]))
+        assert rep.avg_charging_cost_dkk_per_kwh == pytest.approx(1.3495)
 
     def test_weighted_mean(self):
-        assert avg_charging_cost([1.0, 1.0], [1.0, 2.0]) == pytest.approx(1.5)
+        rep = assemble_report(charging_ledger([1.0, 1.0], [1.0, 2.0]))
+        assert rep.avg_charging_cost_dkk_per_kwh == pytest.approx(1.5)
 
     def test_shifting_to_cheap_hours_lowers_cost(self):
-        expensive = avg_charging_cost([2.0, 0.0], [2 * 2.0, 0.0])
-        shifted = avg_charging_cost([1.0, 1.0], [1 * 2.0, 1 * 1.0])
-        assert shifted < expensive
+        data = flat_data(make_span(), n_households=1, base_kw=0.0, tariff=0.0)
+        data.spot.values[:12] = 2.0               # 1.0 from noon on
+        expensive = charge_from(0, data).avg_charging_cost_dkk_per_kwh
+        shifted = charge_from(12, data).avg_charging_cost_dkk_per_kwh
+        assert expensive == pytest.approx(2.0)
+        assert shifted == pytest.approx(1.0)
 
     def test_zero_energy_undefined(self):
-        with pytest.raises(UndefinedKpiError):
-            avg_charging_cost([0.0], [0.0])
+        rep = assemble_report(charging_ledger([0.0], [0.0]))
+        assert rep.avg_charging_cost_dkk_per_kwh is None
 
 
 class TestDsoRevenue:
     def test_fixed_tariff(self):
-        consumption = np.full((10, 100), 1.0)   # 1000 kWh total
-        assert dso_revenue(consumption, np.full(100, 0.5)) == pytest.approx(500.0)
+        span = make_span()                        # 48 hours
+        data = flat_data(span, n_households=10, base_kw=1.0, tariff=0.5)
+        out = simulate(ExperimentSpec("t", "traditional", span), data, [])
+        assert out.reports[0].dso_revenue_dkk == pytest.approx(10 * 48 * 0.5)
 
     def test_zero_consumption(self):
-        assert dso_revenue(np.zeros((5, 10)), np.full(10, 0.5)) == 0.0
+        rep = assemble_report(charging_ledger([0.0], [0.0]))
+        assert rep.dso_revenue_dkk == 0.0
 
     def test_peak_to_offpeak_shift_lowers_revenue(self):
-        rates = np.array([1.0, 0.2])
-        peaky = dso_revenue(np.array([[3.0, 1.0]]), rates)
-        shifted = dso_revenue(np.array([[1.0, 3.0]]), rates)
-        assert shifted < peaky
+        data = flat_data(make_span(), n_households=1, base_kw=0.5)
+        data.tariffs["time_of_use"] = DistributionTariff("time_of_use", bands=[
+            TouBand("all", 0, 17, 0.2), TouBand("all", 17, 20, 1.0),
+            TouBand("all", 20, 24, 0.2)])
+        peaky = charge_from(17, data, "time_of_use").dso_revenue_dkk
+        shifted = charge_from(21, data, "time_of_use").dso_revenue_dkk
+        assert peaky - shifted == pytest.approx(3.7 * (1.0 - 0.2))
 
 
 class TestPctDifference:

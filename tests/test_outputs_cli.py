@@ -39,11 +39,15 @@ class TestCliRun:
                    "--experiment", "round_robin"])
         assert rc == 0
         exp = out / "round_robin"
-        for name in ("manifest.txt", "load_minute.csv", "load_hourly_max.csv",
-                     "kpi.csv", "overloads.csv", "sessions.csv",
-                     "dissatisfactions.csv", "comparison.csv",
-                     "load_profile.svg", "dissatisfaction.svg", "day_zoom.svg"):
-            assert (exp / name).exists(), name
+        assert sorted(p.name for p in exp.iterdir()) == sorted((
+            "manifest.txt", "load_minute.csv", "load_hourly_max.csv",
+            "kpi.csv", "overloads.csv", "sessions.csv",
+            "dissatisfactions.csv", "comparison.csv",
+            "load_profile.svg", "dissatisfaction.svg", "day_zoom.svg"))
+        # the household baseload is written once per run, at hourly resolution
+        rows = (out / "baseload_hourly.csv").read_text().splitlines()
+        assert rows[0] == "timestamp_iso8601,load_kw"
+        assert len(rows) == 1 + 7 * 24
         # the referenced baseline ran too
         assert (out / "traditional" / "kpi.csv").exists()
         assert "round_robin: ok" in capsys.readouterr().out

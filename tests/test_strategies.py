@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evsim.grid import Transformer
+from evsim import strategies
+from evsim.engine import ExperimentSpec, simulate
 from evsim.strategies import (CAPACITY_EPS, ChargeRequest, FcfsState,
-                              RoundRobinState, compute_budget, dispatch_edf,
+                              RoundRobinState, dispatch_edf,
                               dispatch_equal_charge, dispatch_fcfs,
                               dispatch_round_robin, dispatch_traditional)
 from evsim.timebase import Timestamp
+
+from conftest import flat_data, make_span
 
 
 def req(vid, rate, remaining=10.0, arrival=0, departure=None):
@@ -212,7 +215,14 @@ def test_centralized_strategies_respect_budget(entries, budget):
     assert sum(grants.values()) <= budget + CAPACITY_EPS
 
 
-def test_compute_budget_examples():
-    assert compute_budget(Transformer(400), 250) == 150
-    assert compute_budget(Transformer(400, 20), 250) == 130
-    assert compute_budget(Transformer(400), 400) == 0
+def test_dispatch_budget_examples(monkeypatch):
+    # the budget the engine hands the dispatcher at every decision boundary
+    span = make_span("2036-01-01T00:00", "2036-01-02T00:00")
+    for buffer_kw, base_kw, budget in ((0.0, 125.0, 150.0), (20.0, 125.0, 130.0),
+                                       (0.0, 200.0, 0.0), (0.0, 250.0, 0.0)):
+        seen = set()
+        monkeypatch.setattr(strategies, "dispatch_edf",
+                            lambda reqs, cap: seen.add(cap) or {})
+        data = flat_data(span, base_kw=base_kw, capacity=400.0, buffer_kw=buffer_kw)
+        simulate(ExperimentSpec("t", "edf", span), data, [])
+        assert seen == {budget}

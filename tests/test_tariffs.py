@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evsim.engine import ExperimentSpec, VehiclePlan, simulate
+from evsim.fleet import Vehicle
 from evsim.tariffs import (Co2IntensitySeries, CoverageError, DistributionTariff,
-                           PriceQuote, SpotPriceSeries, TouBand, co2_of_energy,
-                           cost_of_energy, quote_at)
+                           SpotPriceSeries, TouBand)
 from evsim.timebase import SimulationSpan, Timestamp
+
+from conftest import LEAF, flat_data, make_span
 
 T0 = Timestamp.from_iso("2036-06-01T00:00")
 
@@ -22,54 +25,64 @@ def tou_peak_17_20(peak=1.0, offpeak=0.2):
         TouBand("all", 20, 24, offpeak)])
 
 
+def charging_report(kwh, **prices):
+    """KPIs of a two-day run in which one LEAF, plugged in from the start,
+    charges `kwh` next to a zero baseload; `prices` go to flat_data."""
+    span = make_span()
+    vehicle = Vehicle(id=1, household_id=1, model=LEAF,
+                      soc_kwh=LEAF.battery_kwh - kwh)
+    data = flat_data(span, n_households=1, base_kw=0.0, **prices)
+    out = simulate(ExperimentSpec("t", "traditional", span), data,
+                   [VehiclePlan(vehicle, span.start, [])])
+    return out.reports[0]
+
+
 def test_quote_fixed_sum():
-    spot = SpotPriceSeries(T0, np.full(24, 1.00))
-    q = quote_at(T0 + 30, spot, fixed(0.30))
-    assert q.total == pytest.approx(1.30)
+    rep = charging_report(10.0, spot=1.0, tariff=0.30, addons=0.05)
+    assert rep.avg_charging_cost_dkk_per_kwh == pytest.approx(1.35)
+    assert rep.dso_revenue_dkk == pytest.approx(3.0)
 
 
 def test_quote_tou_peak_lookup():
-    spot = SpotPriceSeries(T0, np.zeros(24))
-    q = quote_at(T0 + 18 * 60 + 30, spot, tou_peak_17_20())
-    assert q.tariff == pytest.approx(1.0)
-    q = quote_at(T0 + 12 * 60, spot, tou_peak_17_20())
-    assert q.tariff == pytest.approx(0.2)
+    rates = tou_peak_17_20().hourly_rates(SimulationSpan(T0, T0 + 24 * 60))
+    assert rates[18] == pytest.approx(1.0)
+    assert rates[12] == pytest.approx(0.2)
+    assert tou_peak_17_20().rate_at(T0 + 18 * 60 + 30) == pytest.approx(1.0)
 
 
 def test_negative_spot_passes_through():
-    spot = SpotPriceSeries(T0, np.full(24, -0.05))
-    q = quote_at(T0, spot, fixed(0.30))
-    assert q.total == pytest.approx(0.25)
+    rep = charging_report(10.0, spot=-0.05, tariff=0.30)
+    assert rep.avg_charging_cost_dkk_per_kwh == pytest.approx(0.25)
 
 
 def test_out_of_coverage_raises():
     spot = SpotPriceSeries(T0, np.full(24, 1.0))
     with pytest.raises(CoverageError):
-        spot.at(T0 + 25 * 60)
+        spot.slice_hours(SimulationSpan(T0, T0 + 25 * 60))
 
 
 def test_hour_constancy():
-    rng = np.random.default_rng(0)
-    spot = SpotPriceSeries(T0, rng.uniform(0, 2, 24))
+    tariff = tou_peak_17_20()
     for h in range(24):
-        q0 = quote_at(T0 + h * 60, spot, tou_peak_17_20())
-        q59 = quote_at(T0 + h * 60 + 59, spot, tou_peak_17_20())
-        assert q0 == q59
+        assert tariff.rate_at(T0 + h * 60) == tariff.rate_at(T0 + h * 60 + 59)
 
 
 def test_cost_and_co2_examples():
-    q = PriceQuote(spot=1.3495, tariff=0.0, addons=0.0)
-    assert cost_of_energy(10.0, q) == pytest.approx(13.495)
-    assert cost_of_energy(0.0, q) == 0.0
-    assert co2_of_energy(2.0, 0.5) == pytest.approx(1.0)
-    assert co2_of_energy(0.0, 0.5) == 0.0
+    rep = charging_report(10.0, spot=1.3495, tariff=0.0, co2=0.5)
+    assert rep.avg_charging_cost_dkk_per_kwh == pytest.approx(1.3495)
+    assert rep.avg_total_bill_dkk == pytest.approx(13.495)
+    assert rep.avg_total_co2_kg == pytest.approx(5.0)
+    assert rep.dso_revenue_dkk == 0.0
 
 
-@given(st.floats(0, 100), st.floats(0, 100))
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.5, 15), st.floats(0.5, 15))
 def test_cost_linearity(a, b):
-    q = PriceQuote(spot=1.1, tariff=0.3, addons=0.05)
-    assert cost_of_energy(a + b, q) == pytest.approx(
-        cost_of_energy(a, q) + cost_of_energy(b, q), rel=1e-9, abs=1e-9)
+    prices = dict(spot=1.1, tariff=0.3, addons=0.05)
+    bill = charging_report(a + b, **prices).avg_total_bill_dkk
+    assert bill == pytest.approx(charging_report(a, **prices).avg_total_bill_dkk +
+                                 charging_report(b, **prices).avg_total_bill_dkk,
+                                 rel=1e-9, abs=1e-9)
 
 
 def test_tou_partition_enforced():
