@@ -4,6 +4,17 @@ One run is strictly single-threaded: fixed phase order per tick
 (trip events, baseload, dispatch on decision boundaries, charging
 physics, load recording), agents stepped in ascending household id.
 Identical (spec, inputs) reproduce identical outputs bit for bit.
+
+Time advances from event to event (next-event time advance). The loop
+stops only at the tick of the next trip event, at the closing tick of each
+hour, at a decision boundary where the dispatcher's inputs (requests,
+budget) changed since its last call (every boundary for Round Robin), and
+at the earliest tick on which a charging vehicle may reach its target.
+Between two stops the grants and the hour's baseload are constant: the load
+array is filled by one slice, and each charging vehicle's state of charge,
+hour and session energy take the same sequence of float adds as on a
+per-tick loop. The output therefore equals that loop's bit for bit;
+``tests/reference_engine.py`` keeps the per-tick loop as the oracle.
 """
 
 from __future__ import annotations
@@ -92,15 +103,19 @@ class ExperimentSpec:
         if self.strategy not in strat.STRATEGY_NAMES:
             raise ValueError(f"unknown strategy {self.strategy!r}; "
                              f"valid: {', '.join(strat.STRATEGY_NAMES)}")
-        interval = self.interval
-        if interval <= 0 or interval % self.span.tick_minutes != 0:
-            raise ValueError("decision interval must be a positive multiple of the tick")
+        explicit, tick = self.decision_interval_min, self.span.tick_minutes
+        if explicit is not None and (explicit <= 0 or explicit % tick != 0):
+            raise ValueError(f"decision_interval_min must be a positive multiple "
+                             f"of the {tick}-minute tick, got {explicit}")
 
     @property
     def interval(self) -> int:
+        """Minutes between decision boundaries: the explicit value, or the
+        strategy's default rounded up to a whole number of ticks."""
         if self.decision_interval_min is not None:
             return self.decision_interval_min
-        return strat.DEFAULT_DECISION_INTERVAL_MIN[self.strategy]
+        tick = self.span.tick_minutes
+        return -(-strat.DEFAULT_DECISION_INTERVAL_MIN[self.strategy] // tick) * tick
 
 
 @dataclass
@@ -146,6 +161,11 @@ class SimulationOutput:
 
 # event kinds, processed in this order within one tick
 _ADOPT, _DEPART, _ARRIVE = 0, 1, 2
+
+# Relative slack of the completion horizon (_Run._horizon): about nine times
+# the 2**-53 rounding error of one float operation, so the horizon stays a
+# lower bound whatever the rounding of the adds it predicts.
+_ROUNDING_SLACK = 1e-15
 
 
 def _dispatcher(spec: ExperimentSpec):
@@ -198,6 +218,247 @@ def run_experiment(spec: ExperimentSpec, data: ScenarioData) -> SimulationOutput
     return simulate(spec, data, plans)
 
 
+def _event_list(plans: list[VehiclePlan], end_minute: int):
+    """The fleet plan as one list of (minute, kind, vehicle id, trip) sorted
+    in processing order, plus each arrival's next planned departure."""
+    events: list[tuple[int, int, int, TripEvent | None]] = []
+    next_departure: dict[tuple[int, int], int] = {}
+    for p in plans:
+        vid = p.vehicle.id
+        events.append((p.adoption.minutes, _ADOPT, vid, None))
+        for k, trip in enumerate(p.trips):
+            events.append((trip.departure.minutes, _DEPART, vid, None))
+            events.append((trip.arrival.minutes, _ARRIVE, vid, trip))
+            nxt = p.trips[k + 1].departure.minutes if k + 1 < len(p.trips) \
+                else end_minute
+            next_departure[(vid, trip.arrival.minutes)] = nxt
+    events.sort(key=lambda e: (e[0], e[1], e[2]))
+    return events, next_departure
+
+
+class _Run:
+    """The mutable state of one simulation, advanced one span of ticks at a time.
+
+    A span starts at a stop: its first tick takes the due events and, on a
+    decision boundary, the dispatch. After that the grants and the hour stay
+    fixed, so only the state of charge moves, and only the span's last tick
+    can bring a vehicle to its target.
+    """
+
+    def __init__(self, spec: ExperimentSpec, plans: list[VehiclePlan],
+                 ledgers: dict[int, YearLedger], check_invariants: bool):
+        span = spec.span
+        self.dt = span.tick_minutes
+        self.start = span.start.minutes
+        self.n_ticks = span.n_ticks
+        self.interval = spec.interval
+        self.check_invariants = check_invariants
+        self.coordinated = spec.strategy != "traditional"
+        self.ledgers = ledgers
+        self.delivered_by_year: dict[int, dict[int, float]] = {y: {} for y in ledgers}
+
+        self.vehicles: dict[int, Vehicle] = {p.vehicle.id: p.vehicle for p in plans}
+        self.first_departure = {p.vehicle.id: (p.trips[0].departure.minutes if p.trips
+                                               else span.end.minutes) for p in plans}
+        self.events, self.next_departure = _event_list(plans, span.end.minutes)
+        self.ev_ptr = 0
+
+        self.dispatch = _dispatcher(spec)
+        # Round Robin advances its charging streaks on every call. The other
+        # dispatchers give the same grants for the same requests and budget
+        # (FCFS also leaves its queue as it was), so such a call is skipped.
+        self.dispatch_every_boundary = spec.strategy == "round_robin"
+        self.inputs_changed = True     # requests differ from the last call's
+        self.last_budget: float | None = None
+        self.grants: dict[int, float] = {}
+        self.horizon = -1              # first tick a grant may end; < now: stale
+
+        self.requesting: set[int] = set()
+        self.req_cache: dict[int, strat.ChargeRequest] = {}
+        self.session_start: dict[int, int] = {}
+        self.session_kwh: dict[int, float] = {}
+        self.hour_kwh: dict[int, float] = {}
+        self.trip_drain: dict[int, float] = {vid: 0.0 for vid in self.vehicles}
+        self.delivered_total: dict[int, float] = {vid: 0.0 for vid in self.vehicles}
+        self.sessions: list[ChargeSession] = []
+        self.dissatisfactions: list[tuple[Timestamp, int]] = []
+
+    def apply_events(self, m: int) -> None:
+        """Phase 1: the adoptions, departures and arrivals due before m + dt."""
+        events, vehicles = self.events, self.vehicles
+        due = m + self.dt
+        while self.ev_ptr < len(events) and events[self.ev_ptr][0] < due:
+            _, kind, vid, trip = events[self.ev_ptr]
+            self.ev_ptr += 1
+            v = vehicles[vid]
+            if kind == _DEPART:
+                if v.plugged:
+                    if not v.satisfied:
+                        self.ledgers[Timestamp(m).year].dissatisfaction_count += 1
+                        self.dissatisfactions.append((Timestamp(m), vid))
+                    self.sessions.append(ChargeSession(
+                        vid, Timestamp(self.session_start.pop(vid)), Timestamp(m),
+                        self.session_kwh.pop(vid)))
+                v.plugged = False
+                self.grants.pop(vid, None)
+                self.req_cache.pop(vid, None)
+                if vid in self.requesting:
+                    self.requesting.remove(vid)
+                    self.inputs_changed = True
+                continue
+            if kind == _ADOPT:
+                v.plugged = True
+                v.arrival = Timestamp(m)
+                v.planned_departure = Timestamp(self.first_departure[vid])
+            else:
+                soc_before = v.soc_kwh
+                apply_trip_energy(v, trip)
+                self.trip_drain[vid] += soc_before - v.soc_kwh
+                v.planned_departure = Timestamp(
+                    self.next_departure[(vid, trip.arrival.minutes)])
+            self.session_start[vid] = m
+            self.session_kwh[vid] = 0.0
+            if not v.satisfied:
+                self.req_cache[vid] = strat.ChargeRequest(
+                    vehicle_id=vid, max_rate_kw=v.model.max_rate_kw,
+                    remaining_kwh=v.remaining_kwh, arrival=v.arrival,
+                    planned_departure=v.planned_departure)
+                self.requesting.add(vid)
+                self.inputs_changed = True
+
+    def _dispatch_pending(self, budget: float) -> bool:
+        """Whether the dispatcher may answer otherwise than on its last call."""
+        return self.dispatch_every_boundary or self.inputs_changed \
+            or budget != self.last_budget
+
+    def dispatch_due(self, budget: float) -> None:
+        """Phase 3, on a decision boundary: new grants, unless the dispatcher
+        would repeat the grants of its last call, which are still held."""
+        if not self._dispatch_pending(budget):
+            return
+        reqs = [self.req_cache[vid] for vid in sorted(self.requesting)]
+        self.grants = dict(self.dispatch(reqs, budget))
+        self.inputs_changed = False
+        self.last_budget = budget
+        self.horizon = -1
+        if self.check_invariants:
+            for vid, g in self.grants.items():
+                assert 0.0 <= g <= self.vehicles[vid].model.max_rate_kw + strat.CAPACITY_EPS
+            if self.coordinated:
+                assert sum(self.grants.values()) <= budget + strat.CAPACITY_EPS
+
+    def next_stop(self, i: int, hour_end: int, budget: float) -> int:
+        """The tick after tick i at which the next span starts: the tick of
+        the next event, the next hour, the next decision boundary if the
+        dispatcher's inputs changed, or the tick after the earliest tick at
+        which a grant may end."""
+        dt = self.dt
+        j = hour_end
+        if self.ev_ptr < len(self.events):
+            j = min(j, (self.events[self.ev_ptr][0] - self.start) // dt)
+        if self._dispatch_pending(budget):
+            boundary = ((self.start + i * dt) // self.interval + 1) * self.interval
+            j = min(j, (boundary - self.start) // dt)
+        if j > i + 1 and self.grants:
+            if self.horizon < i:
+                self.horizon = self._horizon(i)
+            j = min(j, self.horizon + 1)
+        return j
+
+    def _horizon(self, i: int) -> int:
+        """The earliest tick, from tick i on, at which a granted vehicle may
+        reach its target.
+
+        A vehicle that charges d kWh per tick finishes on the first tick with
+        d >= target - soc. Each tick adds d to its soc, plus at most half an
+        ulp of rounding, so (target - soc - d) / d, shrunk by
+        _ROUNDING_SLACK, is a lower bound on the ticks it charges before.
+        """
+        dt, vehicles = self.dt, self.vehicles
+        shrink, grow = 1.0 - _ROUNDING_SLACK, 1.0 + _ROUNDING_SLACK
+        ticks = self.n_ticks - i
+        for vid, g in self.grants.items():
+            d = g * dt / 60.0
+            if d > 0.0:
+                v = vehicles[vid]
+                target = v.desired_target_kwh
+                n = ((target - v.soc_kwh) * shrink - d * grow) \
+                    / (d + _ROUNDING_SLACK * (target + d))
+                if n < ticks:
+                    if n < 1.0:
+                        return i
+                    ticks = int(n)
+        return i + ticks
+
+    def charge(self, i: int, j: int, load: np.ndarray, base_kw: float) -> None:
+        """Phases 4 and 5 for the span [i, j): each granted vehicle takes its
+        grant's energy on every tick, added one tick at a time so the float
+        sums are those of a per-tick loop; only the last tick can reach a
+        target and release the grant."""
+        dt = self.dt
+        quiet = j - i - 1
+        quiet_sum = last_sum = 0.0
+        released = []
+        vehicles, grants = self.vehicles, self.grants
+        hour_kwh, session_kwh = self.hour_kwh, self.session_kwh
+        # fixed id order keeps the float sums independent of the dispatcher's
+        # dict ordering
+        for vid in sorted(grants):
+            v = vehicles[vid]
+            d = grants[vid] * dt / 60.0
+            if quiet and d > 0.0:
+                soc, hour, session = v.soc_kwh, hour_kwh.get(vid, 0.0), session_kwh[vid]
+                for _ in range(quiet):
+                    soc += d
+                    hour += d
+                    session += d
+                v.soc_kwh, hour_kwh[vid], session_kwh[vid] = soc, hour, session
+                quiet_sum += d
+            headroom = v.desired_target_kwh - v.soc_kwh
+            if d >= headroom:
+                d = headroom
+                released.append(vid)
+            if d > 0.0:
+                v.soc_kwh += d
+                last_sum += d
+                hour_kwh[vid] = hour_kwh.get(vid, 0.0) + d
+                session_kwh[vid] += d
+        if released:
+            for vid in released:
+                del grants[vid]
+                self.requesting.discard(vid)
+            self.inputs_changed = True
+
+        if quiet:
+            load[i:j - 1] = base_kw + quiet_sum * 60.0 / dt
+        load[j - 1] = base_kw + last_sum * 60.0 / dt
+
+        if self.check_invariants:
+            # the state of charge only rises within a span: its end bounds it
+            for v in vehicles.values():
+                assert -SOC_EPS <= v.soc_kwh <= v.model.battery_kwh + SOC_EPS
+
+    def book_hour(self, year: int, price: float, tariff: float, co2: float) -> None:
+        """Book the closed hour's charging at that hour's prices."""
+        led = self.ledgers[year]
+        dby = self.delivered_by_year[year]
+        for vid, kwh in self.hour_kwh.items():
+            led.charging_kwh[vid] = led.charging_kwh.get(vid, 0.0) + kwh
+            led.charging_cost[vid] = led.charging_cost.get(vid, 0.0) + kwh * price
+            led.charging_tariff[vid] = led.charging_tariff.get(vid, 0.0) + kwh * tariff
+            led.charging_co2[vid] = led.charging_co2.get(vid, 0.0) + kwh * co2
+            dby[vid] = dby.get(vid, 0.0) + kwh
+            self.delivered_total[vid] += kwh
+        self.hour_kwh.clear()
+
+    def close_sessions(self, end_minute: int) -> None:
+        """End the sessions still plugged in at the end of the span."""
+        for vid in sorted(self.session_start):
+            self.sessions.append(ChargeSession(vid, Timestamp(self.session_start[vid]),
+                                               Timestamp(end_minute),
+                                               self.session_kwh[vid]))
+
+
 def simulate(spec: ExperimentSpec, data: ScenarioData,
              plans: list[VehiclePlan],
              check_invariants: bool = False) -> SimulationOutput:
@@ -232,164 +493,28 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     if span.start.minutes % 60 or span.end.minutes % 60:
         raise ValueError("span must start and end on hour boundaries")
 
-    vehicles: dict[int, Vehicle] = {p.vehicle.id: p.vehicle for p in plans}
+    initial_soc = {p.vehicle.id: p.vehicle.soc_kwh for p in plans}
     adoption_of = {p.vehicle.id: p.adoption for p in plans}
-    initial_soc = {vid: v.soc_kwh for vid, v in vehicles.items()}
-    first_departure = {p.vehicle.id: (p.trips[0].departure.minutes if p.trips
-                                      else span.end.minutes) for p in plans}
-
-    # flatten the fleet plan into a single sorted event list
-    events: list[tuple[int, int, int, TripEvent | None]] = []
-    next_departure: dict[tuple[int, int], int] = {}
-    for p in plans:
-        vid = p.vehicle.id
-        events.append((p.adoption.minutes, _ADOPT, vid, None))
-        for k, trip in enumerate(p.trips):
-            events.append((trip.departure.minutes, _DEPART, vid, None))
-            events.append((trip.arrival.minutes, _ARRIVE, vid, trip))
-            nxt = p.trips[k + 1].departure.minutes if k + 1 < len(p.trips) \
-                else span.end.minutes
-            next_departure[(vid, trip.arrival.minutes)] = nxt
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-
-    dispatch = _dispatcher(spec)
+    ledgers: dict[int, YearLedger] = {y: YearLedger(year=y) for y in span.years()}
+    run = _Run(spec, plans, ledgers, check_invariants)
 
     load = np.empty(n_ticks)
-    grants: dict[int, float] = {}
-    requesting: set[int] = set()
-    req_cache: dict[int, strat.ChargeRequest] = {}
-    session_start: dict[int, int] = {}
-    session_kwh: dict[int, float] = {}
-    hour_kwh: dict[int, float] = {}
-    trip_drain: dict[int, float] = {vid: 0.0 for vid in vehicles}
-    delivered_total_v: dict[int, float] = {vid: 0.0 for vid in vehicles}
-
-    sessions: list[ChargeSession] = []
-    dissatisfactions: list[tuple[Timestamp, int]] = []
-    ledgers: dict[int, YearLedger] = {y: YearLedger(year=y) for y in span.years()}
-    delivered_by_year: dict[int, dict[int, float]] = {y: {} for y in span.years()}
-
-    def open_session(vid: int, minute: int) -> None:
-        session_start[vid] = minute
-        session_kwh[vid] = 0.0
-
-    def close_session(vid: int, minute: int) -> None:
-        sessions.append(ChargeSession(vid, Timestamp(session_start.pop(vid)),
-                                      Timestamp(minute), session_kwh.pop(vid)))
-
-    def refresh_request(vid: int, v: Vehicle) -> None:
-        req_cache[vid] = strat.ChargeRequest(
-            vehicle_id=vid, max_rate_kw=v.model.max_rate_kw,
-            remaining_kwh=v.remaining_kwh, arrival=v.arrival,
-            planned_departure=v.planned_departure)
-
     per_hour = 60 // dt
-    ev_ptr = 0
-    n_events = len(events)
     start_min = span.start.minutes
-
-    for i in range(n_ticks):
-        m = start_min + i * dt
+    i = 0
+    while i < n_ticks:
         h = i // per_hour
-
-        # phase 1: adoptions, departures, arrivals
-        while ev_ptr < n_events and events[ev_ptr][0] < m + dt:
-            _, kind, vid, payload = events[ev_ptr]
-            ev_ptr += 1
-            v = vehicles[vid]
-            if kind == _ADOPT:
-                v.plugged = True
-                v.arrival = Timestamp(m)
-                v.planned_departure = Timestamp(first_departure[vid])
-                open_session(vid, m)
-                if not v.satisfied:
-                    refresh_request(vid, v)
-                    requesting.add(vid)
-            elif kind == _DEPART:
-                if v.plugged:
-                    if not v.satisfied:
-                        ledgers[Timestamp(m).year].dissatisfaction_count += 1
-                        dissatisfactions.append((Timestamp(m), vid))
-                    close_session(vid, m)
-                v.plugged = False
-                grants.pop(vid, None)
-                requesting.discard(vid)
-                req_cache.pop(vid, None)
-            else:   # _ARRIVE
-                soc_before = v.soc_kwh
-                apply_trip_energy(v, payload)
-                trip_drain[vid] += soc_before - v.soc_kwh
-                v.planned_departure = Timestamp(next_departure[(vid, payload.arrival.minutes)])
-                open_session(vid, m)
-                if not v.satisfied:
-                    refresh_request(vid, v)
-                    requesting.add(vid)
-
-        # phase 2: baseload for this tick
-        base_now = base_h[h]
-
-        # phase 3: dispatch on decision boundaries only (hold-last otherwise)
+        m = start_min + i * dt
+        run.apply_events(m)
+        # phase 2: this hour's baseload, base_h[h], and the budget it leaves
         if m % interval == 0:
-            budget = budget_h[h]
-            reqs = [req_cache[vid] for vid in sorted(requesting)]
-            grants = dict(dispatch(reqs, budget))
-            if check_invariants:
-                for vid, g in grants.items():
-                    assert 0.0 <= g <= vehicles[vid].model.max_rate_kw + strat.CAPACITY_EPS
-                if spec.strategy != "traditional":
-                    assert sum(grants.values()) <= budget + strat.CAPACITY_EPS
-
-        # phase 4: charging physics for one tick; fixed id order keeps the
-        # float sum independent of the dispatcher's dict ordering
-        delivered_sum = 0.0
-        released = None
-        for vid in sorted(grants):
-            g = grants[vid]
-            v = vehicles[vid]
-            delivered = g * dt / 60.0
-            headroom = v.desired_target_kwh - v.soc_kwh
-            if delivered >= headroom:
-                delivered = headroom
-                if released is None:
-                    released = [vid]
-                else:
-                    released.append(vid)
-                requesting.discard(vid)
-            if delivered > 0.0:
-                v.soc_kwh += delivered
-                delivered_sum += delivered
-                hour_kwh[vid] = hour_kwh.get(vid, 0.0) + delivered
-                session_kwh[vid] += delivered
-        if released:
-            for vid in released:
-                del grants[vid]
-
-        # phase 5: load recording (average power over the tick)
-        load[i] = base_now + delivered_sum * 60.0 / dt
-
-        if check_invariants:
-            for v in vehicles.values():
-                assert -SOC_EPS <= v.soc_kwh <= v.model.battery_kwh + SOC_EPS
-
-        # hour closed: book the hour's charging at this hour's prices
-        if (i + 1) % per_hour == 0 and hour_kwh:
-            year = int(year_of_hour[h])
-            led = ledgers[year]
-            dby = delivered_by_year[year]
-            p_tot, p_tar, p_co2 = price_h[h], tariff_h[h], co2_h[h]
-            for vid, kwh in hour_kwh.items():
-                led.charging_kwh[vid] = led.charging_kwh.get(vid, 0.0) + kwh
-                led.charging_cost[vid] = led.charging_cost.get(vid, 0.0) + kwh * p_tot
-                led.charging_tariff[vid] = led.charging_tariff.get(vid, 0.0) + kwh * p_tar
-                led.charging_co2[vid] = led.charging_co2.get(vid, 0.0) + kwh * p_co2
-                dby[vid] = dby.get(vid, 0.0) + kwh
-                delivered_total_v[vid] += kwh
-            hour_kwh.clear()
-
-    end_min = span.end.minutes
-    for vid in sorted(session_start):
-        sessions.append(ChargeSession(vid, Timestamp(session_start[vid]),
-                                      Timestamp(end_min), session_kwh[vid]))
+            run.dispatch_due(budget_h[h])
+        j = run.next_stop(i, (h + 1) * per_hour, budget_h[h])
+        run.charge(i, j, load, base_h[h])
+        if j % per_hour == 0 and run.hour_kwh:
+            run.book_hour(int(year_of_hour[h]), price_h[h], tariff_h[h], co2_h[h])
+        i = j
+    run.close_sessions(span.end.minutes)
 
     # per-year post-processing: overloads, hourly maxima, baseload billing
     load_series = LoadSeries(span.start, dt, load)
@@ -431,14 +556,14 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     reports = [assemble_report(ledgers[y], data.overload_unit) for y in span.years()]
 
     summaries = [VehicleSummary(
-        vehicle_id=vid, household_id=vehicles[vid].household_id,
-        model=vehicles[vid].model.name,
-        initial_soc_kwh=initial_soc[vid], final_soc_kwh=vehicles[vid].soc_kwh,
-        delivered_kwh=delivered_total_v[vid], trip_drain_kwh=trip_drain[vid])
-        for vid in sorted(vehicles)]
+        vehicle_id=vid, household_id=run.vehicles[vid].household_id,
+        model=run.vehicles[vid].model.name,
+        initial_soc_kwh=initial_soc[vid], final_soc_kwh=run.vehicles[vid].soc_kwh,
+        delivered_kwh=run.delivered_total[vid], trip_drain_kwh=run.trip_drain[vid])
+        for vid in sorted(run.vehicles)]
 
     return SimulationOutput(
         spec=spec, load=load_series, hourly_max=hmax,
-        overload_events=all_events, reports=reports, sessions=sessions,
-        dissatisfactions=dissatisfactions, vehicles=summaries,
-        delivered_by_year=delivered_by_year)
+        overload_events=all_events, reports=reports, sessions=run.sessions,
+        dissatisfactions=run.dissatisfactions, vehicles=summaries,
+        delivered_by_year=run.delivered_by_year)

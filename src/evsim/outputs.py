@@ -11,11 +11,14 @@ from .engine import ExperimentSpec, SimulationOutput
 from .grid import LoadSeries
 from .kpi import ComparisonRow, KpiReport, compare_reports
 from .svgplot import bar_chart_svg, day_zoom_svg, load_profile_svg
-from .timebase import Timestamp
+from .timebase import EPOCH, Timestamp
 
 KPI_HEADER = ["experiment_id", "year", "overload_count", "avg_charging_cost",
               "avg_total_bill", "avg_total_co2", "dissatisfaction",
               "load_factor", "dso_revenue"]
+
+_EPOCH_MINUTE = np.datetime64(EPOCH, "m")
+_ROWS_PER_WRITE = 256
 
 
 def _fmt(value, decimals: int) -> str:
@@ -25,11 +28,16 @@ def _fmt(value, decimals: int) -> str:
 
 
 def write_load_csv(path: Path, series: LoadSeries, column: str = "load_kw") -> None:
+    res = series.resolution_minutes
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp_iso8601", column])
-        for i, v in enumerate(series.values):
-            w.writerow([Timestamp(series.minute_of(i)).isoformat(), f"{v:.6f}"])
+        csv.writer(fh).writerow(["timestamp_iso8601", column])
+        # the rows csv.writer would write (its line ends are \r\n), formatted a
+        # block at a time so the text in memory stays small
+        for lo in range(0, len(series.values), _ROWS_PER_WRITE):
+            values = series.values[lo:lo + _ROWS_PER_WRITE].tolist()
+            minutes = series.start.minutes + res * np.arange(lo, lo + len(values))
+            stamps = np.datetime_as_string(_EPOCH_MINUTE + minutes, unit="m").tolist()
+            fh.write("".join(f"{t},{v:.6f}\r\n" for t, v in zip(stamps, values)))
 
 
 def write_kpi_csv(path: Path, experiment_id: str, reports: list[KpiReport]) -> None:

@@ -352,8 +352,11 @@ def _parse_experiments(cfg, path: str, default_span: SimulationSpan,
         from .strategies import STRATEGY_NAMES
         for name in STRATEGY_NAMES:
             baseline = None if name == "traditional" else "traditional"
-            specs.append(ExperimentSpec(id=name, strategy=name, span=default_span,
-                                        seed=seed, baseline_id=baseline))
+            try:
+                specs.append(ExperimentSpec(id=name, strategy=name, span=default_span,
+                                            seed=seed, baseline_id=baseline))
+            except ValueError as exc:
+                raise ScenarioError(path, "experiments", str(exc)) from exc
         return specs
 
     for section in exp_sections:

@@ -1,11 +1,15 @@
+import csv
+
 import numpy as np
 import pytest
 
 from evsim.cli import main
 from evsim.engine import run_experiment
-from evsim.outputs import read_kpi_csv, write_all, write_kpi_csv
+from evsim.grid import LoadSeries
+from evsim.outputs import read_kpi_csv, write_all, write_kpi_csv, write_load_csv
 from evsim.scenario import load_scenario
 from evsim.svgplot import bar_chart_svg, day_zoom_svg, load_profile_svg
+from evsim.timebase import Timestamp
 
 from test_scenario import write_scenario
 
@@ -101,6 +105,21 @@ class TestCliValidate:
         assert main(["validate", str(tmp_path / "nope.ini")]) == 1
 
 
+class TestCoarseTick:
+    @pytest.mark.parametrize("tick", [5, 15])
+    def test_default_matrix_validates_and_runs(self, tmp_path, tick):
+        # no [experiment.*] sections: the 1-minute strategy defaults round up
+        ini = SHORT_INI.replace("span_end = 2036-01-08T00:00",
+                                f"span_end = 2036-01-03T00:00\ntick_minutes = {tick}")
+        path = write_scenario(tmp_path, ini)
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        for exp_id, interval in (("edf", tick), ("round_robin", 15)):
+            manifest = (out / exp_id / "manifest.txt").read_text()
+            assert f"decision_interval_min = {interval}\n" in manifest
+
+
 class TestSeedEnv:
     def test_env_overrides_scenario_seed(self, scenario_path, monkeypatch, capsys):
         monkeypatch.setenv("EVSIM_SEED", "1234")
@@ -160,6 +179,24 @@ class TestKpiCsvRoundtrip:
         assert rows[0]["overload_count"] == "3"
         assert rows[0]["load_factor"] == "0.2048"
         assert rows[1]["avg_charging_cost"] == "na"
+
+
+class TestLoadCsv:
+    @pytest.mark.parametrize("resolution", [1, 15, 60])
+    def test_bytes_match_row_by_row_csv_writer(self, tmp_path, resolution):
+        # across a year boundary and several write blocks, with negative zero
+        # and large values
+        start = Timestamp.from_iso("2036-12-31T22:00")
+        values = np.random.default_rng(resolution).normal(100.0, 300.0, 2500)
+        values[:3] = (-0.0, 0.0, 1e7 / 3)
+        series = LoadSeries(start, resolution, values)
+        write_load_csv(tmp_path / "fast.csv", series, "dkk_per_kwh")
+        with open(tmp_path / "rows.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["timestamp_iso8601", "dkk_per_kwh"])
+            for i, v in enumerate(values):
+                w.writerow([Timestamp(series.minute_of(i)).isoformat(), f"{v:.6f}"])
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestSvg:

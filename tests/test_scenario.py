@@ -79,6 +79,13 @@ baseline = base
         assert sc.experiment("rr30").interval == 30
         assert sc.experiment("rr30").baseline_id == "base"
 
+    def test_interval_not_a_multiple_of_the_tick_rejected(self, tmp_path):
+        ini = BASE_INI.replace("span_end = 2036-02-01T00:00",
+                               "span_end = 2036-02-01T00:00\ntick_minutes = 5") \
+            + "\n[experiment.a]\nstrategy = edf\ndecision_interval_min = 7\n"
+        with pytest.raises(ScenarioError, match="decision_interval_min"):
+            load_scenario(write_scenario(tmp_path, ini))
+
     def test_unknown_baseline_rejected(self, tmp_path):
         ini = BASE_INI + "\n[experiment.a]\nstrategy = edf\nbaseline = nope\n"
         with pytest.raises(ScenarioError, match="baseline"):

@@ -215,6 +215,30 @@ def test_centralized_strategies_respect_budget(entries, budget):
     assert sum(grants.values()) <= budget + CAPACITY_EPS
 
 
+_FCFS_REQUESTS = st.lists(st.tuples(st.integers(1, 12),
+                                     st.sampled_from([3.7, 7.4, 11.0, 22.0]),
+                                     st.integers(0, 100)),
+                           max_size=10, unique_by=lambda t: t[0])
+
+
+@given(_FCFS_REQUESTS, st.floats(0.0, 60.0), _FCFS_REQUESTS, st.floats(0.0, 60.0))
+@settings(max_examples=200)
+def test_fcfs_idempotent_on_unchanged_inputs(first, first_budget, entries, budget):
+    # the engine skips an FCFS call whose requests and budget equal the last
+    # call's: repeating that call must change neither the grants nor the state
+    def snapshot(state):
+        return state.queue[:], list(state.active.items()), set(state.known)
+
+    state = FcfsState()
+    dispatch_fcfs(state, [req(v, r, arrival=a) for v, r, a in first], first_budget)
+    requests = [req(v, r, arrival=a) for v, r, a in entries]
+    grants = dispatch_fcfs(state, requests, budget)
+    before = snapshot(state)
+    again = dispatch_fcfs(state, requests, budget)
+    assert list(again.items()) == list(grants.items())
+    assert snapshot(state) == before
+
+
 def test_dispatch_budget_examples(monkeypatch):
     # the budget the engine hands the dispatcher at every decision boundary
     span = make_span("2036-01-01T00:00", "2036-01-02T00:00")
