@@ -15,11 +15,21 @@ array is filled by one slice, and each charging vehicle's state of charge,
 hour and session energy take the same sequence of float adds as on a
 per-tick loop. The output therefore equals that loop's bit for bit;
 ``tests/reference_engine.py`` keeps the per-tick loop as the oracle.
+
+A run is two passes. The charging-physics pass (events, dispatch, charging,
+the load, sessions and each vehicle's energy per hour) does not depend on
+the tariff, which only prices the energy; the pricing pass turns it into
+ledgers, overloads and KPI reports. Experiments on one ``ScenarioData`` that
+differ only in their tariff share one physics pass, and ``run_experiment``
+builds each (seed, span) fleet once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from array import array
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -69,7 +79,12 @@ class HouseholdBaseload:
 
 @dataclass
 class ScenarioData:
-    """Immutable inputs shared by all experiments of a run set."""
+    """Immutable inputs shared by all experiments of a run set.
+
+    It also holds, weakly, the fleets ``run_experiment`` built on it and the
+    charging-physics passes ``simulate`` ran on it. An output keeps the pass
+    and the fleet it used alive; nothing else does.
+    """
 
     household_ids: list[int]
     transformer: Transformer
@@ -82,11 +97,24 @@ class ScenarioData:
     driving: DrivingPattern
     addons_dkk_per_kwh: float = 0.0
     overload_unit: str = "hours"
+    _fleets: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary, init=False, repr=False,
+        compare=False)
+    _physics: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary, init=False, repr=False,
+        compare=False)
 
     def __post_init__(self):
         validate_catalog(self.catalog)
         if self.adoption_curve.final_value > len(self.household_ids):
             raise ValueError("adoption curve exceeds household count")
+
+    def __getstate__(self):
+        # copies and pickles start without the fleets and passes held weakly
+        return {k: v for k, v in vars(self).items() if k not in ("_fleets", "_physics")}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
 
 @dataclass(frozen=True)
@@ -107,15 +135,21 @@ class ExperimentSpec:
         if explicit is not None and (explicit <= 0 or explicit % tick != 0):
             raise ValueError(f"decision_interval_min must be a positive multiple "
                              f"of the {tick}-minute tick, got {explicit}")
+        # grants hold until the next boundary, so an hour that started inside
+        # an interval would keep the grants made for the previous hour's budget
+        if explicit is not None and 60 % explicit != 0:
+            raise ValueError(f"decision_interval_min must divide 60, so that every "
+                             f"hour starts on a decision boundary, got {explicit}")
 
     @property
     def interval(self) -> int:
         """Minutes between decision boundaries: the explicit value, or the
-        strategy's default rounded up to a whole number of ticks."""
+        strategy's default rounded up to a multiple of the tick that divides 60."""
         if self.decision_interval_min is not None:
             return self.decision_interval_min
         tick = self.span.tick_minutes
-        return -(-strat.DEFAULT_DECISION_INTERVAL_MIN[self.strategy] // tick) * tick
+        default = strat.DEFAULT_DECISION_INTERVAL_MIN[self.strategy]
+        return next(m for m in range(tick, 61, tick) if m >= default and 60 % m == 0)
 
 
 @dataclass
@@ -148,6 +182,12 @@ class VehicleSummary:
 
 @dataclass
 class SimulationOutput:
+    """One experiment's results.
+
+    Outputs priced from one charging-physics pass share its load series and
+    the session, dissatisfaction and vehicle records in their lists.
+    """
+
     spec: ExperimentSpec
     load: LoadSeries                     # per tick, aggregate
     hourly_max: LoadSeries
@@ -157,6 +197,13 @@ class SimulationOutput:
     dissatisfactions: list[tuple[Timestamp, int]]
     vehicles: list[VehicleSummary]
     delivered_by_year: dict[int, dict[int, float]]   # year -> vehicle id -> kWh
+    # the physics pass this output was priced from, kept alive while it is
+    _physics: _Physics | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        # a pickled output (a --parallel worker's result) leaves its physics
+        # pass and fleet behind: another process has nothing to share them with
+        return {**vars(self), "_physics": None}
 
 
 # event kinds, processed in this order within one tick
@@ -211,10 +258,24 @@ def build_fleet(spec: ExperimentSpec, data: ScenarioData,
     return plans
 
 
+class _Fleet(list):
+    """The plans of a fleet ``run_experiment`` built: a list that can be
+    held weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
 def run_experiment(spec: ExperimentSpec, data: ScenarioData) -> SimulationOutput:
-    """Build the stochastic fleet from the seed and simulate the span."""
-    streams = RngStreams(spec.seed)
-    plans = build_fleet(spec, data, streams)
+    """Build the stochastic fleet from the seed and simulate the span.
+
+    Experiments on one ``data`` with the same seed and span share one fleet,
+    built the first time and reused while an output of it is alive.
+    """
+    key = (spec.seed, spec.span)
+    plans = data._fleets.get(key)
+    if plans is None:
+        plans = _Fleet(build_fleet(spec, data, RngStreams(spec.seed)))
+        data._fleets[key] = plans
     return simulate(spec, data, plans)
 
 
@@ -246,7 +307,7 @@ class _Run:
     """
 
     def __init__(self, spec: ExperimentSpec, plans: list[VehiclePlan],
-                 ledgers: dict[int, YearLedger], check_invariants: bool):
+                 check_invariants: bool):
         span = spec.span
         self.dt = span.tick_minutes
         self.start = span.start.minutes
@@ -254,10 +315,12 @@ class _Run:
         self.interval = spec.interval
         self.check_invariants = check_invariants
         self.coordinated = spec.strategy != "traditional"
-        self.ledgers = ledgers
-        self.delivered_by_year: dict[int, dict[int, float]] = {y: {} for y in ledgers}
 
-        self.vehicles: dict[int, Vehicle] = {p.vehicle.id: p.vehicle for p in plans}
+        # the run changes copies of the vehicles, so the plans stay as they
+        # were; built anew, as copy.copy's instances take about 20% longer on
+        # the charging loop's attribute accesses
+        self.vehicles: dict[int, Vehicle] = {p.vehicle.id: replace(p.vehicle)
+                                             for p in plans}
         self.first_departure = {p.vehicle.id: (p.trips[0].departure.minutes if p.trips
                                                else span.end.minutes) for p in plans}
         self.events, self.next_departure = _event_list(plans, span.end.minutes)
@@ -280,6 +343,12 @@ class _Run:
         self.hour_kwh: dict[int, float] = {}
         self.trip_drain: dict[int, float] = {vid: 0.0 for vid in self.vehicles}
         self.delivered_total: dict[int, float] = {vid: 0.0 for vid in self.vehicles}
+        self.delivered_by_year: dict[int, dict[int, float]] = {y: {} for y in span.years()}
+        # each closed hour's charging, for the pricing pass: (hour, year, end of
+        # its entries), and per entry the vehicle and its kWh
+        self.booked: list[tuple[int, int, int]] = []
+        self.booked_vids = array("q")
+        self.booked_kwh = array("d")
         self.sessions: list[ChargeSession] = []
         self.dissatisfactions: list[tuple[Timestamp, int]] = []
 
@@ -294,7 +363,6 @@ class _Run:
             if kind == _DEPART:
                 if v.plugged:
                     if not v.satisfied:
-                        self.ledgers[Timestamp(m).year].dissatisfaction_count += 1
                         self.dissatisfactions.append((Timestamp(m), vid))
                     self.sessions.append(ChargeSession(
                         vid, Timestamp(self.session_start.pop(vid)), Timestamp(m),
@@ -438,17 +506,16 @@ class _Run:
             for v in vehicles.values():
                 assert -SOC_EPS <= v.soc_kwh <= v.model.battery_kwh + SOC_EPS
 
-    def book_hour(self, year: int, price: float, tariff: float, co2: float) -> None:
-        """Book the closed hour's charging at that hour's prices."""
-        led = self.ledgers[year]
+    def book_hour(self, h: int, year: int) -> None:
+        """Add the closed hour h's charging to each vehicle's delivered energy,
+        and record it, in the hour's order of vehicles, for the pricing pass."""
         dby = self.delivered_by_year[year]
         for vid, kwh in self.hour_kwh.items():
-            led.charging_kwh[vid] = led.charging_kwh.get(vid, 0.0) + kwh
-            led.charging_cost[vid] = led.charging_cost.get(vid, 0.0) + kwh * price
-            led.charging_tariff[vid] = led.charging_tariff.get(vid, 0.0) + kwh * tariff
-            led.charging_co2[vid] = led.charging_co2.get(vid, 0.0) + kwh * co2
             dby[vid] = dby.get(vid, 0.0) + kwh
             self.delivered_total[vid] += kwh
+        self.booked_vids.extend(self.hour_kwh)
+        self.booked_kwh.extend(self.hour_kwh.values())
+        self.booked.append((h, year, len(self.booked_vids)))
         self.hour_kwh.clear()
 
     def close_sessions(self, end_minute: int) -> None:
@@ -459,17 +526,54 @@ class _Run:
                                                self.session_kwh[vid]))
 
 
+@dataclass
+class _Physics:
+    """One charging-physics pass: everything of a run its tariff does not change."""
+
+    fleet: list[VehiclePlan]       # the plans it ran, kept alive with it
+    load: LoadSeries
+    hourly_max: LoadSeries
+    sessions: list[ChargeSession]
+    dissatisfactions: list[tuple[Timestamp, int]]
+    vehicles: list[VehicleSummary]
+    delivered_by_year: dict[int, dict[int, float]]
+    ev_households: dict[int, list[int]]      # year -> EV owners by its end
+    booked: list[tuple[int, int, int]]       # see _Run.book_hour
+    booked_vids: array
+    booked_kwh: array
+    inputs: tuple = ()                       # what it ran on; see simulate
+
+
+_vehicle_state = attrgetter(*(f.name for f in fields(Vehicle)))
+
+
+def _fleet_content(plans: list[VehiclePlan]) -> tuple:
+    """Everything the charging physics reads of a fleet, as one comparable value.
+
+    It is flat, to stay small while a physics pass keeps it; the trips are its
+    only TripEvents, so two fleets still give equal values only if each of
+    their vehicles, adoptions and trip lists are equal.
+    """
+    content: list = []
+    for p in plans:
+        content += _vehicle_state(p.vehicle)
+        content.append(p.adoption)
+        content += p.trips
+    return tuple(content)
+
+
 def simulate(spec: ExperimentSpec, data: ScenarioData,
              plans: list[VehiclePlan],
              check_invariants: bool = False) -> SimulationOutput:
-    """Deterministic core loop over the span with a prepared fleet."""
-    span = spec.span
-    dt = span.tick_minutes
-    n_ticks = span.n_ticks
-    n_hours = span.n_hours
-    interval = spec.interval
-    tr = data.transformer
+    """Run one experiment on a prepared fleet: its charging physics, priced
+    at ``spec.tariff_mode``. ``plans`` is left as it was found.
 
+    The physics pass of an earlier call on the same ``data`` is reused while
+    an output of it is alive and its strategy, decision interval, span, seed,
+    ``check_invariants``, transformer, hourly baseload and fleet content all
+    match: the tariff changes no dispatch decision.
+    """
+    span = spec.span
     tariff = data.tariffs.get(spec.tariff_mode)
     if tariff is None:
         raise ValueError(f"scenario has no {spec.tariff_mode!r} tariff")
@@ -479,24 +583,44 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     spot_h = data.spot.slice_hours(span)
     co2_h = data.co2.slice_hours(span)
     tariff_h = tariff.hourly_rates(span)
-    price_h = spot_h + tariff_h + data.addons_dkk_per_kwh
     base_total_h = base_matrix.sum(axis=0)
-    base_h = base_total_h.tolist()
-    budget_h = available_capacity(tr, base_total_h).tolist()
-
-    year_of_hour = np.empty(n_hours, dtype=int)
-    for y in span.years():
-        lo = max(0, (year_start_minutes(y) - span.start.minutes) // 60)
-        hi = min(n_hours, (year_start_minutes(y + 1) - span.start.minutes) // 60)
-        year_of_hour[lo:hi] = y
 
     if span.start.minutes % 60 or span.end.minutes % 60:
         raise ValueError("span must start and end on hour boundaries")
 
+    key = (spec.strategy, spec.interval, span, spec.seed, check_invariants)
+    inputs = (data.transformer, base_total_h.tobytes(), _fleet_content(plans))
+    physics = data._physics.get(key)
+    if physics is None or physics.inputs != inputs:
+        physics = _charge(spec, data.transformer, base_total_h, plans, check_invariants)
+        physics.inputs = inputs
+        data._physics[key] = physics
+    return _price(spec, data, physics, base_matrix,
+                  spot_h + tariff_h + data.addons_dkk_per_kwh, tariff_h, co2_h)
+
+
+def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
+            plans: list[VehiclePlan], check_invariants: bool) -> _Physics:
+    """The charging-physics pass: the deterministic core loop over the span."""
+    span = spec.span
+    dt = span.tick_minutes
+    n_ticks = span.n_ticks
+    n_hours = span.n_hours
+    interval = spec.interval
+    base_h = base_total_h.tolist()
+    budget_h = available_capacity(tr, base_total_h).tolist()
+
+    year_of_hour = np.empty(n_hours, dtype=int)
+    year_end = {}
+    for y in span.years():
+        lo = max(0, (year_start_minutes(y) - span.start.minutes) // 60)
+        hi = min(n_hours, (year_start_minutes(y + 1) - span.start.minutes) // 60)
+        year_of_hour[lo:hi] = y
+        year_end[y] = min(span.end.minutes, year_start_minutes(y + 1))
+
     initial_soc = {p.vehicle.id: p.vehicle.soc_kwh for p in plans}
-    adoption_of = {p.vehicle.id: p.adoption for p in plans}
-    ledgers: dict[int, YearLedger] = {y: YearLedger(year=y) for y in span.years()}
-    run = _Run(spec, plans, ledgers, check_invariants)
+    adoption_of = {p.vehicle.id: p.adoption.minutes for p in plans}
+    run = _Run(spec, plans, check_invariants)
 
     load = np.empty(n_ticks)
     per_hour = 60 // dt
@@ -512,20 +636,65 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
         j = run.next_stop(i, (h + 1) * per_hour, budget_h[h])
         run.charge(i, j, load, base_h[h])
         if j % per_hour == 0 and run.hour_kwh:
-            run.book_hour(int(year_of_hour[h]), price_h[h], tariff_h[h], co2_h[h])
+            run.book_hour(h, int(year_of_hour[h]))
         i = j
     run.close_sessions(span.end.minutes)
 
-    # per-year post-processing: overloads, hourly maxima, baseload billing
+    # outputs priced from this pass share the load array
+    load.flags.writeable = False
     load_series = LoadSeries(span.start, dt, load)
-    hmax = hourly_max(load_series)
+
+    summaries = [VehicleSummary(
+        vehicle_id=vid, household_id=run.vehicles[vid].household_id,
+        model=run.vehicles[vid].model.name,
+        initial_soc_kwh=initial_soc[vid], final_soc_kwh=run.vehicles[vid].soc_kwh,
+        delivered_kwh=run.delivered_total[vid], trip_drain_kwh=run.trip_drain[vid])
+        for vid in sorted(run.vehicles)]
+
+    return _Physics(
+        fleet=plans, load=load_series, hourly_max=hourly_max(load_series),
+        sessions=run.sessions, dissatisfactions=run.dissatisfactions,
+        vehicles=summaries, delivered_by_year=run.delivered_by_year,
+        ev_households={y: sorted(vid for vid, at in adoption_of.items() if at < y1)
+                       for y, y1 in year_end.items()},
+        booked=run.booked, booked_vids=run.booked_vids, booked_kwh=run.booked_kwh)
+
+
+def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
+           base_matrix: np.ndarray, price_h: np.ndarray, tariff_h: np.ndarray,
+           co2_h: np.ndarray) -> SimulationOutput:
+    """The pricing pass: each year's ledger (charging and baseload bills, CO2,
+    DSO revenue, dissatisfactions, overloads) and its KPI report."""
+    span = spec.span
+    tr = data.transformer
+    # a year's charged kWh per vehicle is its delivered energy: the same adds
+    # in the same order
+    ledgers = {y: YearLedger(year=y, charging_kwh=physics.delivered_by_year[y])
+               for y in span.years()}
+    for t, _ in physics.dissatisfactions:
+        ledgers[t.year].dissatisfaction_count += 1
+
+    # each closed hour's charging at that hour's prices; the ledgers' dict
+    # order, which the sums in assemble_report follow, is the booking order
+    start = 0
+    for h, year, end in physics.booked:
+        led = ledgers[year]
+        price, tariff, co2 = price_h[h], tariff_h[h], co2_h[h]
+        for vid, kwh in zip(physics.booked_vids[start:end],
+                            physics.booked_kwh[start:end]):
+            led.charging_cost[vid] = led.charging_cost.get(vid, 0.0) + kwh * price
+            led.charging_tariff[vid] = led.charging_tariff.get(vid, 0.0) + kwh * tariff
+            led.charging_co2[vid] = led.charging_co2.get(vid, 0.0) + kwh * co2
+        start = end
+
+    # per-year post-processing: overloads, hourly maxima, baseload billing
     all_events: list[OverloadEvent] = []
     hh_ids = data.household_ids
     for y in span.years():
         y0 = max(span.start.minutes, year_start_minutes(y))
         y1 = min(span.end.minutes, year_start_minutes(y + 1))
         led = ledgers[y]
-        evts = detect_overloads(load_series.slice_minutes(y0, y1), tr)
+        evts = detect_overloads(physics.load.slice_minutes(y0, y1), tr)
         led.overload_events = evts
         led.overload_minutes = sum(e.duration_minutes for e in evts)
         over_hours: set[int] = set()
@@ -537,7 +706,7 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
         all_events.extend(evts)
         h0 = (y0 - span.start.minutes) // 60
         h1 = (y1 - span.start.minutes) // 60
-        led.hourly_max_load = hmax.values[h0:h1]
+        led.hourly_max_load = physics.hourly_max.values[h0:h1]
 
         prices = price_h[h0:h1]
         tarfs = tariff_h[h0:h1]
@@ -550,20 +719,15 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
             led.baseload_cost[hid] = float(cost[row])
             led.baseload_tariff[hid] = float(tar[row])
             led.baseload_co2[hid] = float(co2[row])
-        led.ev_households = sorted(
-            vid for vid, at in adoption_of.items() if at.minutes < y1)
+        led.ev_households = physics.ev_households[y]
 
     reports = [assemble_report(ledgers[y], data.overload_unit) for y in span.years()]
 
-    summaries = [VehicleSummary(
-        vehicle_id=vid, household_id=run.vehicles[vid].household_id,
-        model=run.vehicles[vid].model.name,
-        initial_soc_kwh=initial_soc[vid], final_soc_kwh=run.vehicles[vid].soc_kwh,
-        delivered_kwh=run.delivered_total[vid], trip_drain_kwh=run.trip_drain[vid])
-        for vid in sorted(run.vehicles)]
-
     return SimulationOutput(
-        spec=spec, load=load_series, hourly_max=hmax,
-        overload_events=all_events, reports=reports, sessions=run.sessions,
-        dissatisfactions=run.dissatisfactions, vehicles=summaries,
-        delivered_by_year=run.delivered_by_year)
+        spec=spec, load=physics.load, hourly_max=physics.hourly_max,
+        overload_events=all_events, reports=reports,
+        sessions=list(physics.sessions),
+        dissatisfactions=list(physics.dissatisfactions),
+        vehicles=list(physics.vehicles),
+        delivered_by_year={y: dict(d) for y, d in physics.delivered_by_year.items()},
+        _physics=physics)

@@ -7,7 +7,9 @@ its output must equal this loop's exactly, field by field.
 
     PYTHONPATH=src python tests/reference_engine.py SCENARIO.ini
 
-runs both on every experiment of a scenario, prints the first field that
+runs every experiment of a scenario through ``run_experiment`` in file order,
+as ``evsim run`` does (so experiments share fleets and physics passes), and
+the per-tick loop on a freshly built fleet; it prints the first field that
 differs, and exits 1 on any difference.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 from evsim import strategies as strat
 from evsim.engine import (ChargeSession, ExperimentSpec, ScenarioData,
                           SimulationOutput, VehiclePlan, VehicleSummary,
-                          build_fleet, simulate)
+                          build_fleet, run_experiment)
 from evsim.fleet import SOC_EPS, TripEvent, Vehicle, apply_trip_energy
 from evsim.grid import (LoadSeries, OverloadEvent, available_capacity,
                         detect_overloads, hourly_max)
@@ -325,11 +327,12 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     scn = load_scenario(args.scenario)
     differ = 0
+    kept = []       # alive outputs let later experiments share fleet and physics
     for spec in scn.experiments:
-        # simulate mutates the vehicles, so each engine gets its own fleet
-        fleet = [build_fleet(spec, scn.data, RngStreams(spec.seed)) for _ in range(2)]
-        diff = first_difference(simulate(spec, scn.data, fleet[0]),
-                                simulate_ticks(spec, scn.data, fleet[1]))
+        # the path of `evsim run`, against the tick loop on a fleet of its own
+        kept.append(run_experiment(spec, scn.data))
+        fresh = build_fleet(spec, scn.data, RngStreams(spec.seed))
+        diff = first_difference(kept[-1], simulate_ticks(spec, scn.data, fresh))
         print(f"{spec.id}: {'identical' if diff is None else 'DIFFERS: ' + diff}")
         differ += diff is not None
     return 1 if differ else 0

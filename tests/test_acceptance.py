@@ -348,7 +348,9 @@ def test_criterion_9_conservation_and_determinism():
                     - (v.final_soc_kwh - v.initial_soc_kwh)
                 assert abs(balance) < 1e-6
 
-            rerun = run_experiment(spec, data)
+            # a freshly built ScenarioData: nothing of the first run is reused
+            rerun = run_experiment(spec, flat_data(span, n_households=6, capacity=25.0,
+                                                   curve=AdoptionCurve([(2035, 6)])))
 
             def render(o):
                 buf = io.StringIO()

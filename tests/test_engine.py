@@ -1,12 +1,26 @@
+import copy
+import gc
+import logging
+import pickle
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from evsim.engine import ExperimentSpec, VehiclePlan, run_experiment, simulate
-from evsim.fleet import AdoptionCurve, DrivingPattern, TripEvent, Vehicle
+from evsim import engine
+from evsim.engine import (ExperimentSpec, VehiclePlan, build_fleet, run_experiment,
+                          simulate)
+from evsim.fleet import AdoptionCurve, DrivingPattern, EvModel, TripEvent, Vehicle
+from evsim.rng import RngStreams
+from evsim.scenario import load_scenario
 from evsim.tariffs import CoverageError
 from evsim.timebase import Timestamp
 
 from conftest import FAST, LEAF, flat_data, make_span
+from reference_engine import first_difference, simulate_ticks
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 
 
 def spec_for(span, strategy="round_robin", **kw):
@@ -86,7 +100,9 @@ class TestDeterminism:
                          curve=AdoptionCurve([(2035, 5)]))
         s = spec_for(span, "fcfs", seed=7)
         a = run_experiment(s, data)
-        b = run_experiment(s, data)
+        # a freshly built ScenarioData: nothing of the first run is reused
+        b = run_experiment(s, flat_data(span, n_households=5,
+                                        curve=AdoptionCurve([(2035, 5)])))
         assert np.array_equal(a.load.values, b.load.values)
         assert a.reports == b.reports
         assert a.sessions == b.sessions
@@ -131,6 +147,14 @@ class TestInputHandling:
         short = make_span("2036-01-02T00:00", "2036-01-04T00:00")
         out = simulate(spec_for(short, "traditional"), data, [])
         assert len(out.load.values) == short.n_ticks
+
+    def test_interval_not_dividing_the_hour_rejected(self, two_day_span):
+        # grants held across an hour start would keep the previous hour's
+        # budget: with a 45-minute edf interval, two 11 kW vehicles and a 30 kW
+        # transformer whose baseload steps from 1 to 25 kW at 01:00 overloaded
+        with pytest.raises(ValueError, match="decision_interval_min must divide 60"):
+            spec_for(two_day_span, "edf", decision_interval_min=45)
+        assert spec_for(two_day_span, "edf", decision_interval_min=60).interval == 60
 
     def test_unknown_strategy_rejected(self, two_day_span):
         with pytest.raises(ValueError, match="valid"):
@@ -179,3 +203,93 @@ class TestDissatisfaction:
         assert len(out.dissatisfactions) == 1
         assert out.dissatisfactions[0][1] == 1
         assert out.reports[0].dissatisfaction_count == 1
+
+
+@pytest.fixture
+def count_physics(monkeypatch):
+    """The experiment ids of the charging-physics passes run since the fixture
+    started."""
+    calls = []
+    charge = engine._charge
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].id)
+        return charge(*args, **kwargs)
+    monkeypatch.setattr(engine, "_charge", counted)
+    return calls
+
+
+class TestSharedPhysics:
+    """Experiments that differ only in their tariff share one physics pass,
+    and ``run_experiment`` builds each (seed, span) fleet once."""
+
+    def test_simulate_leaves_the_plans_as_it_found_them(self):
+        span = make_span("2036-01-01T00:00", "2036-01-08T00:00")
+        data = flat_data(span, n_households=6, capacity=20.0,
+                         curve=AdoptionCurve([(2035, 6)]))
+        s = spec_for(span, "edf", seed=3)
+        plans = build_fleet(s, data, RngStreams(s.seed))
+        before = copy.deepcopy(plans)
+        out = simulate(s, data, plans, check_invariants=True)
+        assert out.sessions and plans == before
+
+    def test_demo_matrix_in_reverse_shares_physics(self, tmp_path, count_physics):
+        shutil.copy(SCENARIOS / "tou_tariff.csv", tmp_path)
+        ini = (SCENARIOS / "demo_matrix.ini").read_text().replace(
+            "span_end = 2039-01-08T00:00", "span_end = 2039-01-03T00:00")
+        (tmp_path / "small.ini").write_text(ini)
+        scn = load_scenario(tmp_path / "small.ini")
+        specs = scn.experiments[::-1]
+        assert specs[0].tariff_mode == "time_of_use" and len(specs) == 10
+        outs = [run_experiment(s, scn.data) for s in specs]
+        assert len(count_physics) == 5
+        for s, out in zip(specs, outs):
+            fresh = build_fleet(s, scn.data, RngStreams(s.seed))
+            assert first_difference(out, simulate_ticks(s, scn.data, fresh)) is None, s.id
+
+    def test_fleet_changed_in_place_gets_a_fresh_pass(self, count_physics):
+        span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
+        data = flat_data(span, n_households=4, capacity=12.0,
+                         curve=AdoptionCurve([(2035, 4)]))
+        s = spec_for(span, "fcfs", seed=5)
+        plans = build_fleet(s, data, RngStreams(s.seed))
+        first = simulate(s, data, plans)
+        plans[0].vehicle.soc_kwh = 0.0
+        again = simulate(s, data, plans)
+        assert len(count_physics) == 2
+        assert first_difference(first, again) is not None
+        fresh = build_fleet(s, data, RngStreams(s.seed))
+        fresh[0].vehicle.soc_kwh = 0.0
+        assert first_difference(again, simulate_ticks(s, data, fresh)) is None
+
+    def test_dropped_outputs_release_fleet_and_physics(self):
+        span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
+        data = flat_data(span, n_households=4, curve=AdoptionCurve([(2035, 4)]))
+        outs = [run_experiment(spec_for(span, name, seed=2), data)
+                for name in ("traditional", "edf")]
+        assert len(data._fleets) == 1 and len(data._physics) == 2
+        del outs
+        gc.collect()
+        assert len(data._fleets) == 0 and len(data._physics) == 0
+
+    def test_copies_start_without_fleets_and_passes(self):
+        span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
+        data = flat_data(span, n_households=4, curve=AdoptionCurve([(2035, 4)]))
+        out = run_experiment(spec_for(span, "edf", seed=2), data)
+        for other in (copy.copy(data), copy.deepcopy(data),
+                      pickle.loads(pickle.dumps(data))):
+            assert len(other._fleets) == 0 and len(other._physics) == 0
+            assert other.transformer == data.transformer
+        assert pickle.loads(pickle.dumps(out))._physics is None
+
+    def test_trip_clamp_warned_once_per_run(self, caplog):
+        # seed 1 draws exactly one trip above the 10 kWh battery
+        span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
+        tiny = EvModel("tiny", battery_kwh=10.0, max_rate_kw=3.7, market_share=1.0)
+        data = flat_data(span, n_households=2, catalog=[tiny],
+                         driving=DrivingPattern(trip_energy_mean_kwh=6.0))
+        with caplog.at_level(logging.WARNING, logger="evsim.fleet"):
+            outs = [run_experiment(spec_for(span, name, seed=1), data)
+                    for name in ("traditional", "fcfs", "edf")]
+        clamped = [r for r in caplog.records if "clamped" in r.getMessage()]
+        assert len(outs) == 3 and len(clamped) == 1

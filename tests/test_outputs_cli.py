@@ -106,16 +106,17 @@ class TestCliValidate:
 
 
 class TestCoarseTick:
-    @pytest.mark.parametrize("tick", [5, 15])
+    @pytest.mark.parametrize("tick", [5, 15, 4])
     def test_default_matrix_validates_and_runs(self, tmp_path, tick):
-        # no [experiment.*] sections: the 1-minute strategy defaults round up
+        # no [experiment.*] sections: the strategy defaults round up to a
+        # multiple of the tick that divides 60 (15 minutes -> 20 at tick 4)
         ini = SHORT_INI.replace("span_end = 2036-01-08T00:00",
                                 f"span_end = 2036-01-03T00:00\ntick_minutes = {tick}")
         path = write_scenario(tmp_path, ini)
         assert main(["validate", str(path)]) == 0
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 0
-        for exp_id, interval in (("edf", tick), ("round_robin", 15)):
+        for exp_id, interval in (("edf", tick), ("round_robin", 20 if tick == 4 else 15)):
             manifest = (out / exp_id / "manifest.txt").read_text()
             assert f"decision_interval_min = {interval}\n" in manifest
 

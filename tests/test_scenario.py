@@ -86,6 +86,11 @@ baseline = base
         with pytest.raises(ScenarioError, match="decision_interval_min"):
             load_scenario(write_scenario(tmp_path, ini))
 
+    def test_interval_not_dividing_the_hour_rejected(self, tmp_path):
+        ini = BASE_INI + "\n[experiment.a]\nstrategy = edf\ndecision_interval_min = 45\n"
+        with pytest.raises(ScenarioError, match="decision_interval_min must divide 60"):
+            load_scenario(write_scenario(tmp_path, ini))
+
     def test_unknown_baseline_rejected(self, tmp_path):
         ini = BASE_INI + "\n[experiment.a]\nstrategy = edf\nbaseline = nope\n"
         with pytest.raises(ScenarioError, match="baseline"):
