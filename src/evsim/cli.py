@@ -10,7 +10,6 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import outputs
@@ -66,9 +65,24 @@ def _load(path: str) -> Scenario:
     return load_scenario(path, seed_override=_seed_override())
 
 
-def _run_one(scenario_path: str, exp_id: str) -> SimulationOutput:
+def _run_specs(specs, data) -> dict[str, SimulationOutput | Exception]:
+    """Each experiment's output, or the exception it raised: one failure must
+    not sink the rest."""
+    ran: dict[str, SimulationOutput | Exception] = {}
+    for s in specs:
+        try:
+            ran[s.id] = run_experiment(s, data)
+        except Exception as exc:
+            ran[s.id] = exc
+    return ran
+
+
+def _run_group(scenario_path: str, exp_ids: list[str]):
+    """A --parallel task: experiments that share one charging-physics pass,
+    run on one load of the scenario. They come back in one pickle, so their
+    outputs still share the pass's load series."""
     scn = _load(scenario_path)
-    return run_experiment(scn.experiment(exp_id), scn.data)
+    return _run_specs([scn.experiment(e) for e in exp_ids], scn.data)
 
 
 def cmd_run(args) -> int:
@@ -86,35 +100,44 @@ def cmd_run(args) -> int:
         specs += [s for s in scn.experiments
                   if s.id in needed and all(x.id != s.id for x in specs)]
 
-    results: dict[str, SimulationOutput] = {}
-    failures: dict[str, Exception] = {}
     if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            futures = {s.id: pool.submit(_run_one, args.scenario, s.id)
-                       for s in specs}
-        for exp_id, fut in futures.items():
-            try:
-                results[exp_id] = fut.result()
-            except Exception as exc:   # one failure must not sink the rest
-                failures[exp_id] = exc
-    else:
+        # imported here: the serial path, and every other command, starts no pool
+        from concurrent.futures import ProcessPoolExecutor
+        groups: dict[tuple, list[str]] = {}
         for s in specs:
+            groups.setdefault(s.physics_key, []).append(s.id)
+        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+            futures = [(ids, pool.submit(_run_group, args.scenario, ids))
+                       for ids in groups.values()]
+        ran: dict[str, SimulationOutput | Exception] = {}
+        for ids, fut in futures:
             try:
-                results[s.id] = run_experiment(s, scn.data)
-            except Exception as exc:
-                failures[s.id] = exc
+                ran.update(fut.result())
+            except Exception as exc:   # the task itself failed
+                ran.update(dict.fromkeys(ids, exc))
+    else:
+        ran = _run_specs(specs, scn.data)
+    results = {s.id: ran[s.id] for s in specs
+               if isinstance(ran[s.id], SimulationOutput)}
+    failures = {s.id: ran[s.id] for s in specs if s.id not in results}
 
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     baseload = scn.data.baseload
     outputs.write_load_csv(out_root / "baseload_hourly.csv",
                            LoadSeries(baseload.start, 60, baseload.matrix.sum(axis=0)))
+    # by the id of a pass's load series, which every output priced from the
+    # pass shares: the directory its physics files were written to first
+    physics_dirs: dict[int, Path] = {}
     for s in specs:
         if s.id not in results:
             continue
+        out = results[s.id]
         baseline = results.get(s.baseline_id) if s.baseline_id else None
-        outputs.write_all(out_root / s.id, results[s.id], scn.content_hash,
-                          scn.data.transformer.capacity_kw, baseline)
+        outputs.write_all(out_root / s.id, out, scn.content_hash,
+                          scn.data.transformer.capacity_kw, baseline,
+                          physics_dirs.get(id(out.load)))
+        physics_dirs.setdefault(id(out.load), out_root / s.id)
         print(f"{s.id}: ok -> {out_root / s.id}")
 
     for exp_id, exc in failures.items():

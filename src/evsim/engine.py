@@ -26,6 +26,7 @@ builds each (seed, span) fleet once.
 
 from __future__ import annotations
 
+import math
 import weakref
 from array import array
 from dataclasses import dataclass, field, fields, replace
@@ -150,6 +151,13 @@ class ExperimentSpec:
         tick = self.span.tick_minutes
         default = strat.DEFAULT_DECISION_INTERVAL_MIN[self.strategy]
         return next(m for m in range(tick, 61, tick) if m >= default and 60 % m == 0)
+
+    @property
+    def physics_key(self) -> tuple:
+        """What the charging physics of an experiment depends on besides its
+        inputs: experiments with equal keys on one ``ScenarioData`` differ at
+        most in their tariff and share one physics pass."""
+        return (self.strategy, self.interval, self.span, self.seed)
 
 
 @dataclass
@@ -439,8 +447,11 @@ class _Run:
 
         A vehicle that charges d kWh per tick finishes on the first tick with
         d >= target - soc. Each tick adds d to its soc, plus at most half an
-        ulp of rounding, so (target - soc - d) / d, shrunk by
-        _ROUNDING_SLACK, is a lower bound on the ticks it charges before.
+        ulp of rounding, so n = (target - soc - d) / d, shrunk by
+        _ROUNDING_SLACK, is a lower bound on the ticks it charges before. The
+        ticks before are whole, so there are at least ceil(n) of them, and
+        tick i + ceil(n) is the first on which it may finish (i itself when
+        n <= 0).
         """
         dt, vehicles = self.dt, self.vehicles
         shrink, grow = 1.0 - _ROUNDING_SLACK, 1.0 + _ROUNDING_SLACK
@@ -453,9 +464,9 @@ class _Run:
                 n = ((target - v.soc_kwh) * shrink - d * grow) \
                     / (d + _ROUNDING_SLACK * (target + d))
                 if n < ticks:
-                    if n < 1.0:
+                    if n <= 0.0:
                         return i
-                    ticks = int(n)
+                    ticks = math.ceil(n)
         return i + ticks
 
     def charge(self, i: int, j: int, load: np.ndarray, base_kw: float) -> None:
@@ -588,7 +599,7 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     if span.start.minutes % 60 or span.end.minutes % 60:
         raise ValueError("span must start and end on hour boundaries")
 
-    key = (spec.strategy, spec.interval, span, spec.seed, check_invariants)
+    key = (spec.physics_key, check_invariants)
     inputs = (data.transformer, base_total_h.tobytes(), _fleet_content(plans))
     physics = data._physics.get(key)
     if physics is None or physics.inputs != inputs:

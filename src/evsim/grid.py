@@ -42,6 +42,13 @@ class LoadSeries:
         if self.values.ndim != 1:
             raise ValueError("values must be one-dimensional")
 
+    def __eq__(self, other):
+        if not isinstance(other, LoadSeries):
+            return NotImplemented
+        return self.start == other.start \
+            and self.resolution_minutes == other.resolution_minutes \
+            and np.array_equal(self.values, other.values)
+
     @property
     def end(self) -> Timestamp:
         return Timestamp(self.start.minutes + len(self.values) * self.resolution_minutes)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import csv
+import shutil
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,11 @@ KPI_HEADER = ["experiment_id", "year", "overload_count", "avg_charging_cost",
               "avg_total_bill", "avg_total_co2", "dissatisfaction",
               "load_factor", "dso_revenue"]
 
+# the files a charging-physics pass determines alone: the same bytes for every
+# experiment priced from that pass
+PHYSICS_FILES = ("load_minute.csv", "load_hourly_max.csv", "overloads.csv",
+                 "sessions.csv", "dissatisfactions.csv")
+
 _EPOCH_MINUTE = np.datetime64(EPOCH, "m")
 _ROWS_PER_WRITE = 256
 
@@ -27,17 +35,44 @@ def _fmt(value, decimals: int) -> str:
     return f"{value:.{decimals}f}"
 
 
+def _stamps(minutes) -> list[str]:
+    """``Timestamp(m).isoformat()`` of each minute m, in one numpy call."""
+    minutes = np.asarray(minutes, dtype=np.int64)
+    return np.datetime_as_string(_EPOCH_MINUTE + minutes, unit="m").tolist()
+
+
+def _write_rows(fh, row_format: str, n_rows: int, columns) -> None:
+    """Write n_rows rows, each ``row_format`` % one row of the columns that
+    ``columns(lo, hi)`` gives for rows [lo, hi). A block of rows takes one
+    %-format, so the text in memory stays small; ``row_format`` ends in
+    csv.writer's line end, CR LF."""
+    for lo in range(0, n_rows, _ROWS_PER_WRITE):
+        hi = min(lo + _ROWS_PER_WRITE, n_rows)
+        fields = tuple(chain.from_iterable(zip(*columns(lo, hi))))
+        fh.write(row_format * (hi - lo) % fields)
+
+
+def _write_records(path: Path, header: list[str], row_format: str, records: list,
+                   getter, stamped: tuple[int, ...]) -> None:
+    """A CSV of one row per record, ``getter(record)`` giving its fields; the
+    fields at the indices in ``stamped`` are minutes, written as ISO 8601."""
+    def columns(lo, hi):
+        cols = list(zip(*map(getter, records[lo:hi])))
+        for k in stamped:
+            cols[k] = _stamps(cols[k])
+        return cols
+
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        _write_rows(fh, row_format, len(records), columns)
+
+
 def write_load_csv(path: Path, series: LoadSeries, column: str = "load_kw") -> None:
-    res = series.resolution_minutes
+    first, res, values = series.start.minutes, series.resolution_minutes, series.values
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["timestamp_iso8601", column])
-        # the rows csv.writer would write (its line ends are \r\n), formatted a
-        # block at a time so the text in memory stays small
-        for lo in range(0, len(series.values), _ROWS_PER_WRITE):
-            values = series.values[lo:lo + _ROWS_PER_WRITE].tolist()
-            minutes = series.start.minutes + res * np.arange(lo, lo + len(values))
-            stamps = np.datetime_as_string(_EPOCH_MINUTE + minutes, unit="m").tolist()
-            fh.write("".join(f"{t},{v:.6f}\r\n" for t, v in zip(stamps, values)))
+        _write_rows(fh, "%s,%.6f\r\n", len(values), lambda lo, hi: (
+            _stamps(first + res * np.arange(lo, hi)), values[lo:hi].tolist()))
 
 
 def write_kpi_csv(path: Path, experiment_id: str, reports: list[KpiReport]) -> None:
@@ -75,30 +110,25 @@ def write_comparison_csv(path: Path, rows: list[ComparisonRow]) -> None:
 
 
 def write_overloads_csv(path: Path, out: SimulationOutput) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["start_iso8601", "duration_minutes", "peak_excess_kw"])
-        for e in out.overload_events:
-            w.writerow([e.start.isoformat(), e.duration_minutes,
-                        f"{e.peak_excess_kw:.4f}"])
+    _write_records(path, ["start_iso8601", "duration_minutes", "peak_excess_kw"],
+                   "%s,%d,%.4f\r\n", out.overload_events,
+                   attrgetter("start.minutes", "duration_minutes", "peak_excess_kw"),
+                   stamped=(0,))
 
 
 def write_sessions_csv(path: Path, out: SimulationOutput) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vehicle_id", "plug_in_iso8601", "unplug_iso8601",
-                    "delivered_kwh"])
-        for s in out.sessions:
-            w.writerow([s.vehicle_id, s.plug_in.isoformat(), s.unplug.isoformat(),
-                        f"{s.delivered_kwh:.6f}"])
+    _write_records(path, ["vehicle_id", "plug_in_iso8601", "unplug_iso8601",
+                          "delivered_kwh"],
+                   "%d,%s,%s,%.6f\r\n", out.sessions,
+                   attrgetter("vehicle_id", "plug_in.minutes", "unplug.minutes",
+                              "delivered_kwh"),
+                   stamped=(1, 2))
 
 
 def write_dissatisfactions_csv(path: Path, out: SimulationOutput) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp_iso8601", "vehicle_id"])
-        for t, vid in out.dissatisfactions:
-            w.writerow([t.isoformat(), vid])
+    _write_records(path, ["timestamp_iso8601", "vehicle_id"], "%s,%d\r\n",
+                   out.dissatisfactions, lambda d: (d[0].minutes, d[1]),
+                   stamped=(0,))
 
 
 def write_baseload_csv(path: Path, baseload) -> None:
@@ -167,15 +197,26 @@ def _worst_day(out: SimulationOutput, capacity_kw: float) -> int:
 
 
 def write_all(out_dir: Path, out: SimulationOutput, scenario_hash: str,
-              capacity_kw: float, baseline: SimulationOutput | None = None) -> None:
+              capacity_kw: float, baseline: SimulationOutput | None = None,
+              physics_from: Path | None = None) -> None:
+    """Write one experiment's output directory.
+
+    ``physics_from`` is the directory of an experiment already written from
+    the same charging-physics pass as ``out``; its ``PHYSICS_FILES`` are
+    copied byte for byte in place of being formatted again.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(out_dir / "manifest.txt", scenario_hash, out.spec)
-    write_load_csv(out_dir / "load_minute.csv", out.load)
-    write_load_csv(out_dir / "load_hourly_max.csv", out.hourly_max)
+    if physics_from is None:
+        write_load_csv(out_dir / "load_minute.csv", out.load)
+        write_load_csv(out_dir / "load_hourly_max.csv", out.hourly_max)
+        write_overloads_csv(out_dir / "overloads.csv", out)
+        write_sessions_csv(out_dir / "sessions.csv", out)
+        write_dissatisfactions_csv(out_dir / "dissatisfactions.csv", out)
+    else:
+        for name in PHYSICS_FILES:
+            shutil.copyfile(physics_from / name, out_dir / name)
     write_kpi_csv(out_dir / "kpi.csv", out.spec.id, out.reports)
-    write_overloads_csv(out_dir / "overloads.csv", out)
-    write_sessions_csv(out_dir / "sessions.csv", out)
-    write_dissatisfactions_csv(out_dir / "dissatisfactions.csv", out)
     if baseline is not None:
         rows: list[ComparisonRow] = []
         base_by_year = {r.year: r for r in baseline.reports}

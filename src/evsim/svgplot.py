@@ -6,6 +6,7 @@ import numpy as np
 
 _W, _H = 960, 360
 _MARGIN = 55
+_POINTS_PER_FORMAT = 1024
 
 
 def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float,
@@ -16,7 +17,14 @@ def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float,
 
 
 def _polyline(xs, ys, color: str, width: float = 1.0) -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    # one %-format per block of points, each block's x0, y0, x1, y1, ...
+    xy = np.column_stack((xs, ys))
+    blocks = []
+    for lo in range(0, len(xy), _POINTS_PER_FORMAT):
+        block = xy[lo:lo + _POINTS_PER_FORMAT]
+        blocks.append(" ".join(["%.2f,%.2f"] * len(block))
+                      % tuple(block.ravel().tolist()))
+    pts = " ".join(blocks)
     return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
             f'points="{pts}"/>')
 

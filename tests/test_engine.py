@@ -71,6 +71,26 @@ class TestPhaseOrder:
         assert out.load.values[16 * 60 + 7] == pytest.approx(11.0)
 
 
+class TestCompletionHorizon:
+    def test_released_at_the_first_stop_on_its_finishing_tick(self, two_day_span,
+                                                              monkeypatch):
+        # 6 kW at a 1-minute tick is 0.1 kWh a tick: 1.05 kWh to go takes ten
+        # whole ticks and half of the eleventh, so the target falls on tick 10
+        model = EvModel("six", battery_kwh=40.0, max_rate_kw=6.0, market_share=1.0)
+        spans = []
+        charge = engine._Run.charge
+
+        def recorded(run, i, j, load, base_kw):
+            charge(run, i, j, load, base_kw)
+            spans.append((i, j, sorted(run.grants)))
+        monkeypatch.setattr(engine._Run, "charge", recorded)
+        out = simulate(spec_for(two_day_span, "traditional"),
+                       flat_data(two_day_span, n_households=1),
+                       [plan(1, model, 38.95, two_day_span.start, [])])
+        assert spans[0] == (0, 11, [])
+        assert out.vehicles[0].final_soc_kwh == pytest.approx(40.0)
+
+
 class TestHoldLast:
     def test_released_capacity_not_reallocated_mid_interval(self, two_day_span):
         span = two_day_span
@@ -281,6 +301,16 @@ class TestSharedPhysics:
             assert len(other._fleets) == 0 and len(other._physics) == 0
             assert other.transformer == data.transformer
         assert pickle.loads(pickle.dumps(out))._physics is None
+
+    def test_outputs_compare_by_value(self):
+        span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
+        data = flat_data(span, n_households=4, capacity=12.0,
+                         curve=AdoptionCurve([(2035, 4)]))
+        trad, edf = (run_experiment(spec_for(span, name, seed=2), data)
+                     for name in ("traditional", "edf"))
+        assert trad == pickle.loads(pickle.dumps(trad))
+        assert trad.load == pickle.loads(pickle.dumps(trad.load))
+        assert trad != edf and trad.load != edf.load
 
     def test_trip_clamp_warned_once_per_run(self, caplog):
         # seed 1 draws exactly one trip above the 10 kWh battery

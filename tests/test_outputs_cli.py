@@ -1,14 +1,18 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from evsim import outputs
 from evsim.cli import main
-from evsim.engine import run_experiment
-from evsim.grid import LoadSeries
-from evsim.outputs import read_kpi_csv, write_all, write_kpi_csv, write_load_csv
+from evsim.engine import ChargeSession, run_experiment
+from evsim.grid import LoadSeries, OverloadEvent
+from evsim.outputs import (read_kpi_csv, write_all, write_dissatisfactions_csv,
+                           write_kpi_csv, write_load_csv, write_overloads_csv,
+                           write_sessions_csv)
 from evsim.scenario import load_scenario
-from evsim.svgplot import bar_chart_svg, day_zoom_svg, load_profile_svg
+from evsim.svgplot import _polyline, bar_chart_svg, day_zoom_svg, load_profile_svg
 from evsim.timebase import Timestamp
 
 from test_scenario import write_scenario
@@ -31,9 +35,46 @@ path = curve.csv
 """
 
 
+# a fixed/time-of-use pair per strategy on a tight transformer; edf_tou's
+# baseline is of another pass, so an --experiment edf_tou run formats its files
+TOU_INI = SHORT_INI.replace("capacity_kw = 400", "capacity_kw = 8") + """
+[tariff]
+tou_path = tou.csv
+
+[experiment.trad_fixed]
+strategy = traditional
+
+[experiment.edf_fixed]
+strategy = edf
+baseline = trad_fixed
+
+[experiment.trad_tou]
+strategy = traditional
+tariff_mode = time_of_use
+
+[experiment.edf_tou]
+strategy = edf
+tariff_mode = time_of_use
+baseline = trad_fixed
+"""
+
+
 @pytest.fixture
 def scenario_path(tmp_path):
     return write_scenario(tmp_path, SHORT_INI)
+
+
+@pytest.fixture
+def tou_scenario_path(tmp_path):
+    (tmp_path / "tou.csv").write_text(
+        "season,start_hour,end_hour,dkk_per_kwh\n"
+        "all,0,17,0.2\nall,17,20,1.0\nall,20,24,0.2\n")
+    return write_scenario(tmp_path, TOU_INI)
+
+
+def tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 class TestCliRun:
@@ -80,14 +121,37 @@ class TestCliRun:
         assert "seed = 11" in text
         assert "scenario_sha256 = " in text
 
-    def test_parallel_matches_serial(self, scenario_path, tmp_path):
+    def test_parallel_matches_serial(self, tou_scenario_path, tmp_path):
         a, b = tmp_path / "ser", tmp_path / "par"
-        main(["run", str(scenario_path), "--out", str(a),
-              "--experiment", "fcfs"])
-        main(["run", str(scenario_path), "--out", str(b),
-              "--experiment", "fcfs", "--parallel", "2"])
-        assert (a / "fcfs" / "kpi.csv").read_bytes() == \
-            (b / "fcfs" / "kpi.csv").read_bytes()
+        assert main(["run", str(tou_scenario_path), "--out", str(a)]) == 0
+        assert main(["run", str(tou_scenario_path), "--out", str(b),
+                     "--parallel", "2"]) == 0
+        serial = tree(a)
+        assert len(serial) == 1 + 4 * 9 + 2 * 2
+        assert tree(b) == serial
+
+    def test_physics_files_formatted_once_per_pass(self, tou_scenario_path,
+                                                   tmp_path, monkeypatch):
+        written = []
+        write = outputs.write_load_csv
+
+        def counted(path, *args, **kwargs):
+            written.append(f"{path.parent.name}/{path.name}")
+            return write(path, *args, **kwargs)
+        monkeypatch.setattr(outputs, "write_load_csv", counted)
+        full = tmp_path / "full"
+        assert main(["run", str(tou_scenario_path), "--out", str(full)]) == 0
+        assert sorted(written) == ["edf_fixed/load_hourly_max.csv",
+                                   "edf_fixed/load_minute.csv", "full/baseload_hourly.csv",
+                                   "trad_fixed/load_hourly_max.csv",
+                                   "trad_fixed/load_minute.csv"]
+        # the copies are what the experiment writes when it runs alone
+        alone = tmp_path / "alone"
+        assert main(["run", str(tou_scenario_path), "--out", str(alone),
+                     "--experiment", "edf_tou"]) == 0
+        assert tree(full / "edf_tou") == tree(alone / "edf_tou")
+        assert (full / "edf_tou" / "overloads.csv").read_bytes() == \
+            (full / "edf_fixed" / "overloads.csv").read_bytes()
 
 
 class TestCliValidate:
@@ -198,6 +262,80 @@ class TestLoadCsv:
             for i, v in enumerate(values):
                 w.writerow([Timestamp(series.minute_of(i)).isoformat(), f"{v:.6f}"])
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _row_by_row(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+# empty, one row, and either side of the 256-row write blocks
+BLOCK_LENGTHS = [0, 1, 255, 256, 257, 700]
+
+
+class TestBatchedRowWriters:
+    """The row writers format a block of rows at a time; their bytes are the
+    row-by-row csv.writer's."""
+
+    @staticmethod
+    def stamps(n, seed):
+        # minutes across a year boundary
+        start = Timestamp.from_iso("2036-12-31T20:00").minutes
+        minutes = start + np.random.default_rng(seed).integers(0, 600, n)
+        return [Timestamp(int(m)) for m in minutes]
+
+    @staticmethod
+    def floats(n, seed):
+        values = np.random.default_rng(seed).normal(10.0, 3e4, n)
+        values[:3] = (-0.0, 0.0, 1e7 / 3)[:n]
+        return values.tolist()
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_sessions(self, tmp_path, n):
+        plug, unplug = self.stamps(n, 1), self.stamps(n, 2)
+        sessions = [ChargeSession(vid, a, b, kwh) for vid, a, b, kwh
+                    in zip(range(1000, 1000 + n), plug, unplug, self.floats(n, 3))]
+        write_sessions_csv(tmp_path / "fast.csv", SimpleNamespace(sessions=sessions))
+        want = _row_by_row(
+            tmp_path / "rows.csv",
+            ["vehicle_id", "plug_in_iso8601", "unplug_iso8601", "delivered_kwh"],
+            [[s.vehicle_id, s.plug_in.isoformat(), s.unplug.isoformat(),
+              f"{s.delivered_kwh:.6f}"] for s in sessions])
+        assert (tmp_path / "fast.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_dissatisfactions(self, tmp_path, n):
+        events = list(zip(self.stamps(n, 4), range(n)))
+        write_dissatisfactions_csv(tmp_path / "fast.csv",
+                                   SimpleNamespace(dissatisfactions=events))
+        want = _row_by_row(tmp_path / "rows.csv", ["timestamp_iso8601", "vehicle_id"],
+                           [[t.isoformat(), vid] for t, vid in events])
+        assert (tmp_path / "fast.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_overloads(self, tmp_path, n):
+        events = [OverloadEvent(t, 15 * k, kw) for k, (t, kw)
+                  in enumerate(zip(self.stamps(n, 5), self.floats(n, 6)))]
+        write_overloads_csv(tmp_path / "fast.csv", SimpleNamespace(overload_events=events))
+        want = _row_by_row(
+            tmp_path / "rows.csv", ["start_iso8601", "duration_minutes", "peak_excess_kw"],
+            [[e.start.isoformat(), e.duration_minutes, f"{e.peak_excess_kw:.4f}"]
+             for e in events])
+        assert (tmp_path / "fast.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 3000])
+    def test_polyline_points(self, n):
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(-2e4, 2e4, n)
+        ys = rng.normal(0.0, 5e4, n)
+        if n:
+            xs[0], ys[0] = -0.0, 12345.675
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        assert _polyline(xs, ys, "#000") == \
+            f'<polyline fill="none" stroke="#000" stroke-width="1.0" points="{pts}"/>'
 
 
 class TestSvg:
