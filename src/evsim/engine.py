@@ -19,9 +19,9 @@ per-tick loop. The output therefore equals that loop's bit for bit;
 A run is two passes. The charging-physics pass (events, dispatch, charging,
 the load, sessions and each vehicle's energy per hour) does not depend on
 the tariff, which only prices the energy; the pricing pass turns it into
-ledgers, overloads and KPI reports. Experiments on one ``ScenarioData`` that
-differ only in their tariff share one physics pass, and ``run_experiment``
-builds each (seed, span) fleet once.
+ledgers, overloads and KPI reports. ``run_experiment`` builds each (seed,
+span) fleet once on one ``ScenarioData``, and its experiments on that fleet
+that differ only in their tariff share one physics pass.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from __future__ import annotations
 import math
 import weakref
 from array import array
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,16 +47,17 @@ from .timebase import (MINUTES_PER_DAY, SimulationSpan, Timestamp,
                        year_start_minutes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HouseholdBaseload:
     """Hourly per-household consumption, kW (== kWh per hour)."""
 
     start: Timestamp
-    household_ids: list[int]
+    household_ids: tuple[int, ...]
     matrix: np.ndarray            # shape (households, hours)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "household_ids", tuple(self.household_ids))
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
         if self.start.minutes % 60 != 0:
             raise ValueError("baseload must start on an hour boundary")
         if self.matrix.shape[0] != len(self.household_ids):
@@ -78,22 +78,23 @@ class HouseholdBaseload:
         return self.matrix[:, lo:lo + span.n_hours]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioData:
-    """Immutable inputs shared by all experiments of a run set.
+    """Immutable inputs shared by all experiments of a run set; only the price,
+    CO2 and tariff objects, which every ``simulate`` call reads afresh, may change.
 
     It also holds, weakly, the fleets ``run_experiment`` built on it and the
-    charging-physics passes ``simulate`` ran on it. An output keeps the pass
+    charging-physics passes ``simulate`` ran on them. An output keeps the pass
     and the fleet it used alive; nothing else does.
     """
 
-    household_ids: list[int]
+    household_ids: tuple[int, ...]
     transformer: Transformer
     baseload: HouseholdBaseload
     spot: SpotPriceSeries
     co2: Co2IntensitySeries
     tariffs: dict[str, DistributionTariff]
-    catalog: list[EvModel]
+    catalog: tuple[EvModel, ...]
     adoption_curve: AdoptionCurve
     driving: DrivingPattern
     addons_dkk_per_kwh: float = 0.0
@@ -106,6 +107,10 @@ class ScenarioData:
         compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "household_ids", tuple(self.household_ids))
+        object.__setattr__(self, "catalog", tuple(self.catalog))
+        # here, as __setstate__ runs it again on copies, whose arrays are writeable
+        self.baseload.matrix.flags.writeable = False
         validate_catalog(self.catalog)
         if self.adoption_curve.final_value > len(self.household_ids):
             raise ValueError("adoption curve exceeds household count")
@@ -288,21 +293,19 @@ def run_experiment(spec: ExperimentSpec, data: ScenarioData) -> SimulationOutput
 
 
 def _event_list(plans: list[VehiclePlan], end_minute: int):
-    """The fleet plan as one list of (minute, kind, vehicle id, trip) sorted
-    in processing order, plus each arrival's next planned departure."""
-    events: list[tuple[int, int, int, TripEvent | None]] = []
-    next_departure: dict[tuple[int, int], int] = {}
+    """The fleet plan as one list of (minute, kind, vehicle id, trip, next
+    planned departure) sorted in processing order; a departure carries
+    neither a trip nor a next departure, an adoption no trip."""
+    events: list[tuple[int, int, int, TripEvent | None, int | None]] = []
     for p in plans:
         vid = p.vehicle.id
-        events.append((p.adoption.minutes, _ADOPT, vid, None))
-        for k, trip in enumerate(p.trips):
-            events.append((trip.departure.minutes, _DEPART, vid, None))
-            events.append((trip.arrival.minutes, _ARRIVE, vid, trip))
-            nxt = p.trips[k + 1].departure.minutes if k + 1 < len(p.trips) \
-                else end_minute
-            next_departure[(vid, trip.arrival.minutes)] = nxt
+        departures = [trip.departure.minutes for trip in p.trips] + [end_minute]
+        events.append((p.adoption.minutes, _ADOPT, vid, None, departures[0]))
+        for trip, nxt in zip(p.trips, departures[1:]):
+            events.append((trip.departure.minutes, _DEPART, vid, None, None))
+            events.append((trip.arrival.minutes, _ARRIVE, vid, trip, nxt))
     events.sort(key=lambda e: (e[0], e[1], e[2]))
-    return events, next_departure
+    return events
 
 
 class _Run:
@@ -329,9 +332,7 @@ class _Run:
         # the charging loop's attribute accesses
         self.vehicles: dict[int, Vehicle] = {p.vehicle.id: replace(p.vehicle)
                                              for p in plans}
-        self.first_departure = {p.vehicle.id: (p.trips[0].departure.minutes if p.trips
-                                               else span.end.minutes) for p in plans}
-        self.events, self.next_departure = _event_list(plans, span.end.minutes)
+        self.events = _event_list(plans, span.end.minutes)
         self.ev_ptr = 0
 
         self.dispatch = _dispatcher(spec)
@@ -344,8 +345,7 @@ class _Run:
         self.grants: dict[int, float] = {}
         self.horizon = -1              # first tick a grant may end; < now: stale
 
-        self.requesting: set[int] = set()
-        self.req_cache: dict[int, strat.ChargeRequest] = {}
+        self.requests: dict[int, strat.ChargeRequest] = {}   # plugged in, below target
         self.session_start: dict[int, int] = {}
         self.session_kwh: dict[int, float] = {}
         self.hour_kwh: dict[int, float] = {}
@@ -365,7 +365,7 @@ class _Run:
         events, vehicles = self.events, self.vehicles
         due = m + self.dt
         while self.ev_ptr < len(events) and events[self.ev_ptr][0] < due:
-            _, kind, vid, trip = events[self.ev_ptr]
+            _, kind, vid, trip, departure = events[self.ev_ptr]
             self.ev_ptr += 1
             v = vehicles[vid]
             if kind == _DEPART:
@@ -377,29 +377,24 @@ class _Run:
                         self.session_kwh.pop(vid)))
                 v.plugged = False
                 self.grants.pop(vid, None)
-                self.req_cache.pop(vid, None)
-                if vid in self.requesting:
-                    self.requesting.remove(vid)
+                if self.requests.pop(vid, None) is not None:
                     self.inputs_changed = True
                 continue
             if kind == _ADOPT:
                 v.plugged = True
                 v.arrival = Timestamp(m)
-                v.planned_departure = Timestamp(self.first_departure[vid])
             else:
                 soc_before = v.soc_kwh
                 apply_trip_energy(v, trip)
                 self.trip_drain[vid] += soc_before - v.soc_kwh
-                v.planned_departure = Timestamp(
-                    self.next_departure[(vid, trip.arrival.minutes)])
+            v.planned_departure = Timestamp(departure)
             self.session_start[vid] = m
             self.session_kwh[vid] = 0.0
             if not v.satisfied:
-                self.req_cache[vid] = strat.ChargeRequest(
+                self.requests[vid] = strat.ChargeRequest(
                     vehicle_id=vid, max_rate_kw=v.model.max_rate_kw,
                     remaining_kwh=v.remaining_kwh, arrival=v.arrival,
                     planned_departure=v.planned_departure)
-                self.requesting.add(vid)
                 self.inputs_changed = True
 
     def _dispatch_pending(self, budget: float) -> bool:
@@ -412,7 +407,7 @@ class _Run:
         would repeat the grants of its last call, which are still held."""
         if not self._dispatch_pending(budget):
             return
-        reqs = [self.req_cache[vid] for vid in sorted(self.requesting)]
+        reqs = [self.requests[vid] for vid in sorted(self.requests)]
         self.grants = dict(self.dispatch(reqs, budget))
         self.inputs_changed = False
         self.last_budget = budget
@@ -505,7 +500,7 @@ class _Run:
         if released:
             for vid in released:
                 del grants[vid]
-                self.requesting.discard(vid)
+                del self.requests[vid]
             self.inputs_changed = True
 
         if quiet:
@@ -552,25 +547,6 @@ class _Physics:
     booked: list[tuple[int, int, int]]       # see _Run.book_hour
     booked_vids: array
     booked_kwh: array
-    inputs: tuple = ()                       # what it ran on; see simulate
-
-
-_vehicle_state = attrgetter(*(f.name for f in fields(Vehicle)))
-
-
-def _fleet_content(plans: list[VehiclePlan]) -> tuple:
-    """Everything the charging physics reads of a fleet, as one comparable value.
-
-    It is flat, to stay small while a physics pass keeps it; the trips are its
-    only TripEvents, so two fleets still give equal values only if each of
-    their vehicles, adoptions and trip lists are equal.
-    """
-    content: list = []
-    for p in plans:
-        content += _vehicle_state(p.vehicle)
-        content.append(p.adoption)
-        content += p.trips
-    return tuple(content)
 
 
 def simulate(spec: ExperimentSpec, data: ScenarioData,
@@ -579,10 +555,12 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     """Run one experiment on a prepared fleet: its charging physics, priced
     at ``spec.tariff_mode``. ``plans`` is left as it was found.
 
-    The physics pass of an earlier call on the same ``data`` is reused while
-    an output of it is alive and its strategy, decision interval, span, seed,
-    ``check_invariants``, transformer, hourly baseload and fleet content all
-    match: the tariff changes no dispatch decision.
+    If ``plans`` is the fleet ``run_experiment`` built on ``data`` for this
+    seed and span, the physics pass of an earlier call with the same strategy,
+    decision interval and ``check_invariants`` is reused while an output of it
+    is alive: the tariff changes no dispatch decision, and neither the fleet
+    nor ``data``'s physics inputs can have changed. Any other fleet gets a
+    pass of its own.
     """
     span = spec.span
     tariff = data.tariffs.get(spec.tariff_mode)
@@ -594,18 +572,18 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     spot_h = data.spot.slice_hours(span)
     co2_h = data.co2.slice_hours(span)
     tariff_h = tariff.hourly_rates(span)
-    base_total_h = base_matrix.sum(axis=0)
 
     if span.start.minutes % 60 or span.end.minutes % 60:
         raise ValueError("span must start and end on hour boundaries")
 
     key = (spec.physics_key, check_invariants)
-    inputs = (data.transformer, base_total_h.tobytes(), _fleet_content(plans))
-    physics = data._physics.get(key)
-    if physics is None or physics.inputs != inputs:
-        physics = _charge(spec, data.transformer, base_total_h, plans, check_invariants)
-        physics.inputs = inputs
-        data._physics[key] = physics
+    shared = plans is data._fleets.get((spec.seed, span))
+    physics = data._physics.get(key) if shared else None
+    if physics is None:
+        physics = _charge(spec, data.transformer, base_matrix.sum(axis=0), plans,
+                          check_invariants)
+        if shared:
+            data._physics[key] = physics
     return _price(spec, data, physics, base_matrix,
                   spot_h + tariff_h + data.addons_dkk_per_kwh, tariff_h, co2_h)
 

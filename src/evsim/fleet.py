@@ -71,17 +71,17 @@ class TripEvent:
     energy_kwh: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdoptionCurve:
     """Cumulative adopters per year, interpreted with piecewise-constant
     annual intensity equal to the yearly increments."""
 
-    breakpoints: list[tuple[int, int]]   # (year, cumulative adopters)
+    breakpoints: tuple[tuple[int, int], ...]   # (year, cumulative adopters)
 
     def __post_init__(self):
         if not self.breakpoints:
             raise ValueError("empty adoption curve")
-        self.breakpoints = sorted(self.breakpoints)
+        object.__setattr__(self, "breakpoints", tuple(sorted(map(tuple, self.breakpoints))))
         prev = -1
         for _, cum in self.breakpoints:
             if cum < prev:
@@ -117,7 +117,7 @@ class AdoptionCurve:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DrivingPattern:
     """Daily one-trip driving model; all times are minutes into the day."""
 

@@ -208,14 +208,14 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     if seed_override is not None:
         seed = seed_override
     tick = _get(cfg, "scenario", "tick_minutes", sp, int, default=1)
-    span = SimulationSpan(
-        Timestamp.from_iso(_get(cfg, "scenario", "span_start", sp)),
-        Timestamp.from_iso(_get(cfg, "scenario", "span_end", sp)),
-        tick)
+    span = _parse_span(cfg, "scenario", sp, tick)
 
-    transformer = Transformer(
-        capacity_kw=_get(cfg, "transformer", "capacity_kw", sp, float),
-        buffer_kw=_get(cfg, "transformer", "buffer_kw", sp, float, default=0.0))
+    capacity_kw = _get(cfg, "transformer", "capacity_kw", sp, float)
+    buffer_kw = _get(cfg, "transformer", "buffer_kw", sp, float, default=0.0)
+    try:
+        transformer = Transformer(capacity_kw, buffer_kw)
+    except ValueError as exc:
+        raise ScenarioError(sp, "transformer", str(exc)) from exc
 
     streams = RngStreams(seed)
 
@@ -242,7 +242,10 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             evening_peak_weight=_get(cfg, "baseload", "evening_peak_weight", sp, float, 2.2),
             weekend_factor=_get(cfg, "baseload", "weekend_factor", sp, float, 1.1),
             noise_std=_get(cfg, "baseload", "noise_std", sp, float, 0.1))
-        baseload = generate_baseload(bl_spec, household_ids, span, streams)
+        try:
+            baseload = generate_baseload(bl_spec, household_ids, span, streams)
+        except ValueError as exc:
+            raise ScenarioError(sp, "baseload", str(exc)) from exc
 
     # spot prices
     if source_of("spot") == "csv":
@@ -332,6 +335,15 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
                     experiments=experiments, content_hash=content_hash)
 
 
+def _parse_span(cfg, section: str, path: str, tick: int) -> SimulationSpan:
+    start = _get(cfg, section, "span_start", path, Timestamp.from_iso)
+    end = _get(cfg, section, "span_end", path, Timestamp.from_iso)
+    try:
+        return SimulationSpan(start, end, tick)
+    except ValueError as exc:
+        raise ScenarioError(path, section, str(exc)) from exc
+
+
 def _parse_time_of_day(text: str, path: str) -> float:
     try:
         hh, mm = text.strip().split(":")
@@ -364,10 +376,7 @@ def _parse_experiments(cfg, path: str, default_span: SimulationSpan,
         strategy = _get(cfg, section, "strategy", path)
         span = default_span
         if cfg.has_option(section, "span_start") or cfg.has_option(section, "span_end"):
-            span = SimulationSpan(
-                Timestamp.from_iso(_get(cfg, section, "span_start", path)),
-                Timestamp.from_iso(_get(cfg, section, "span_end", path)),
-                default_span.tick_minutes)
+            span = _parse_span(cfg, section, path, default_span.tick_minutes)
         interval = _get(cfg, section, "decision_interval_min", path, int, default=0)
         try:
             specs.append(ExperimentSpec(

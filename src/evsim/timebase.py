@@ -54,24 +54,12 @@ class Timestamp:
         return (self.minutes // 60) % 24
 
     @property
-    def minute_of_hour(self) -> int:
-        return self.minutes % 60
-
-    @property
     def weekday(self) -> int:
         """Monday == 0, per datetime convention."""
         return self.to_datetime().weekday()
 
-    @property
-    def day_index(self) -> int:
-        """Whole days since epoch."""
-        return self.minutes // MINUTES_PER_DAY
-
     def __add__(self, minutes: int) -> "Timestamp":
         return Timestamp(self.minutes + minutes)
-
-    def __sub__(self, other: "Timestamp") -> int:
-        return self.minutes - other.minutes
 
 
 @lru_cache(maxsize=None)
@@ -119,6 +107,3 @@ class SimulationSpan:
         last_minute = self.end.minutes - 1
         return list(range(year_of_minutes(self.start.minutes),
                           year_of_minutes(last_minute) + 1))
-
-    def contains(self, t: Timestamp) -> bool:
-        return self.start.minutes <= t.minutes < self.end.minutes

@@ -3,6 +3,7 @@ import gc
 import logging
 import pickle
 import shutil
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -201,8 +202,9 @@ class TestOverloads:
     @pytest.mark.parametrize("tick", [1, 5, 15])
     def test_same_overload_count_at_any_tick(self, tick):
         span = make_span(tick=tick)
-        data = flat_data(span, n_households=2, base_kw=1.0, capacity=10.0)
-        data.baseload.matrix[:, 17:20] = 10.0    # 20 kW on 10 kW, 17:00-20:00
+        base_kw = np.ones(span.n_hours)
+        base_kw[17:20] = 10.0                    # 20 kW on 10 kW, 17:00-20:00
+        data = flat_data(span, n_households=2, base_kw=base_kw, capacity=10.0)
         out = simulate(spec_for(span, "traditional", decision_interval_min=15),
                        data, [])
         assert out.reports[0].overload_count == 3            # hours
@@ -267,6 +269,19 @@ class TestSharedPhysics:
             fresh = build_fleet(s, scn.data, RngStreams(s.seed))
             assert first_difference(out, simulate_ticks(s, scn.data, fresh)) is None, s.id
 
+    def test_dense_feeder_day_equals_the_tick_loop(self, tmp_path):
+        # hundreds of requesters, and spans of one or two ticks between stops
+        shutil.copy(SCENARIOS / "dense_adoption_curve.csv", tmp_path)
+        ini = (SCENARIOS / "dense_feeder.ini").read_text().replace(
+            "span_end = 2039-01-06T00:00", "span_end = 2039-01-04T00:00")
+        (tmp_path / "dense.ini").write_text(ini)
+        scn = load_scenario(tmp_path / "dense.ini")
+        outs = [run_experiment(s, scn.data) for s in scn.experiments]
+        assert len(outs) == 5
+        for s, out in zip(scn.experiments, outs):
+            fresh = build_fleet(s, scn.data, RngStreams(s.seed))
+            assert first_difference(out, simulate_ticks(s, scn.data, fresh)) is None, s.id
+
     def test_fleet_changed_in_place_gets_a_fresh_pass(self, count_physics):
         span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
         data = flat_data(span, n_households=4, capacity=12.0,
@@ -281,6 +296,38 @@ class TestSharedPhysics:
         fresh = build_fleet(s, data, RngStreams(s.seed))
         fresh[0].vehicle.soc_kwh = 0.0
         assert first_difference(again, simulate_ticks(s, data, fresh)) is None
+
+    def test_fleet_of_the_caller_gets_a_pass_of_its_own(self, count_physics):
+        span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
+        data = flat_data(span, n_households=4, capacity=12.0,
+                         curve=AdoptionCurve([(2035, 4)]))
+        s = spec_for(span, "fcfs", seed=5)
+        plans = build_fleet(s, data, RngStreams(s.seed))
+        first = simulate(s, data, plans)
+        again = simulate(s, data, plans)
+        assert len(count_physics) == 2 and len(data._physics) == 0
+        assert first_difference(first, again) is None
+
+    def test_inputs_cannot_change_in_place(self):
+        span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
+        data = flat_data(span, n_households=4, curve=AdoptionCurve([(2035, 4)]))
+        for d in (data, pickle.loads(pickle.dumps(data)), copy.deepcopy(data)):
+            with pytest.raises(FrozenInstanceError):
+                d.driving = DrivingPattern(trip_energy_mean_kwh=20.0)
+            with pytest.raises(ValueError, match="read-only"):
+                d.baseload.matrix[0, 0] = 1.0
+
+    def test_replaced_data_builds_its_own_fleet(self):
+        span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
+        data = flat_data(span, n_households=4, curve=AdoptionCurve([(2035, 4)]))
+        s = spec_for(span, "edf", seed=2)
+        first = run_experiment(s, data)
+        longer = replace(data, driving=DrivingPattern(trip_energy_mean_kwh=20.0))
+        second = run_experiment(s, longer)     # while first is alive
+        assert sum(v.trip_drain_kwh for v in second.vehicles) > \
+            sum(v.trip_drain_kwh for v in first.vehicles)
+        fresh = build_fleet(s, longer, RngStreams(s.seed))
+        assert first_difference(second, simulate_ticks(s, longer, fresh)) is None
 
     def test_dropped_outputs_release_fleet_and_physics(self):
         span = make_span("2036-01-01T00:00", "2036-01-04T00:00")

@@ -34,12 +34,12 @@ def scenarios(draw):
     capacity = draw(st.floats(2.0, 60.0))
     n_households = draw(st.integers(1, 6))
     driving = DrivingPattern(trip_energy_mean_kwh=draw(st.floats(2.0, 30.0)))
-    data = flat_data(span, n_households=n_households, capacity=capacity,
-                     buffer_kw=draw(st.floats(0.0, 0.5)) * capacity, catalog=catalog,
-                     driving=driving)
+    buffer_kw = draw(st.floats(0.0, 0.5)) * capacity
     # an hourly baseload that moves the budget from hour to hour
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    data.baseload.matrix[:] = rng.uniform(0.0, 2.0, data.baseload.matrix.shape)
+    data = flat_data(span, n_households=n_households, capacity=capacity,
+                     buffer_kw=buffer_kw, catalog=catalog, driving=driving,
+                     base_kw=rng.uniform(0.0, 2.0, (n_households, span.n_hours)))
     # decision intervals: the multiples of the tick that divide 60
     interval = draw(st.sampled_from([m for m in range(tick, 61, tick) if 60 % m == 0]))
     spec = ExperimentSpec(id="p", strategy=draw(st.sampled_from(STRATEGY_NAMES)),

@@ -18,8 +18,8 @@ def simulated_load(base_kw_by_household, vehicles=()):
     """Transformer load of a one-day traditional run with constant household
     baseloads and (model, soc) vehicles plugged in from the start."""
     span = make_span("2036-01-01T00:00", "2036-01-02T00:00")
-    data = flat_data(span, n_households=len(base_kw_by_household))
-    data.baseload.matrix[:] = np.asarray(base_kw_by_household)[:, None]
+    data = flat_data(span, n_households=len(base_kw_by_household),
+                     base_kw=np.asarray(base_kw_by_household)[:, None])
     plans = [VehiclePlan(Vehicle(id=i + 1, household_id=i + 1, model=model,
                                  soc_kwh=soc), span.start, [])
              for i, (model, soc) in enumerate(vehicles)]

@@ -168,6 +168,23 @@ class TestCliValidate:
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.ini")]) == 1
 
+    @pytest.mark.parametrize("old, new, where", [
+        ("span_end = 2036-01-08T00:00", "span_end = 2035-12-25T00:00", "scenario"),
+        ("span_end = 2036-01-08T00:00", "span_end = 2036-01-07T12:00", "baseload"),
+        ("path = curve.csv\n", "path = curve.csv\n[experiment.x]\nstrategy = edf\n"
+         "span_start = 2036-01-02T00:00\nspan_end = 2036-01-02T00:00\n", "experiment.x"),
+        ("span_start = 2036-01-01T00:00", "span_start = notadate", "scenario.span_start"),
+        ("seed = 11", "seed = 11\ntick_minutes = 7", "scenario"),
+        ("capacity_kw = 400", "capacity_kw = 400\nbuffer_kw = 400", "transformer"),
+    ], ids=["end_before_start", "part_day_synthetic_baseload", "empty_experiment_span",
+            "start_not_a_date", "tick_not_dividing_60", "buffer_not_below_capacity"])
+    def test_invalid_value_names_its_section_or_key(self, tmp_path, capsys, old, new,
+                                                    where):
+        bad = write_scenario(tmp_path, SHORT_INI.replace(old, new))
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and f"[{where}]" in err
+
 
 class TestCoarseTick:
     @pytest.mark.parametrize("tick", [5, 15, 4])
