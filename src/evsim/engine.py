@@ -228,23 +228,6 @@ _ADOPT, _DEPART, _ARRIVE = 0, 1, 2
 _ROUNDING_SLACK = 1e-15
 
 
-def _dispatcher(spec: ExperimentSpec):
-    name = spec.strategy
-    if name == "traditional":
-        return lambda reqs, budget: strat.dispatch_traditional(reqs, budget)
-    if name == "fcfs":
-        state = strat.FcfsState()
-        return lambda reqs, budget: strat.dispatch_fcfs(state, reqs, budget)
-    if name == "round_robin":
-        state = strat.RoundRobinState()
-        return lambda reqs, budget: strat.dispatch_round_robin(state, reqs, budget)
-    if name == "equal_charge":
-        return lambda reqs, budget: strat.dispatch_equal_charge(reqs, budget)
-    if name == "edf":
-        return lambda reqs, budget: strat.dispatch_edf(reqs, budget)
-    raise AssertionError(name)
-
-
 def build_fleet(spec: ExperimentSpec, data: ScenarioData,
                 streams: RngStreams) -> list[VehiclePlan]:
     """Sample adoptions and daily trips for one experiment's span."""
@@ -335,17 +318,17 @@ class _Run:
         self.events = _event_list(plans, span.end.minutes)
         self.ev_ptr = 0
 
-        self.dispatch = _dispatcher(spec)
+        self.dispatcher = strat.DISPATCHERS[spec.strategy]()
         # Round Robin advances its charging streaks on every call. The other
         # dispatchers give the same grants for the same requests and budget
         # (FCFS also leaves its queue as it was), so such a call is skipped.
         self.dispatch_every_boundary = spec.strategy == "round_robin"
         self.inputs_changed = True     # requests differ from the last call's
         self.last_budget: float | None = None
-        self.grants: dict[int, float] = {}
+        self.grants: dict[int, float] = {}   # in vehicle-id order
         self.horizon = -1              # first tick a grant may end; < now: stale
 
-        self.requests: dict[int, strat.ChargeRequest] = {}   # plugged in, below target
+        self.requests: set[int] = set()   # plugged in, below target
         self.session_start: dict[int, int] = {}
         self.session_kwh: dict[int, float] = {}
         self.hour_kwh: dict[int, float] = {}
@@ -377,24 +360,24 @@ class _Run:
                         self.session_kwh.pop(vid)))
                 v.plugged = False
                 self.grants.pop(vid, None)
-                if self.requests.pop(vid, None) is not None:
+                if vid in self.requests:
+                    self.requests.remove(vid)
+                    self.dispatcher.leave(vid)
                     self.inputs_changed = True
                 continue
             if kind == _ADOPT:
                 v.plugged = True
-                v.arrival = Timestamp(m)
+                arrival = m
             else:
                 soc_before = v.soc_kwh
                 apply_trip_energy(v, trip)
                 self.trip_drain[vid] += soc_before - v.soc_kwh
-            v.planned_departure = Timestamp(departure)
+                arrival = trip.arrival.minutes
             self.session_start[vid] = m
             self.session_kwh[vid] = 0.0
             if not v.satisfied:
-                self.requests[vid] = strat.ChargeRequest(
-                    vehicle_id=vid, max_rate_kw=v.model.max_rate_kw,
-                    remaining_kwh=v.remaining_kwh, arrival=v.arrival,
-                    planned_departure=v.planned_departure)
+                self.requests.add(vid)
+                self.dispatcher.arrive(vid, v.model.max_rate_kw, arrival, departure)
                 self.inputs_changed = True
 
     def _dispatch_pending(self, budget: float) -> bool:
@@ -407,13 +390,14 @@ class _Run:
         would repeat the grants of its last call, which are still held."""
         if not self._dispatch_pending(budget):
             return
-        reqs = [self.requests[vid] for vid in sorted(self.requests)]
-        self.grants = dict(self.dispatch(reqs, budget))
+        grants = self.dispatcher.grants(budget)
+        self.grants = {vid: grants[vid] for vid in sorted(grants)}
         self.inputs_changed = False
         self.last_budget = budget
         self.horizon = -1
         if self.check_invariants:
             for vid, g in self.grants.items():
+                assert vid in self.requests
                 assert 0.0 <= g <= self.vehicles[vid].model.max_rate_kw + strat.CAPACITY_EPS
             if self.coordinated:
                 assert sum(self.grants.values()) <= budget + strat.CAPACITY_EPS
@@ -475,11 +459,11 @@ class _Run:
         released = []
         vehicles, grants = self.vehicles, self.grants
         hour_kwh, session_kwh = self.hour_kwh, self.session_kwh
-        # fixed id order keeps the float sums independent of the dispatcher's
-        # dict ordering
-        for vid in sorted(grants):
+        # the grants' id order keeps the float sums independent of the
+        # dispatcher's order
+        for vid, g in grants.items():
             v = vehicles[vid]
-            d = grants[vid] * dt / 60.0
+            d = g * dt / 60.0
             if quiet and d > 0.0:
                 soc, hour, session = v.soc_kwh, hour_kwh.get(vid, 0.0), session_kwh[vid]
                 for _ in range(quiet):
@@ -500,7 +484,8 @@ class _Run:
         if released:
             for vid in released:
                 del grants[vid]
-                del self.requests[vid]
+                self.requests.remove(vid)
+                self.dispatcher.leave(vid)
             self.inputs_changed = True
 
         if quiet:

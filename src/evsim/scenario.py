@@ -339,9 +339,13 @@ def _parse_span(cfg, section: str, path: str, tick: int) -> SimulationSpan:
     start = _get(cfg, section, "span_start", path, Timestamp.from_iso)
     end = _get(cfg, section, "span_end", path, Timestamp.from_iso)
     try:
-        return SimulationSpan(start, end, tick)
+        span = SimulationSpan(start, end, tick)
     except ValueError as exc:
         raise ScenarioError(path, section, str(exc)) from exc
+    # the hourly series and the run's hours are aligned to whole hours
+    if start.minutes % 60 or end.minutes % 60:
+        raise ScenarioError(path, section, "span must start and end on whole hours")
+    return span
 
 
 def _parse_time_of_day(text: str, path: str) -> float:

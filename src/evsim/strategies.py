@@ -4,10 +4,19 @@ All centralized strategies admit vehicles at their full rate in a strict
 order with head-of-line blocking, except Equal Charge which water-fills a
 common rate. Grants hold between decision boundaries; the engine releases
 them on departure or target reached.
+
+Each strategy exists twice. The ``dispatch_*`` functions take the whole
+request list on every call; they are the reference that the tests and the
+per-tick oracle (``tests/reference_engine.py``) call. The engine runs one
+dispatcher object per run instead (``DISPATCHERS``), which keeps its order up
+to date as requests arrive and leave; its ``grants(budget)`` equals the
+function called on the current requests in vehicle-id order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
 
 from .timebase import Timestamp
@@ -181,3 +190,207 @@ def dispatch_edf(requests: list[ChargeRequest],
         return (dep, r.arrival.minutes, r.vehicle_id)
 
     return _greedy_admit(sorted(requests, key=deadline), capacity_kw)
+
+
+def _admit(ordered, budget: float) -> Allocation:
+    """``_greedy_admit`` on (vehicle id, rate) pairs. The reference functions
+    keep their own copy, so that they stay independent of the objects."""
+    grants: Allocation = {}
+    residual = budget
+    for vid, rate in ordered:
+        if rate <= residual + CAPACITY_EPS:
+            grants[vid] = rate
+            residual -= rate
+        else:
+            break   # head-of-line blocking: no skip-ahead
+    return grants
+
+
+class TraditionalDispatcher:
+    """``dispatch_traditional`` kept up to date: the requesters' rates."""
+
+    def __init__(self):
+        self.rates: Allocation = {}
+
+    def arrive(self, vid: int, rate: float, arrival_min: int, departure_min: int) -> None:
+        self.rates[vid] = rate
+
+    def leave(self, vid: int) -> None:
+        del self.rates[vid]
+
+    def grants(self, budget: float) -> Allocation:
+        return dict(self.rates)
+
+
+class EdfDispatcher:
+    """``dispatch_edf`` kept up to date: the requests sorted by (departure,
+    arrival, id)."""
+
+    def __init__(self):
+        self.order: list[tuple[int, int, int, float]] = []   # (dep, arr, id, rate)
+        self.entry: dict[int, tuple[int, int, int, float]] = {}
+
+    def arrive(self, vid: int, rate: float, arrival_min: int, departure_min: int) -> None:
+        self.entry[vid] = entry = (departure_min, arrival_min, vid, rate)
+        insort(self.order, entry)
+
+    def leave(self, vid: int) -> None:
+        del self.order[bisect_left(self.order, self.entry.pop(vid))]
+
+    def grants(self, budget: float) -> Allocation:
+        return _admit(((vid, rate) for _, _, vid, rate in self.order), budget)
+
+
+class EqualChargeDispatcher:
+    """``dispatch_equal_charge`` kept up to date: the rate caps in id order,
+    so their sum adds in the function's order, and sorted by (cap, id) for
+    the water-fill."""
+
+    def __init__(self):
+        self.ids: list[int] = []
+        self.caps: list[float] = []
+        self.by_cap: list[tuple[float, int]] = []
+
+    def arrive(self, vid: int, rate: float, arrival_min: int, departure_min: int) -> None:
+        k = bisect_left(self.ids, vid)
+        self.ids.insert(k, vid)
+        self.caps.insert(k, rate)
+        insort(self.by_cap, (rate, vid))
+
+    def leave(self, vid: int) -> None:
+        k = bisect_left(self.ids, vid)
+        del self.by_cap[bisect_left(self.by_cap, (self.caps[k], vid))]
+        del self.ids[k]
+        del self.caps[k]
+
+    def grants(self, budget: float) -> Allocation:
+        if not self.ids:
+            return {}
+        if sum(self.caps) <= budget + CAPACITY_EPS:
+            return dict(zip(self.ids, self.caps))
+        grants: Allocation = {}
+        residual = budget
+        remaining = len(self.by_cap)
+        for i, (cap, vid) in enumerate(self.by_cap):
+            level = residual / remaining
+            if cap <= level:
+                grants[vid] = cap
+                residual -= cap
+                remaining -= 1
+            else:
+                for _, rest in self.by_cap[i:]:
+                    grants[rest] = level
+                break
+        return grants
+
+
+class _Queued:
+    """The requesters of a strategy that keeps a queue across calls.
+
+    ``dispatch_fcfs`` and ``dispatch_round_robin`` see only the requests
+    present at call time, so arrivals and departures take effect at the next
+    ``grants`` call: a vehicle that leaves and returns in between keeps its
+    place, and one that arrives and leaves in between is never seen.
+    Subclasses keep the ``queue`` and take a vehicle out in ``_drop``.
+    """
+
+    def __init__(self):
+        self.requests: dict[int, tuple[float, int]] = {}   # id -> (rate, arrival)
+        self.known: set[int] = set()       # queued or charging after the last call
+        self.pending: dict[int, int] = {}  # arrived since, not known -> arrival
+        self.gone: set[int] = set()        # known, and left since
+
+    def arrive(self, vid: int, rate: float, arrival_min: int, departure_min: int) -> None:
+        self.requests[vid] = (rate, arrival_min)
+        if vid not in self.known:
+            self.pending[vid] = arrival_min
+
+    def leave(self, vid: int) -> None:
+        del self.requests[vid]
+        if vid in self.known:
+            self.gone.add(vid)
+        else:
+            del self.pending[vid]
+
+    def _settle(self) -> None:
+        """Drop the known vehicles that left and did not return, then queue
+        the newcomers in (arrival, id) order."""
+        for vid in self.gone:
+            if vid not in self.requests:
+                self.known.remove(vid)
+                self._drop(vid)
+        self.gone.clear()
+        if self.pending:
+            self.queue.extend(vid for _, vid in
+                              sorted((arr, vid) for vid, arr in self.pending.items()))
+            self.known.update(self.pending)
+            self.pending.clear()
+
+
+class FcfsDispatcher(_Queued):
+    """``dispatch_fcfs`` with its ``FcfsState`` kept up to date."""
+
+    def __init__(self):
+        super().__init__()
+        self.queue: deque[int] = deque()
+        self.active: Allocation = {}       # in admission order
+
+    def _drop(self, vid: int) -> None:
+        if vid in self.active:
+            del self.active[vid]
+        else:
+            self.queue.remove(vid)
+
+    def grants(self, budget: float) -> Allocation:
+        self._settle()
+        active, queue = self.active, self.queue
+        while active and sum(active.values()) > budget + CAPACITY_EPS:
+            vid = next(reversed(active))
+            del active[vid]
+            queue.appendleft(vid)
+        residual = budget - sum(active.values())
+        while queue:
+            rate = self.requests[queue[0]][0]
+            if rate > residual + CAPACITY_EPS:
+                break
+            active[queue.popleft()] = rate
+            residual -= rate
+        return dict(active)
+
+
+class RoundRobinDispatcher(_Queued):
+    """``dispatch_round_robin`` with its ``RoundRobinState`` kept up to date.
+
+    Only the vehicles granted on the last call have a streak above 0, so
+    ``streaks`` holds just those: its keys are the last call's grants.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.queue: list[int] = []
+        self.streaks: dict[int, int] = {}
+
+    def _drop(self, vid: int) -> None:
+        self.queue.remove(vid)
+        self.streaks.pop(vid, None)
+
+    def grants(self, budget: float) -> Allocation:
+        self._settle()
+        queue, requests, streaks = self.queue, self.requests, self.streaks
+        # rotate only under excess demand: pause the longest-streak charger
+        if streaks and len(queue) > len(streaks):
+            victim = max(streaks, key=lambda vid: (streaks[vid], -requests[vid][1], -vid))
+            queue.remove(victim)
+            queue.append(victim)
+        grants = _admit(((vid, requests[vid][0]) for vid in queue), budget)
+        self.streaks = {vid: streaks.get(vid, 0) + 1 for vid in grants}
+        return grants
+
+
+DISPATCHERS = {
+    "traditional": TraditionalDispatcher,
+    "round_robin": RoundRobinDispatcher,
+    "fcfs": FcfsDispatcher,
+    "equal_charge": EqualChargeDispatcher,
+    "edf": EdfDispatcher,
+}

@@ -113,6 +113,23 @@ class TestHoldLast:
         window = out.load.values[:15]
         assert (window == window[0]).all()
 
+    @pytest.mark.parametrize("strategy", ["fcfs", "round_robin", "edf"])
+    def test_depart_and_return_within_an_interval(self, two_day_span, strategy):
+        # vehicle 2 charges from minute 0, leaves at 5 and is back at 10, before
+        # the 15-minute boundary: the dispatchers see it at both boundaries, so
+        # it keeps its FCFS admission and its Round Robin streak while 3 waits
+        span = two_day_span
+        data = flat_data(span, n_households=3, base_kw=0.0, capacity=22.0)
+        spec = spec_for(span, strategy, decision_interval_min=15)
+
+        def plans():
+            trips = [TripEvent(minute(span, 5), minute(span, 10), 0.5)]
+            return [plan(vid, FAST, 0.0, span.start, trips if vid == 2 else [])
+                    for vid in (1, 2, 3)]
+
+        out = simulate(spec, data, plans(), check_invariants=True)
+        assert first_difference(out, simulate_ticks(spec, data, plans())) is None
+
 
 class TestDeterminism:
     def test_same_spec_same_output(self):

@@ -64,9 +64,9 @@ class TestChargeStep:
         assert out.dissatisfactions == []
 
     def test_rejects_grant_above_rate(self, monkeypatch):
-        monkeypatch.setattr(strategies, "dispatch_traditional",
-                            lambda reqs, budget: {r.vehicle_id: 2 * r.max_rate_kw
-                                                  for r in reqs})
+        monkeypatch.setattr(strategies.TraditionalDispatcher, "grants",
+                            lambda self, budget: {vid: 2 * rate
+                                                  for vid, rate in self.rates.items()})
         with pytest.raises(AssertionError):
             charge_window(LEAF, 20.0, 60, check_invariants=True)
 

@@ -168,19 +168,33 @@ class TestCliValidate:
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.ini")]) == 1
 
-    @pytest.mark.parametrize("old, new, where", [
-        ("span_end = 2036-01-08T00:00", "span_end = 2035-12-25T00:00", "scenario"),
-        ("span_end = 2036-01-08T00:00", "span_end = 2036-01-07T12:00", "baseload"),
+    @pytest.mark.parametrize("old, new, where, csv_baseload", [
+        ("span_end = 2036-01-08T00:00", "span_end = 2035-12-25T00:00", "scenario", False),
+        ("span_end = 2036-01-08T00:00", "span_end = 2036-01-07T12:00", "baseload", False),
         ("path = curve.csv\n", "path = curve.csv\n[experiment.x]\nstrategy = edf\n"
-         "span_start = 2036-01-02T00:00\nspan_end = 2036-01-02T00:00\n", "experiment.x"),
-        ("span_start = 2036-01-01T00:00", "span_start = notadate", "scenario.span_start"),
-        ("seed = 11", "seed = 11\ntick_minutes = 7", "scenario"),
-        ("capacity_kw = 400", "capacity_kw = 400\nbuffer_kw = 400", "transformer"),
+         "span_start = 2036-01-02T00:00\nspan_end = 2036-01-02T00:00\n", "experiment.x",
+         False),
+        ("span_start = 2036-01-01T00:00", "span_start = notadate", "scenario.span_start",
+         False),
+        ("seed = 11", "seed = 11\ntick_minutes = 7", "scenario", False),
+        ("capacity_kw = 400", "capacity_kw = 400\nbuffer_kw = 400", "transformer", False),
+        # a CSV baseload takes any span
+        ("span_start = 2036-01-01T00:00", "span_start = 2036-01-01T00:30", "scenario", True),
+        ("span_end = 2036-01-08T00:00", "span_end = 2036-01-07T23:30", "scenario", True),
+        ("path = curve.csv\n", "path = curve.csv\n[experiment.x]\nstrategy = edf\n"
+         "span_start = 2036-01-02T00:30\nspan_end = 2036-01-03T00:00\n", "experiment.x",
+         False),
     ], ids=["end_before_start", "part_day_synthetic_baseload", "empty_experiment_span",
-            "start_not_a_date", "tick_not_dividing_60", "buffer_not_below_capacity"])
+            "start_not_a_date", "tick_not_dividing_60", "buffer_not_below_capacity",
+            "start_off_the_hour", "end_off_the_hour", "experiment_start_off_the_hour"])
     def test_invalid_value_names_its_section_or_key(self, tmp_path, capsys, old, new,
-                                                    where):
-        bad = write_scenario(tmp_path, SHORT_INI.replace(old, new))
+                                                    where, csv_baseload):
+        ini = SHORT_INI.replace(old, new)
+        if csv_baseload:
+            assert main(["gen-synthetic", str(write_scenario(tmp_path, SHORT_INI)),
+                         "--out", str(tmp_path / "data")]) == 0
+            ini += "\n[baseload]\nsource = csv\npath = data/baseload.csv\n"
+        bad = write_scenario(tmp_path, ini)
         assert main(["validate", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "validation error" in err and f"[{where}]" in err

@@ -4,13 +4,14 @@ from hypothesis import strategies as st
 
 from evsim import strategies
 from evsim.engine import ExperimentSpec, simulate
-from evsim.strategies import (CAPACITY_EPS, ChargeRequest, FcfsState,
-                              RoundRobinState, dispatch_edf,
-                              dispatch_equal_charge, dispatch_fcfs,
+from evsim.strategies import (CAPACITY_EPS, DISPATCHERS, STRATEGY_NAMES,
+                              ChargeRequest, FcfsState, RoundRobinState,
+                              dispatch_edf, dispatch_equal_charge, dispatch_fcfs,
                               dispatch_round_robin, dispatch_traditional)
 from evsim.timebase import Timestamp
 
 from conftest import flat_data, make_span
+from reference_engine import _dispatcher as reference_dispatcher
 
 
 def req(vid, rate, remaining=10.0, arrival=0, departure=None):
@@ -239,14 +240,49 @@ def test_fcfs_idempotent_on_unchanged_inputs(first, first_budget, entries, budge
     assert snapshot(state) == before
 
 
+@given(st.sampled_from(STRATEGY_NAMES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_dispatcher_objects_equal_their_functions(strategy, data):
+    # random arrive / leave / grants sequences on five vehicles whose arrival
+    # and departure minutes tie often, with budgets that are often exact sums
+    # of some requesters' rates; vehicles often leave and return between two
+    # calls. The engine puts the grants in id order itself, so only the
+    # values are compared.
+    dispatcher = DISPATCHERS[strategy]()
+    # dispatch_<strategy> as the per-tick oracle calls it: FCFS and Round
+    # Robin keep one state across the calls
+    reference = reference_dispatcher(ExperimentSpec("d", strategy, make_span()))
+    rates = data.draw(st.lists(st.sampled_from([3.7, 7.4, 11.0, 22.0]),
+                               min_size=5, max_size=5))
+    present: dict[int, ChargeRequest] = {}
+    for _ in range(data.draw(st.integers(1, 40))):
+        op = data.draw(st.sampled_from(["arrive", "leave", "grants"]))
+        if op == "arrive" and len(present) < 5:
+            vid = data.draw(st.sampled_from([v for v in range(5) if v not in present]))
+            arrival, departure = data.draw(st.integers(0, 3)), data.draw(st.integers(10, 12))
+            dispatcher.arrive(vid, rates[vid], arrival, departure)
+            present[vid] = req(vid, rates[vid], arrival=arrival, departure=departure)
+        elif op == "leave" and present:
+            vid = data.draw(st.sampled_from(sorted(present)))
+            dispatcher.leave(vid)
+            del present[vid]
+        elif op == "grants":
+            subset = data.draw(st.lists(st.sampled_from(sorted(present)), unique=True)
+                               if present else st.just([]))
+            budget = data.draw(st.just(sum(rates[v] for v in subset))
+                               | st.floats(0.0, 80.0))
+            expected = reference([present[v] for v in sorted(present)], budget)
+            assert dispatcher.grants(budget) == expected
+
+
 def test_dispatch_budget_examples(monkeypatch):
     # the budget the engine hands the dispatcher at every decision boundary
     span = make_span("2036-01-01T00:00", "2036-01-02T00:00")
     for buffer_kw, base_kw, budget in ((0.0, 125.0, 150.0), (20.0, 125.0, 130.0),
                                        (0.0, 200.0, 0.0), (0.0, 250.0, 0.0)):
         seen = set()
-        monkeypatch.setattr(strategies, "dispatch_edf",
-                            lambda reqs, cap: seen.add(cap) or {})
+        monkeypatch.setattr(strategies.EdfDispatcher, "grants",
+                            lambda self, cap: seen.add(cap) or {})
         data = flat_data(span, base_kw=base_kw, capacity=400.0, buffer_kw=buffer_kw)
         simulate(ExperimentSpec("t", "edf", span), data, [])
         assert seen == {budget}
