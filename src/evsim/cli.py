@@ -16,7 +16,7 @@ from . import outputs
 from .engine import SimulationOutput, run_experiment
 from .grid import LoadSeries
 from .kpi import pct_difference
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, parse_seed
 
 log = logging.getLogger("evsim")
 
@@ -56,9 +56,9 @@ def _seed_override() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError("EVSIM_SEED", "env", f"not an integer: {raw!r}")
+        return parse_seed(raw)
+    except ValueError as exc:
+        raise ScenarioError("EVSIM_SEED", "env", f"bad value {raw!r}: {exc}")
 
 
 def _load(path: str) -> Scenario:

@@ -29,7 +29,9 @@ from __future__ import annotations
 import math
 import weakref
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -219,6 +221,32 @@ class SimulationOutput:
         return {**vars(self), "_physics": None}
 
 
+class ChargingRecord:
+    """One vehicle's charging state in a run: its ``Vehicle``, its rate, its
+    current grant, and the energy of its open hour and of its open session.
+
+    The dispatcher objects of ``strategies.DISPATCHERS`` take records in
+    ``arrive`` and set the ``grant`` of the records they return from
+    ``grants``; the engine walks them in ``charge`` and ``book_hour``. A run
+    makes one per vehicle, which lives across its sessions: a vehicle that
+    leaves and returns within an hour keeps adding to the same hour.
+    """
+
+    __slots__ = ("vehicle", "vid", "rate", "grant", "hour_kwh", "session_kwh",
+                 "session_start", "delivered_kwh", "trip_drain_kwh")
+
+    def __init__(self, vehicle: Vehicle):
+        self.vehicle = vehicle
+        self.vid = vehicle.id
+        self.rate = vehicle.model.max_rate_kw
+        self.grant = 0.0
+        self.hour_kwh = 0.0            # 0.0 until it charges in the open hour
+        self.session_kwh = 0.0
+        self.session_start: int | None = None    # None: no open session
+        self.delivered_kwh = 0.0
+        self.trip_drain_kwh = 0.0
+
+
 # event kinds, processed in this order within one tick
 _ADOPT, _DEPART, _ARRIVE = 0, 1, 2
 
@@ -226,6 +254,8 @@ _ADOPT, _DEPART, _ARRIVE = 0, 1, 2
 # the 2**-53 rounding error of one float operation, so the horizon stays a
 # lower bound whatever the rounding of the adds it predicts.
 _ROUNDING_SLACK = 1e-15
+
+_VID = attrgetter("vid")
 
 
 def build_fleet(spec: ExperimentSpec, data: ScenarioData,
@@ -313,8 +343,8 @@ class _Run:
         # the run changes copies of the vehicles, so the plans stay as they
         # were; built anew, as copy.copy's instances take about 20% longer on
         # the charging loop's attribute accesses
-        self.vehicles: dict[int, Vehicle] = {p.vehicle.id: replace(p.vehicle)
-                                             for p in plans}
+        self.records: dict[int, ChargingRecord] = {
+            p.vehicle.id: ChargingRecord(replace(p.vehicle)) for p in plans}
         self.events = _event_list(plans, span.end.minutes)
         self.ev_ptr = 0
 
@@ -325,15 +355,12 @@ class _Run:
         self.dispatch_every_boundary = spec.strategy == "round_robin"
         self.inputs_changed = True     # requests differ from the last call's
         self.last_budget: float | None = None
-        self.grants: dict[int, float] = {}   # in vehicle-id order
+        self.grants: list[ChargingRecord] = []   # granted now, in vehicle-id order
         self.horizon = -1              # first tick a grant may end; < now: stale
 
         self.requests: set[int] = set()   # plugged in, below target
-        self.session_start: dict[int, int] = {}
-        self.session_kwh: dict[int, float] = {}
-        self.hour_kwh: dict[int, float] = {}
-        self.trip_drain: dict[int, float] = {vid: 0.0 for vid in self.vehicles}
-        self.delivered_total: dict[int, float] = {vid: 0.0 for vid in self.vehicles}
+        # the records charged in the open hour, in the order of their first charge
+        self.hour_records: list[ChargingRecord] = []
         self.delivered_by_year: dict[int, dict[int, float]] = {y: {} for y in span.years()}
         # each closed hour's charging, for the pricing pass: (hour, year, end of
         # its entries), and per entry the vehicle and its kWh
@@ -345,22 +372,23 @@ class _Run:
 
     def apply_events(self, m: int) -> None:
         """Phase 1: the adoptions, departures and arrivals due before m + dt."""
-        events, vehicles = self.events, self.vehicles
+        events, records = self.events, self.records
         due = m + self.dt
         while self.ev_ptr < len(events) and events[self.ev_ptr][0] < due:
             _, kind, vid, trip, departure = events[self.ev_ptr]
             self.ev_ptr += 1
-            v = vehicles[vid]
+            r = records[vid]
+            v = r.vehicle
             if kind == _DEPART:
                 if v.plugged:
                     if not v.satisfied:
                         self.dissatisfactions.append((Timestamp(m), vid))
                     self.sessions.append(ChargeSession(
-                        vid, Timestamp(self.session_start.pop(vid)), Timestamp(m),
-                        self.session_kwh.pop(vid)))
+                        vid, Timestamp(r.session_start), Timestamp(m), r.session_kwh))
+                    r.session_start = None
                 v.plugged = False
-                self.grants.pop(vid, None)
                 if vid in self.requests:
+                    self._ungrant(r)
                     self.requests.remove(vid)
                     self.dispatcher.leave(vid)
                     self.inputs_changed = True
@@ -371,14 +399,21 @@ class _Run:
             else:
                 soc_before = v.soc_kwh
                 apply_trip_energy(v, trip)
-                self.trip_drain[vid] += soc_before - v.soc_kwh
+                r.trip_drain_kwh += soc_before - v.soc_kwh
                 arrival = trip.arrival.minutes
-            self.session_start[vid] = m
-            self.session_kwh[vid] = 0.0
+            r.session_start = m
+            r.session_kwh = 0.0
             if not v.satisfied:
                 self.requests.add(vid)
-                self.dispatcher.arrive(vid, v.model.max_rate_kw, arrival, departure)
+                self.dispatcher.arrive(r, arrival, departure)
                 self.inputs_changed = True
+
+    def _ungrant(self, r: ChargingRecord) -> None:
+        """Take r out of the grant list, if it is there."""
+        grants = self.grants
+        k = bisect_left(grants, r.vid, key=_VID)
+        if k < len(grants) and grants[k] is r:
+            del grants[k]
 
     def _dispatch_pending(self, budget: float) -> bool:
         """Whether the dispatcher may answer otherwise than on its last call."""
@@ -390,17 +425,18 @@ class _Run:
         would repeat the grants of its last call, which are still held."""
         if not self._dispatch_pending(budget):
             return
-        grants = self.dispatcher.grants(budget)
-        self.grants = {vid: grants[vid] for vid in sorted(grants)}
+        self.grants = grants = self.dispatcher.grants(budget)
         self.inputs_changed = False
         self.last_budget = budget
         self.horizon = -1
         if self.check_invariants:
-            for vid, g in self.grants.items():
-                assert vid in self.requests
-                assert 0.0 <= g <= self.vehicles[vid].model.max_rate_kw + strat.CAPACITY_EPS
+            # charge, book_hour and _ungrant rely on the id order
+            assert all(a.vid < b.vid for a, b in zip(grants, grants[1:]))
+            for r in grants:
+                assert r.vid in self.requests and r is self.records[r.vid]
+                assert 0.0 <= r.grant <= r.vehicle.model.max_rate_kw + strat.CAPACITY_EPS
             if self.coordinated:
-                assert sum(self.grants.values()) <= budget + strat.CAPACITY_EPS
+                assert sum(r.grant for r in grants) <= budget + strat.CAPACITY_EPS
 
     def next_stop(self, i: int, hour_end: int, budget: float) -> int:
         """The tick after tick i at which the next span starts: the tick of
@@ -432,13 +468,13 @@ class _Run:
         tick i + ceil(n) is the first on which it may finish (i itself when
         n <= 0).
         """
-        dt, vehicles = self.dt, self.vehicles
+        dt = self.dt
         shrink, grow = 1.0 - _ROUNDING_SLACK, 1.0 + _ROUNDING_SLACK
         ticks = self.n_ticks - i
-        for vid, g in self.grants.items():
-            d = g * dt / 60.0
+        for r in self.grants:
+            d = r.grant * dt / 60.0
             if d > 0.0:
-                v = vehicles[vid]
+                v = r.vehicle
                 target = v.desired_target_kwh
                 n = ((target - v.soc_kwh) * shrink - d * grow) \
                     / (d + _ROUNDING_SLACK * (target + d))
@@ -457,35 +493,39 @@ class _Run:
         quiet = j - i - 1
         quiet_sum = last_sum = 0.0
         released = []
-        vehicles, grants = self.vehicles, self.grants
-        hour_kwh, session_kwh = self.hour_kwh, self.session_kwh
+        hour_records = self.hour_records
         # the grants' id order keeps the float sums independent of the
-        # dispatcher's order
-        for vid, g in grants.items():
-            v = vehicles[vid]
-            d = g * dt / 60.0
+        # dispatcher's order; a record joins hour_records on its first charge
+        # of the hour, while its hour_kwh is still 0.0
+        for r in self.grants:
+            v = r.vehicle
+            d = r.grant * dt / 60.0
             if quiet and d > 0.0:
-                soc, hour, session = v.soc_kwh, hour_kwh.get(vid, 0.0), session_kwh[vid]
+                if r.hour_kwh == 0.0:
+                    hour_records.append(r)
+                soc, hour, session = v.soc_kwh, r.hour_kwh, r.session_kwh
                 for _ in range(quiet):
                     soc += d
                     hour += d
                     session += d
-                v.soc_kwh, hour_kwh[vid], session_kwh[vid] = soc, hour, session
+                v.soc_kwh, r.hour_kwh, r.session_kwh = soc, hour, session
                 quiet_sum += d
             headroom = v.desired_target_kwh - v.soc_kwh
             if d >= headroom:
                 d = headroom
-                released.append(vid)
+                released.append(r)
             if d > 0.0:
                 v.soc_kwh += d
                 last_sum += d
-                hour_kwh[vid] = hour_kwh.get(vid, 0.0) + d
-                session_kwh[vid] += d
+                if r.hour_kwh == 0.0:
+                    hour_records.append(r)
+                r.hour_kwh += d
+                r.session_kwh += d
         if released:
-            for vid in released:
-                del grants[vid]
-                self.requests.remove(vid)
-                self.dispatcher.leave(vid)
+            for r in released:
+                self._ungrant(r)
+                self.requests.remove(r.vid)
+                self.dispatcher.leave(r.vid)
             self.inputs_changed = True
 
         if quiet:
@@ -494,27 +534,33 @@ class _Run:
 
         if self.check_invariants:
             # the state of charge only rises within a span: its end bounds it
-            for v in vehicles.values():
+            for r in self.records.values():
+                v = r.vehicle
                 assert -SOC_EPS <= v.soc_kwh <= v.model.battery_kwh + SOC_EPS
 
     def book_hour(self, h: int, year: int) -> None:
         """Add the closed hour h's charging to each vehicle's delivered energy,
         and record it, in the hour's order of vehicles, for the pricing pass."""
         dby = self.delivered_by_year[year]
-        for vid, kwh in self.hour_kwh.items():
+        vids, kwhs = self.booked_vids, self.booked_kwh
+        for r in self.hour_records:
+            vid, kwh = r.vid, r.hour_kwh
             dby[vid] = dby.get(vid, 0.0) + kwh
-            self.delivered_total[vid] += kwh
-        self.booked_vids.extend(self.hour_kwh)
-        self.booked_kwh.extend(self.hour_kwh.values())
-        self.booked.append((h, year, len(self.booked_vids)))
-        self.hour_kwh.clear()
+            r.delivered_kwh += kwh
+            vids.append(vid)
+            kwhs.append(kwh)
+            r.hour_kwh = 0.0
+        self.booked.append((h, year, len(vids)))
+        self.hour_records.clear()
 
     def close_sessions(self, end_minute: int) -> None:
         """End the sessions still plugged in at the end of the span."""
-        for vid in sorted(self.session_start):
-            self.sessions.append(ChargeSession(vid, Timestamp(self.session_start[vid]),
-                                               Timestamp(end_minute),
-                                               self.session_kwh[vid]))
+        for vid in sorted(self.records):
+            r = self.records[vid]
+            if r.session_start is not None:
+                self.sessions.append(ChargeSession(vid, Timestamp(r.session_start),
+                                                   Timestamp(end_minute),
+                                                   r.session_kwh))
 
 
 @dataclass
@@ -609,7 +655,7 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
             run.dispatch_due(budget_h[h])
         j = run.next_stop(i, (h + 1) * per_hour, budget_h[h])
         run.charge(i, j, load, base_h[h])
-        if j % per_hour == 0 and run.hour_kwh:
+        if j % per_hour == 0 and run.hour_records:
             run.book_hour(h, int(year_of_hour[h]))
         i = j
     run.close_sessions(span.end.minutes)
@@ -619,11 +665,10 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
     load_series = LoadSeries(span.start, dt, load)
 
     summaries = [VehicleSummary(
-        vehicle_id=vid, household_id=run.vehicles[vid].household_id,
-        model=run.vehicles[vid].model.name,
-        initial_soc_kwh=initial_soc[vid], final_soc_kwh=run.vehicles[vid].soc_kwh,
-        delivered_kwh=run.delivered_total[vid], trip_drain_kwh=run.trip_drain[vid])
-        for vid in sorted(run.vehicles)]
+        vehicle_id=vid, household_id=r.vehicle.household_id, model=r.vehicle.model.name,
+        initial_soc_kwh=initial_soc[vid], final_soc_kwh=r.vehicle.soc_kwh,
+        delivered_kwh=r.delivered_kwh, trip_drain_kwh=r.trip_drain_kwh)
+        for vid, r in sorted(run.records.items())]
 
     return _Physics(
         fleet=plans, load=load_series, hourly_max=hourly_max(load_series),

@@ -130,6 +130,12 @@ class DrivingPattern:
     weekday_trip_prob: float = 1.0
     weekend_trip_prob: float = 0.5
 
+    def __post_init__(self):
+        if min(self.departure_std_min, self.arrival_std_min, self.trip_energy_std_kwh) < 0:
+            raise ValueError("standard deviations must be non-negative")
+        if not (0 <= self.weekday_trip_prob <= 1 and 0 <= self.weekend_trip_prob <= 1):
+            raise ValueError("trip probabilities must be in [0, 1]")
+
 
 @dataclass(frozen=True)
 class AdoptionEvent:

@@ -22,7 +22,7 @@ class KpiReport:
     avg_total_bill_dkk: float | None
     avg_total_co2_kg: float | None
     dissatisfaction_count: int
-    load_factor: float
+    load_factor: float | None
     dso_revenue_dkk: float
 
 
@@ -106,7 +106,8 @@ def assemble_report(ledger: YearLedger, overload_unit: str = "hours") -> KpiRepo
 
     Per-user averages divide by the number of EV-owning households at
     year end; a year without any charged energy reports the per-user
-    metrics as not-applicable (None).
+    metrics as not-applicable (None), and a year without any load its load
+    factor.
     """
     if overload_unit == "hours":
         overloads = ledger.overload_hours
@@ -137,6 +138,11 @@ def assemble_report(ledger: YearLedger, overload_unit: str = "hours") -> KpiRepo
 
     revenue = sum(ledger.baseload_tariff.values()) + sum(ledger.charging_tariff.values())
 
+    try:
+        lf = load_factor(ledger.hourly_max_load)
+    except UndefinedKpiError:
+        lf = None
+
     return KpiReport(
         year=ledger.year,
         overload_count=overloads,
@@ -144,6 +150,6 @@ def assemble_report(ledger: YearLedger, overload_unit: str = "hours") -> KpiRepo
         avg_total_bill_dkk=avg_bill,
         avg_total_co2_kg=avg_co2,
         dissatisfaction_count=ledger.dissatisfaction_count,
-        load_factor=load_factor(ledger.hourly_max_load),
+        load_factor=lf,
         dso_revenue_dkk=revenue,
     )

@@ -14,7 +14,7 @@ from .engine import ExperimentSpec, SimulationOutput
 from .grid import LoadSeries
 from .kpi import ComparisonRow, KpiReport, compare_reports
 from .svgplot import bar_chart_svg, day_zoom_svg, load_profile_svg
-from .timebase import EPOCH, Timestamp
+from .timebase import EPOCH, MINUTES_PER_DAY, Timestamp
 
 KPI_HEADER = ["experiment_id", "year", "overload_count", "avg_charging_cost",
               "avg_total_bill", "avg_total_co2", "dissatisfaction",
@@ -25,7 +25,8 @@ KPI_HEADER = ["experiment_id", "year", "overload_count", "avg_charging_cost",
 PHYSICS_FILES = ("load_minute.csv", "load_hourly_max.csv", "overloads.csv",
                  "sessions.csv", "dissatisfactions.csv")
 
-_EPOCH_MINUTE = np.datetime64(EPOCH, "m")
+_EPOCH_DAY = np.datetime64(EPOCH, "D")
+_HHMM = [f"T{h:02d}:{m:02d}" for h in range(24) for m in range(60)]   # by minute of day
 _ROWS_PER_WRITE = 256
 
 
@@ -36,9 +37,12 @@ def _fmt(value, decimals: int) -> str:
 
 
 def _stamps(minutes) -> list[str]:
-    """``Timestamp(m).isoformat()`` of each minute m, in one numpy call."""
-    minutes = np.asarray(minutes, dtype=np.int64)
-    return np.datetime_as_string(_EPOCH_MINUTE + minutes, unit="m").tolist()
+    """``Timestamp(m).isoformat()`` of each minute m: each distinct day's date
+    formatted once, joined to the time of day from a table."""
+    days, minute_of_day = np.divmod(np.asarray(minutes, dtype=np.int64), MINUTES_PER_DAY)
+    distinct, which = np.unique(days, return_inverse=True)
+    dates = np.datetime_as_string(_EPOCH_DAY + distinct, unit="D").tolist()
+    return [dates[k] + _HHMM[m] for k, m in zip(which.tolist(), minute_of_day.tolist())]
 
 
 def _write_rows(fh, row_format: str, n_rows: int, columns) -> None:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +39,25 @@ class ScenarioError(ValueError):
         super().__init__(f"{file}: [{where}] {message}")
 
 
+def _real(raw) -> float:
+    """A finite float; ``float`` alone takes nan and inf."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+@contextmanager
+def _rejected_as(file: str, where: str):
+    """Report a ValueError raised inside as a ScenarioError at ``where``."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(file, where, str(exc)) from exc
+
+
 def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
     try:
         with open(path, newline="") as fh:
@@ -60,7 +81,7 @@ def read_hourly_series_csv(path: Path, value_column: str) -> tuple[Timestamp, np
     for line, row in rows:
         try:
             minutes.append(Timestamp.from_iso(row[0]).minutes)
-            values.append(float(row[1]))
+            values.append(_real(row[1]))
         except ValueError as exc:
             raise ScenarioError(str(path), f"line {line}", str(exc)) from exc
     start = minutes[0]
@@ -79,7 +100,7 @@ def read_baseload_csv(path: Path, household_ids: list[int]) -> HouseholdBaseload
         try:
             m = Timestamp.from_iso(row[0]).minutes
             hid = int(row[1])
-            kw = float(row[2])
+            kw = _real(row[2])
         except ValueError as exc:
             raise ScenarioError(str(path), f"line {line}", str(exc)) from exc
         if hid not in series:
@@ -109,8 +130,8 @@ def read_catalog_csv(path: Path) -> list[EvModel]:
     models = []
     for line, row in rows:
         try:
-            models.append(EvModel(row[0].strip(), float(row[1]), float(row[2]),
-                                  float(row[3])))
+            models.append(EvModel(row[0].strip(), _real(row[1]), _real(row[2]),
+                                  _real(row[3])))
         except ValueError as exc:
             raise ScenarioError(str(path), f"line {line}", str(exc)) from exc
     try:
@@ -140,7 +161,7 @@ def read_tou_tariff_csv(path: Path) -> list[TouBand]:
     for line, row in rows:
         try:
             bands.append(TouBand(row[0].strip(), int(row[1]), int(row[2]),
-                                 float(row[3])))
+                                 _real(row[3])))
         except ValueError as exc:
             raise ScenarioError(str(path), f"line {line}", str(exc)) from exc
     return bands
@@ -179,6 +200,14 @@ def _get(cfg, section: str, key: str, path: str, cast=str, default=None):
         raise ScenarioError(path, f"{section}.{key}", f"bad value {raw!r}: {exc}")
 
 
+def parse_seed(raw) -> int:
+    """A seed: an integer that fits in 64 unsigned bits."""
+    seed = int(raw)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return seed
+
+
 def _resolve(base: Path, rel: str) -> Path:
     p = Path(rel)
     return p if p.is_absolute() else base.parent / p
@@ -204,18 +233,16 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     if households <= 0:
         raise ScenarioError(sp, "scenario.households", "must be positive")
     household_ids = list(range(1, households + 1))
-    seed = _get(cfg, "scenario", "seed", sp, int, default=0)
+    seed = _get(cfg, "scenario", "seed", sp, parse_seed, default=0)
     if seed_override is not None:
         seed = seed_override
     tick = _get(cfg, "scenario", "tick_minutes", sp, int, default=1)
     span = _parse_span(cfg, "scenario", sp, tick)
 
-    capacity_kw = _get(cfg, "transformer", "capacity_kw", sp, float)
-    buffer_kw = _get(cfg, "transformer", "buffer_kw", sp, float, default=0.0)
-    try:
+    capacity_kw = _get(cfg, "transformer", "capacity_kw", sp, _real)
+    buffer_kw = _get(cfg, "transformer", "buffer_kw", sp, _real, default=0.0)
+    with _rejected_as(sp, "transformer"):
         transformer = Transformer(capacity_kw, buffer_kw)
-    except ValueError as exc:
-        raise ScenarioError(sp, "transformer", str(exc)) from exc
 
     streams = RngStreams(seed)
 
@@ -231,59 +258,54 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             raise ScenarioError(sp, f"{section}.source", f"unknown source {src!r}")
         return src
 
-    # baseload
-    if source_of("baseload") == "csv":
-        baseload = read_baseload_csv(_resolve(path, cfg.get("baseload", "path")),
-                                     household_ids)
-    else:
-        bl_spec = SyntheticBaseloadSpec(
-            mean_daily_kwh=_get(cfg, "baseload", "mean_daily_kwh", sp, float, 10.0),
-            morning_peak_weight=_get(cfg, "baseload", "morning_peak_weight", sp, float, 0.8),
-            evening_peak_weight=_get(cfg, "baseload", "evening_peak_weight", sp, float, 2.2),
-            weekend_factor=_get(cfg, "baseload", "weekend_factor", sp, float, 1.1),
-            noise_std=_get(cfg, "baseload", "noise_std", sp, float, 0.1))
-        try:
+    # the hourly datasets; each must cover the span, which the engine slices
+    with _rejected_as(sp, "baseload"):
+        if source_of("baseload") == "csv":
+            baseload = read_baseload_csv(_resolve(path, cfg.get("baseload", "path")),
+                                         household_ids)
+        else:
+            bl_spec = SyntheticBaseloadSpec(
+                mean_daily_kwh=_get(cfg, "baseload", "mean_daily_kwh", sp, _real, 10.0),
+                morning_peak_weight=_get(cfg, "baseload", "morning_peak_weight", sp,
+                                         _real, 0.8),
+                evening_peak_weight=_get(cfg, "baseload", "evening_peak_weight", sp,
+                                         _real, 2.2),
+                weekend_factor=_get(cfg, "baseload", "weekend_factor", sp, _real, 1.1),
+                noise_std=_get(cfg, "baseload", "noise_std", sp, _real, 0.1))
             baseload = generate_baseload(bl_spec, household_ids, span, streams)
-        except ValueError as exc:
-            raise ScenarioError(sp, "baseload", str(exc)) from exc
+        baseload.slice_hours(span)
 
-    # spot prices
-    if source_of("spot") == "csv":
-        start, values = read_hourly_series_csv(
-            _resolve(path, cfg.get("spot", "path")), "dkk_per_kwh")
-        spot = SpotPriceSeries(start, values)
-    else:
-        spot_spec = SyntheticPriceSpec(
-            mean_dkk_per_kwh=_get(cfg, "spot", "mean_dkk_per_kwh", sp, float, 1.0),
-            diurnal_amplitude=_get(cfg, "spot", "diurnal_amplitude", sp, float, 0.3),
-            noise_std=_get(cfg, "spot", "noise_std", sp, float, 0.05))
-        spot = generate_spot(spot_spec, span, streams)
+    with _rejected_as(sp, "spot"):
+        if source_of("spot") == "csv":
+            spot = SpotPriceSeries(*read_hourly_series_csv(
+                _resolve(path, cfg.get("spot", "path")), "dkk_per_kwh"))
+        else:
+            spot = generate_spot(SyntheticPriceSpec(
+                mean_dkk_per_kwh=_get(cfg, "spot", "mean_dkk_per_kwh", sp, _real, 1.0),
+                diurnal_amplitude=_get(cfg, "spot", "diurnal_amplitude", sp, _real, 0.3),
+                noise_std=_get(cfg, "spot", "noise_std", sp, _real, 0.05)), span, streams)
+        spot.slice_hours(span)
 
-    # co2 intensity
-    if source_of("co2") == "csv":
-        start, values = read_hourly_series_csv(
-            _resolve(path, cfg.get("co2", "path")), "kg_per_kwh")
-        co2 = Co2IntensitySeries(start, values)
-    else:
-        co2_spec = SyntheticCo2Spec(
-            mean_kg_per_kwh=_get(cfg, "co2", "mean_kg_per_kwh", sp, float, 0.15),
-            diurnal_amplitude=_get(cfg, "co2", "diurnal_amplitude", sp, float, 0.05),
-            noise_std=_get(cfg, "co2", "noise_std", sp, float, 0.01))
-        co2 = generate_co2(co2_spec, span, streams)
+    with _rejected_as(sp, "co2"):
+        if source_of("co2") == "csv":
+            co2 = Co2IntensitySeries(*read_hourly_series_csv(
+                _resolve(path, cfg.get("co2", "path")), "kg_per_kwh"))
+        else:
+            co2 = generate_co2(SyntheticCo2Spec(
+                mean_kg_per_kwh=_get(cfg, "co2", "mean_kg_per_kwh", sp, _real, 0.15),
+                diurnal_amplitude=_get(cfg, "co2", "diurnal_amplitude", sp, _real, 0.05),
+                noise_std=_get(cfg, "co2", "noise_std", sp, _real, 0.01)), span, streams)
+        co2.slice_hours(span)
 
     # tariffs
     tariffs: dict[str, DistributionTariff] = {}
-    fixed_rate = _get(cfg, "tariff", "fixed_dkk_per_kwh", sp, float, default=0.30)
-    try:
+    fixed_rate = _get(cfg, "tariff", "fixed_dkk_per_kwh", sp, _real, default=0.30)
+    with _rejected_as(sp, "tariff"):
         tariffs["fixed"] = DistributionTariff("fixed", fixed_dkk_per_kwh=fixed_rate)
         if cfg.has_option("tariff", "tou_path"):
             bands = read_tou_tariff_csv(_resolve(path, cfg.get("tariff", "tou_path")))
             tariffs["time_of_use"] = DistributionTariff("time_of_use", bands=bands)
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(sp, "tariff", str(exc)) from exc
-    addons = _get(cfg, "tariff", "addons_dkk_per_kwh", sp, float, default=0.0)
+    addons = _get(cfg, "tariff", "addons_dkk_per_kwh", sp, _real, default=0.0)
 
     catalog_path = _resolve(path, cfg.get("catalog", "path")) \
         if cfg.has_option("catalog", "path") else DEFAULT_CATALOG_FILE
@@ -297,17 +319,18 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
                             f"curve reaches {curve.final_value} adopters"
                             f" but the scenario has {households} households")
 
-    driving = DrivingPattern(
-        departure_mean_min=_parse_time_of_day(
-            _get(cfg, "driving", "departure_mean", sp, str, "07:30"), sp),
-        departure_std_min=_get(cfg, "driving", "departure_std_min", sp, float, 60.0),
-        arrival_mean_min=_parse_time_of_day(
-            _get(cfg, "driving", "arrival_mean", sp, str, "16:30"), sp),
-        arrival_std_min=_get(cfg, "driving", "arrival_std_min", sp, float, 90.0),
-        trip_energy_mean_kwh=_get(cfg, "driving", "trip_energy_mean_kwh", sp, float, 8.0),
-        trip_energy_std_kwh=_get(cfg, "driving", "trip_energy_std_kwh", sp, float, 3.0),
-        weekday_trip_prob=_get(cfg, "driving", "weekday_trip_prob", sp, float, 1.0),
-        weekend_trip_prob=_get(cfg, "driving", "weekend_trip_prob", sp, float, 0.5))
+    with _rejected_as(sp, "driving"):
+        driving = DrivingPattern(
+            departure_mean_min=_parse_time_of_day(
+                _get(cfg, "driving", "departure_mean", sp, str, "07:30"), sp),
+            departure_std_min=_get(cfg, "driving", "departure_std_min", sp, _real, 60.0),
+            arrival_mean_min=_parse_time_of_day(
+                _get(cfg, "driving", "arrival_mean", sp, str, "16:30"), sp),
+            arrival_std_min=_get(cfg, "driving", "arrival_std_min", sp, _real, 90.0),
+            trip_energy_mean_kwh=_get(cfg, "driving", "trip_energy_mean_kwh", sp, _real, 8.0),
+            trip_energy_std_kwh=_get(cfg, "driving", "trip_energy_std_kwh", sp, _real, 3.0),
+            weekday_trip_prob=_get(cfg, "driving", "weekday_trip_prob", sp, _real, 1.0),
+            weekend_trip_prob=_get(cfg, "driving", "weekend_trip_prob", sp, _real, 0.5))
 
     overload_unit = _get(cfg, "kpi", "overload_unit", sp, str, default="hours").strip()
     if overload_unit not in ("hours", "events", "minutes"):
@@ -387,7 +410,7 @@ def _parse_experiments(cfg, path: str, default_span: SimulationSpan,
                 id=exp_id, strategy=strategy.strip(), span=span,
                 tariff_mode=_get(cfg, section, "tariff_mode", path, str,
                                  default="fixed").strip(),
-                seed=_get(cfg, section, "seed", path, int, default=seed),
+                seed=_get(cfg, section, "seed", path, parse_seed, default=seed),
                 decision_interval_min=interval or None,
                 baseline_id=_get(cfg, section, "baseline", path, str,
                                  default="").strip() or None))

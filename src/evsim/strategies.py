@@ -9,8 +9,15 @@ Each strategy exists twice. The ``dispatch_*`` functions take the whole
 request list on every call; they are the reference that the tests and the
 per-tick oracle (``tests/reference_engine.py``) call. The engine runs one
 dispatcher object per run instead (``DISPATCHERS``), which keeps its order up
-to date as requests arrive and leave; its ``grants(budget)`` equals the
-function called on the current requests in vehicle-id order.
+to date as requests arrive and leave:
+
+- ``arrive(record, arrival_min, departure_min)`` takes the vehicle's charging
+  record (``engine.ChargingRecord``), which gives its id (``vid``) and rate;
+- ``leave(vid)`` drops it;
+- ``grants(budget)`` sets ``grant`` on each record it grants and returns the
+  granted records in vehicle-id order, a list the caller may change. The
+  (id, grant) pairs equal the function called on the current requests in
+  vehicle-id order.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .timebase import Timestamp
 
@@ -192,34 +200,44 @@ def dispatch_edf(requests: list[ChargeRequest],
     return _greedy_admit(sorted(requests, key=deadline), capacity_kw)
 
 
-def _admit(ordered, budget: float) -> Allocation:
-    """``_greedy_admit`` on (vehicle id, rate) pairs. The reference functions
-    keep their own copy, so that they stay independent of the objects."""
-    grants: Allocation = {}
+_VID = attrgetter("vid")
+
+
+def _admit(ordered, budget: float) -> list:
+    """``_greedy_admit`` on charging records: grant each its rate in order
+    until the head no longer fits, and return the granted records in vehicle-id
+    order. The reference functions keep their own copy, so that they stay
+    independent of the objects."""
+    granted = []
     residual = budget
-    for vid, rate in ordered:
+    for r in ordered:
+        rate = r.rate
         if rate <= residual + CAPACITY_EPS:
-            grants[vid] = rate
+            r.grant = rate
+            granted.append(r)
             residual -= rate
         else:
             break   # head-of-line blocking: no skip-ahead
-    return grants
+    granted.sort(key=_VID)
+    return granted
 
 
 class TraditionalDispatcher:
-    """``dispatch_traditional`` kept up to date: the requesters' rates."""
+    """``dispatch_traditional`` kept up to date: the requesters in id order,
+    each granted its rate from its arrival on."""
 
     def __init__(self):
-        self.rates: Allocation = {}
+        self.records: list = []
 
-    def arrive(self, vid: int, rate: float, arrival_min: int, departure_min: int) -> None:
-        self.rates[vid] = rate
+    def arrive(self, record, arrival_min: int, departure_min: int) -> None:
+        record.grant = record.rate
+        insort(self.records, record, key=_VID)
 
     def leave(self, vid: int) -> None:
-        del self.rates[vid]
+        del self.records[bisect_left(self.records, vid, key=_VID)]
 
-    def grants(self, budget: float) -> Allocation:
-        return dict(self.rates)
+    def grants(self, budget: float) -> list:
+        return self.records.copy()
 
 
 class EdfDispatcher:
@@ -227,61 +245,62 @@ class EdfDispatcher:
     arrival, id)."""
 
     def __init__(self):
-        self.order: list[tuple[int, int, int, float]] = []   # (dep, arr, id, rate)
-        self.entry: dict[int, tuple[int, int, int, float]] = {}
+        self.order: list[tuple] = []          # (departure, arrival, id, record)
+        self.entry: dict[int, tuple] = {}
 
-    def arrive(self, vid: int, rate: float, arrival_min: int, departure_min: int) -> None:
-        self.entry[vid] = entry = (departure_min, arrival_min, vid, rate)
+    def arrive(self, record, arrival_min: int, departure_min: int) -> None:
+        self.entry[record.vid] = entry = (departure_min, arrival_min, record.vid, record)
         insort(self.order, entry)
 
     def leave(self, vid: int) -> None:
         del self.order[bisect_left(self.order, self.entry.pop(vid))]
 
-    def grants(self, budget: float) -> Allocation:
-        return _admit(((vid, rate) for _, _, vid, rate in self.order), budget)
+    def grants(self, budget: float) -> list:
+        return _admit((e[3] for e in self.order), budget)
 
 
 class EqualChargeDispatcher:
-    """``dispatch_equal_charge`` kept up to date: the rate caps in id order,
-    so their sum adds in the function's order, and sorted by (cap, id) for
-    the water-fill."""
+    """``dispatch_equal_charge`` kept up to date: the requesters and their rate
+    caps in id order, so the caps add in the function's order, and sorted by
+    (cap, id) for the water-fill."""
 
     def __init__(self):
-        self.ids: list[int] = []
+        self.records: list = []
         self.caps: list[float] = []
-        self.by_cap: list[tuple[float, int]] = []
+        self.by_cap: list[tuple] = []         # (cap, id, record)
 
-    def arrive(self, vid: int, rate: float, arrival_min: int, departure_min: int) -> None:
-        k = bisect_left(self.ids, vid)
-        self.ids.insert(k, vid)
-        self.caps.insert(k, rate)
-        insort(self.by_cap, (rate, vid))
+    def arrive(self, record, arrival_min: int, departure_min: int) -> None:
+        k = bisect_left(self.records, record.vid, key=_VID)
+        self.records.insert(k, record)
+        self.caps.insert(k, record.rate)
+        insort(self.by_cap, (record.rate, record.vid, record))
 
     def leave(self, vid: int) -> None:
-        k = bisect_left(self.ids, vid)
+        k = bisect_left(self.records, vid, key=_VID)
         del self.by_cap[bisect_left(self.by_cap, (self.caps[k], vid))]
-        del self.ids[k]
+        del self.records[k]
         del self.caps[k]
 
-    def grants(self, budget: float) -> Allocation:
-        if not self.ids:
-            return {}
+    def grants(self, budget: float) -> list:
         if sum(self.caps) <= budget + CAPACITY_EPS:
-            return dict(zip(self.ids, self.caps))
-        grants: Allocation = {}
+            for r in self.records:
+                r.grant = r.rate
+            return self.records.copy()
         residual = budget
         remaining = len(self.by_cap)
-        for i, (cap, vid) in enumerate(self.by_cap):
+        for i, (cap, _, r) in enumerate(self.by_cap):
             level = residual / remaining
-            if cap <= level:
-                grants[vid] = cap
-                residual -= cap
-                remaining -= 1
-            else:
-                for _, rest in self.by_cap[i:]:
-                    grants[rest] = level
+            if cap > level:
                 break
-        return grants
+            # slow chargers below the common level are unaffected
+            r.grant = cap
+            residual -= cap
+            remaining -= 1
+        else:
+            return self.records.copy()   # every cap fit after all
+        for _, _, r in self.by_cap[i:]:
+            r.grant = level
+        return self.records.copy()
 
 
 class _Queued:
@@ -295,13 +314,14 @@ class _Queued:
     """
 
     def __init__(self):
-        self.requests: dict[int, tuple[float, int]] = {}   # id -> (rate, arrival)
+        self.requests: dict[int, tuple] = {}   # id -> (record, arrival)
         self.known: set[int] = set()       # queued or charging after the last call
         self.pending: dict[int, int] = {}  # arrived since, not known -> arrival
         self.gone: set[int] = set()        # known, and left since
 
-    def arrive(self, vid: int, rate: float, arrival_min: int, departure_min: int) -> None:
-        self.requests[vid] = (rate, arrival_min)
+    def arrive(self, record, arrival_min: int, departure_min: int) -> None:
+        vid = record.vid
+        self.requests[vid] = (record, arrival_min)
         if vid not in self.known:
             self.pending[vid] = arrival_min
 
@@ -333,7 +353,7 @@ class FcfsDispatcher(_Queued):
     def __init__(self):
         super().__init__()
         self.queue: deque[int] = deque()
-        self.active: Allocation = {}       # in admission order
+        self.active: dict[int, float] = {}    # id -> rate, in admission order
 
     def _drop(self, vid: int) -> None:
         if vid in self.active:
@@ -341,21 +361,22 @@ class FcfsDispatcher(_Queued):
         else:
             self.queue.remove(vid)
 
-    def grants(self, budget: float) -> Allocation:
+    def grants(self, budget: float) -> list:
         self._settle()
-        active, queue = self.active, self.queue
+        active, queue, requests = self.active, self.queue, self.requests
         while active and sum(active.values()) > budget + CAPACITY_EPS:
             vid = next(reversed(active))
             del active[vid]
             queue.appendleft(vid)
         residual = budget - sum(active.values())
         while queue:
-            rate = self.requests[queue[0]][0]
-            if rate > residual + CAPACITY_EPS:
+            r = requests[queue[0]][0]
+            if r.rate > residual + CAPACITY_EPS:
                 break
-            active[queue.popleft()] = rate
-            residual -= rate
-        return dict(active)
+            r.grant = r.rate       # held while it stays admitted
+            active[queue.popleft()] = r.rate
+            residual -= r.rate
+        return [requests[vid][0] for vid in sorted(active)]
 
 
 class RoundRobinDispatcher(_Queued):
@@ -374,7 +395,7 @@ class RoundRobinDispatcher(_Queued):
         self.queue.remove(vid)
         self.streaks.pop(vid, None)
 
-    def grants(self, budget: float) -> Allocation:
+    def grants(self, budget: float) -> list:
         self._settle()
         queue, requests, streaks = self.queue, self.requests, self.streaks
         # rotate only under excess demand: pause the longest-streak charger
@@ -382,9 +403,9 @@ class RoundRobinDispatcher(_Queued):
             victim = max(streaks, key=lambda vid: (streaks[vid], -requests[vid][1], -vid))
             queue.remove(victim)
             queue.append(victim)
-        grants = _admit(((vid, requests[vid][0]) for vid in queue), budget)
-        self.streaks = {vid: streaks.get(vid, 0) + 1 for vid in grants}
-        return grants
+        granted = _admit((requests[vid][0] for vid in queue), budget)
+        self.streaks = {r.vid: streaks.get(r.vid, 0) + 1 for r in granted}
+        return granted
 
 
 DISPATCHERS = {

@@ -83,7 +83,7 @@ class TestCompletionHorizon:
 
         def recorded(run, i, j, load, base_kw):
             charge(run, i, j, load, base_kw)
-            spans.append((i, j, sorted(run.grants)))
+            spans.append((i, j, [r.vid for r in run.grants]))
         monkeypatch.setattr(engine._Run, "charge", recorded)
         out = simulate(spec_for(two_day_span, "traditional"),
                        flat_data(two_day_span, n_households=1),

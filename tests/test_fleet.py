@@ -64,9 +64,11 @@ class TestChargeStep:
         assert out.dissatisfactions == []
 
     def test_rejects_grant_above_rate(self, monkeypatch):
-        monkeypatch.setattr(strategies.TraditionalDispatcher, "grants",
-                            lambda self, budget: {vid: 2 * rate
-                                                  for vid, rate in self.rates.items()})
+        def doubled(self, budget):
+            for r in self.records:
+                r.grant = 2 * r.rate
+            return self.records.copy()
+        monkeypatch.setattr(strategies.TraditionalDispatcher, "grants", doubled)
         with pytest.raises(AssertionError):
             charge_window(LEAF, 20.0, 60, check_invariants=True)
 

@@ -174,6 +174,10 @@ class TestAssembleReport:
         assert rep.avg_total_bill_dkk is None
         assert rep.dissatisfaction_count == 0
 
+    def test_year_without_load_has_no_load_factor(self):
+        rep = assemble_report(self.ledger(hourly_max_load=np.zeros(24)))
+        assert rep.load_factor is None
+
     def test_overload_units(self):
         from evsim.grid import OverloadEvent
         from evsim.timebase import Timestamp

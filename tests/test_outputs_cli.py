@@ -184,9 +184,20 @@ class TestCliValidate:
         ("path = curve.csv\n", "path = curve.csv\n[experiment.x]\nstrategy = edf\n"
          "span_start = 2036-01-02T00:30\nspan_end = 2036-01-03T00:00\n", "experiment.x",
          False),
+        ("seed = 11", "seed = -1", "scenario.seed", False),
+        ("path = curve.csv\n", "path = curve.csv\n[experiment.x]\nstrategy = edf\n"
+         "seed = -1\n", "experiment.x.seed", False),
+        ("path = curve.csv\n", "path = curve.csv\n[baseload]\nmean_daily_kwh = nan\n",
+         "baseload.mean_daily_kwh", False),
+        ("path = curve.csv\n", "path = curve.csv\n[driving]\ndeparture_std_min = -5\n",
+         "driving", False),
+        ("path = curve.csv\n", "path = curve.csv\n[driving]\nweekend_trip_prob = 1.5\n",
+         "driving", False),
     ], ids=["end_before_start", "part_day_synthetic_baseload", "empty_experiment_span",
             "start_not_a_date", "tick_not_dividing_60", "buffer_not_below_capacity",
-            "start_off_the_hour", "end_off_the_hour", "experiment_start_off_the_hour"])
+            "start_off_the_hour", "end_off_the_hour", "experiment_start_off_the_hour",
+            "negative_seed", "negative_experiment_seed", "non_finite_value",
+            "negative_std", "probability_above_one"])
     def test_invalid_value_names_its_section_or_key(self, tmp_path, capsys, old, new,
                                                     where, csv_baseload):
         ini = SHORT_INI.replace(old, new)
@@ -196,6 +207,25 @@ class TestCliValidate:
             ini += "\n[baseload]\nsource = csv\npath = data/baseload.csv\n"
         bad = write_scenario(tmp_path, ini)
         assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and f"[{where}]" in err
+
+
+    @pytest.mark.parametrize("name, edit, where", [
+        ("baseload.csv", lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0] + ",-1"]
+         + rows[2:], "baseload"),
+        ("spot.csv", lambda rows: rows[:-1], "spot"),
+        ("co2.csv", lambda rows: rows[:1] + rows[2:], "co2"),
+    ], ids=["negative_baseload", "spot_ends_before_the_span", "co2_starts_after_it"])
+    def test_invalid_dataset_names_its_section(self, tmp_path, capsys, name, edit, where):
+        # the datasets are checked at load, not when an experiment slices them
+        assert main(["gen-synthetic", str(write_scenario(tmp_path, SHORT_INI)),
+                     "--out", str(tmp_path / "data")]) == 0
+        path = tmp_path / "data" / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        sections = "".join(f"\n[{s}]\nsource = csv\npath = data/{s}.csv\n"
+                           for s in ("baseload", "spot", "co2"))
+        assert main(["validate", str(write_scenario(tmp_path, SHORT_INI + sections))]) == 1
         err = capsys.readouterr().err
         assert "validation error" in err and f"[{where}]" in err
 
@@ -293,6 +323,17 @@ class TestLoadCsv:
             for i, v in enumerate(values):
                 w.writerow([Timestamp(series.minute_of(i)).isoformat(), f"{v:.6f}"])
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_stamps_across_a_leap_day(self, tmp_path):
+        # Feb 28 -> Feb 29 -> Mar 1 of a leap year, minute by minute
+        start = Timestamp.from_iso("2036-02-28T12:00")
+        series = LoadSeries(start, 1, np.arange(3 * 24 * 60, dtype=float))
+        write_load_csv(tmp_path / "fast.csv", series)
+        rows = [[Timestamp(series.minute_of(i)).isoformat(), f"{v:.6f}"]
+                for i, v in enumerate(series.values)]
+        assert rows[720][0] == "2036-02-29T00:00" and rows[2160][0] == "2036-03-01T00:00"
+        assert (tmp_path / "fast.csv").read_bytes() == _row_by_row(
+            tmp_path / "rows.csv", ["timestamp_iso8601", "load_kw"], rows)
 
 
 def _row_by_row(path, header, rows):

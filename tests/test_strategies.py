@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evsim import strategies
-from evsim.engine import ExperimentSpec, simulate
+from evsim.engine import ChargingRecord, ExperimentSpec, simulate
+from evsim.fleet import EvModel, Vehicle
 from evsim.strategies import (CAPACITY_EPS, DISPATCHERS, STRATEGY_NAMES,
                               ChargeRequest, FcfsState, RoundRobinState,
                               dispatch_edf, dispatch_equal_charge, dispatch_fcfs,
@@ -246,21 +247,24 @@ def test_dispatcher_objects_equal_their_functions(strategy, data):
     # random arrive / leave / grants sequences on five vehicles whose arrival
     # and departure minutes tie often, with budgets that are often exact sums
     # of some requesters' rates; vehicles often leave and return between two
-    # calls. The engine puts the grants in id order itself, so only the
-    # values are compared.
+    # calls. The engine relies on the granted records coming back in id
+    # order, so the order is compared too.
     dispatcher = DISPATCHERS[strategy]()
     # dispatch_<strategy> as the per-tick oracle calls it: FCFS and Round
     # Robin keep one state across the calls
     reference = reference_dispatcher(ExperimentSpec("d", strategy, make_span()))
     rates = data.draw(st.lists(st.sampled_from([3.7, 7.4, 11.0, 22.0]),
                                min_size=5, max_size=5))
+    records = [ChargingRecord(Vehicle(id=vid, household_id=vid, soc_kwh=0.0,
+                                      model=EvModel(f"r{vid}", 60.0, rate, 1.0)))
+               for vid, rate in enumerate(rates)]
     present: dict[int, ChargeRequest] = {}
     for _ in range(data.draw(st.integers(1, 40))):
         op = data.draw(st.sampled_from(["arrive", "leave", "grants"]))
         if op == "arrive" and len(present) < 5:
             vid = data.draw(st.sampled_from([v for v in range(5) if v not in present]))
             arrival, departure = data.draw(st.integers(0, 3)), data.draw(st.integers(10, 12))
-            dispatcher.arrive(vid, rates[vid], arrival, departure)
+            dispatcher.arrive(records[vid], arrival, departure)
             present[vid] = req(vid, rates[vid], arrival=arrival, departure=departure)
         elif op == "leave" and present:
             vid = data.draw(st.sampled_from(sorted(present)))
@@ -272,7 +276,8 @@ def test_dispatcher_objects_equal_their_functions(strategy, data):
             budget = data.draw(st.just(sum(rates[v] for v in subset))
                                | st.floats(0.0, 80.0))
             expected = reference([present[v] for v in sorted(present)], budget)
-            assert dispatcher.grants(budget) == expected
+            granted = dispatcher.grants(budget)
+            assert [(r.vid, r.grant) for r in granted] == sorted(expected.items())
 
 
 def test_dispatch_budget_examples(monkeypatch):
@@ -282,7 +287,7 @@ def test_dispatch_budget_examples(monkeypatch):
                                        (0.0, 200.0, 0.0), (0.0, 250.0, 0.0)):
         seen = set()
         monkeypatch.setattr(strategies.EdfDispatcher, "grants",
-                            lambda self, cap: seen.add(cap) or {})
+                            lambda self, cap: seen.add(cap) or [])
         data = flat_data(span, base_kw=base_kw, capacity=400.0, buffer_kw=buffer_kw)
         simulate(ExperimentSpec("t", "edf", span), data, [])
         assert seen == {budget}
