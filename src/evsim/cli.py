@@ -79,8 +79,7 @@ def _run_specs(specs, data) -> dict[str, SimulationOutput | Exception]:
 
 def _run_group(scenario_path: str, exp_ids: list[str]):
     """A --parallel task: experiments that share one charging-physics pass,
-    run on one load of the scenario. They come back in one pickle, so their
-    outputs still share the pass's load series."""
+    run on one load of the scenario."""
     scn = _load(scenario_path)
     return _run_specs([scn.experiment(e) for e in exp_ids], scn.data)
 
@@ -126,9 +125,9 @@ def cmd_run(args) -> int:
     baseload = scn.data.baseload
     outputs.write_load_csv(out_root / "baseload_hourly.csv",
                            LoadSeries(baseload.start, 60, baseload.matrix.sum(axis=0)))
-    # by the id of a pass's load series, which every output priced from the
-    # pass shares: the directory its physics files were written to first
-    physics_dirs: dict[int, Path] = {}
+    # by physics key: the directory the pass's physics files were written to
+    # first; experiments with one key have the same physics, byte for byte
+    physics_dirs: dict[tuple, Path] = {}
     for s in specs:
         if s.id not in results:
             continue
@@ -136,8 +135,8 @@ def cmd_run(args) -> int:
         baseline = results.get(s.baseline_id) if s.baseline_id else None
         outputs.write_all(out_root / s.id, out, scn.content_hash,
                           scn.data.transformer.capacity_kw, baseline,
-                          physics_dirs.get(id(out.load)))
-        physics_dirs.setdefault(id(out.load), out_root / s.id)
+                          physics_dirs.get(s.physics_key))
+        physics_dirs.setdefault(s.physics_key, out_root / s.id)
         print(f"{s.id}: ok -> {out_root / s.id}")
 
     for exp_id, exc in failures.items():

@@ -43,8 +43,8 @@ from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
                    detect_overloads, hourly_max)
 from .kpi import KpiReport, YearLedger, assemble_report
 from .rng import RngStreams
-from .tariffs import (Co2IntensitySeries, CoverageError, DistributionTariff,
-                      SpotPriceSeries)
+from .tariffs import (Co2IntensitySeries, DistributionTariff, SpotPriceSeries,
+                      hours_covering)
 from .timebase import (MINUTES_PER_DAY, SimulationSpan, Timestamp,
                        year_start_minutes)
 
@@ -67,17 +67,8 @@ class HouseholdBaseload:
         if (self.matrix < 0).any():
             raise ValueError("baseload must be non-negative")
 
-    @property
-    def end(self) -> Timestamp:
-        return Timestamp(self.start.minutes + 60 * self.matrix.shape[1])
-
     def slice_hours(self, span: SimulationSpan) -> np.ndarray:
-        if self.start.minutes > span.start.minutes or self.end.minutes < span.end.minutes:
-            raise CoverageError(
-                f"baseload covers [{self.start.isoformat()}, {self.end.isoformat()})"
-                f" but span is [{span.start.isoformat()}, {span.end.isoformat()})")
-        lo = (span.start.minutes - self.start.minutes) // 60
-        return self.matrix[:, lo:lo + span.n_hours]
+        return self.matrix[:, hours_covering(self.start, self.matrix.shape[1], span)]
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,6 @@ class LoadSeries:
             and self.resolution_minutes == other.resolution_minutes \
             and np.array_equal(self.values, other.values)
 
-    @property
-    def end(self) -> Timestamp:
-        return Timestamp(self.start.minutes + len(self.values) * self.resolution_minutes)
-
     def minute_of(self, index: int) -> int:
         return self.start.minutes + index * self.resolution_minutes
 

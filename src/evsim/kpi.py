@@ -7,7 +7,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .grid import LoadSeries, OverloadEvent
+from .grid import OverloadEvent
 
 
 class UndefinedKpiError(ValueError):
@@ -47,9 +47,9 @@ def pct_difference(value: float, baseline: float) -> float | None:
     return round_half_away((value - baseline) / baseline * 100.0, 2)
 
 
-def load_factor(series) -> float:
+def load_factor(values) -> float:
     """Mean load divided by peak load; scale invariant."""
-    values = series.values if isinstance(series, LoadSeries) else np.asarray(series, float)
+    values = np.asarray(values, float)
     if len(values) == 0:
         raise UndefinedKpiError("load factor of empty series")
     peak = float(values.max())

@@ -1,7 +1,8 @@
 """Scenario files: flat key=value config with sections, CSV ingestion, validation.
 
 Every dataset invariant (coverage, monotone timestamps, market-share sums,
-adoption-curve totals) is checked eagerly at load so runs fail fast.
+adoption-curve totals) is checked eagerly at load so runs fail fast. A key
+left out of a section takes the default of the dataclass the section builds.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import configparser
 import csv
 import hashlib
 import math
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,54 +60,52 @@ def _rejected_as(file: str, where: str):
         raise ScenarioError(file, where, str(exc)) from exc
 
 
-def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
+def _parse_rows(path: Path, header: list[str], parse) -> Iterator[tuple[int, object]]:
+    """``(line, parse(row))`` for each body row of a CSV file with ``header``;
+    a ValueError from ``parse`` names the row's line."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+            rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
     except OSError as exc:
         raise ScenarioError(str(path), "file", str(exc)) from exc
-    if not rows or [c.strip() for c in rows[0][1]] != expected_header:
-        raise ScenarioError(str(path), "line 1",
-                            f"expected header {','.join(expected_header)}")
-    return rows[1:]
+    if not rows or [c.strip() for c in rows[0][1]] != header:
+        raise ScenarioError(str(path), "line 1", f"expected header {','.join(header)}")
+    for line, row in rows[1:]:
+        # not _rejected_as: a context manager per row doubles the read time of
+        # a long-form baseload
+        try:
+            value = parse(row)
+        except ValueError as exc:
+            raise ScenarioError(str(path), f"line {line}", str(exc)) from exc
+        yield line, value
 
 
 def read_hourly_series_csv(path: Path, value_column: str) -> tuple[Timestamp, np.ndarray]:
     """`timestamp_iso8601,<value>` with strict hourly steps, no gaps or dups."""
-    rows = _read_rows(path, ["timestamp_iso8601", value_column])
+    rows = list(_parse_rows(path, ["timestamp_iso8601", value_column],
+                            lambda row: (Timestamp.from_iso(row[0]).minutes, _real(row[1]))))
     if not rows:
         raise ScenarioError(str(path), "body", "series is empty")
-    minutes = []
-    values = []
-    for line, row in rows:
-        try:
-            minutes.append(Timestamp.from_iso(row[0]).minutes)
-            values.append(_real(row[1]))
-        except ValueError as exc:
-            raise ScenarioError(str(path), f"line {line}", str(exc)) from exc
-    start = minutes[0]
-    for k, m in enumerate(minutes):
+    start = rows[0][1][0]
+    for k, (line, (m, _)) in enumerate(rows):
         if m != start + 60 * k:
-            raise ScenarioError(str(path), f"line {rows[k][0]}",
+            raise ScenarioError(str(path), f"line {line}",
                                 "gap or duplicate timestamp (hourly steps required)")
-    return Timestamp(start), np.array(values)
+    return Timestamp(start), np.array([v for _, (_, v) in rows])
 
 
 def read_baseload_csv(path: Path, household_ids: list[int]) -> HouseholdBaseload:
     """Long-form per-household hourly load: timestamp_iso8601,household_id,load_kw."""
-    rows = _read_rows(path, ["timestamp_iso8601", "household_id", "load_kw"])
     series: dict[int, list[tuple[int, float]]] = {hid: [] for hid in household_ids}
-    for line, row in rows:
-        try:
-            m = Timestamp.from_iso(row[0]).minutes
-            hid = int(row[1])
-            kw = _real(row[2])
-        except ValueError as exc:
-            raise ScenarioError(str(path), f"line {line}", str(exc)) from exc
+
+    def parse(row):
+        m, hid, kw = Timestamp.from_iso(row[0]).minutes, int(row[1]), _real(row[2])
         if hid not in series:
-            raise ScenarioError(str(path), f"line {line}",
-                                f"unknown household id {hid}")
+            raise ValueError(f"unknown household id {hid}")
+        return hid, m, kw
+
+    for _, (hid, m, kw) in _parse_rows(
+            path, ["timestamp_iso8601", "household_id", "load_kw"], parse):
         series[hid].append((m, kw))
     lengths = {len(v) for v in series.values()}
     if len(lengths) != 1:
@@ -126,45 +126,25 @@ def read_baseload_csv(path: Path, household_ids: list[int]) -> HouseholdBaseload
 
 
 def read_catalog_csv(path: Path) -> list[EvModel]:
-    rows = _read_rows(path, ["name", "battery_kwh", "max_rate_kw", "market_share"])
-    models = []
-    for line, row in rows:
-        try:
-            models.append(EvModel(row[0].strip(), _real(row[1]), _real(row[2]),
-                                  _real(row[3])))
-        except ValueError as exc:
-            raise ScenarioError(str(path), f"line {line}", str(exc)) from exc
-    try:
+    models = [m for _, m in _parse_rows(
+        path, ["name", "battery_kwh", "max_rate_kw", "market_share"],
+        lambda row: EvModel(row[0].strip(), _real(row[1]), _real(row[2]), _real(row[3])))]
+    with _rejected_as(str(path), "body"):
         validate_catalog(models)
-    except ValueError as exc:
-        raise ScenarioError(str(path), "body", str(exc)) from exc
     return models
 
 
 def read_adoption_curve_csv(path: Path) -> AdoptionCurve:
-    rows = _read_rows(path, ["year", "cumulative_adopters"])
-    points = []
-    for line, row in rows:
-        try:
-            points.append((int(row[0]), int(row[1])))
-        except ValueError as exc:
-            raise ScenarioError(str(path), f"line {line}", str(exc)) from exc
-    try:
+    points = [p for _, p in _parse_rows(path, ["year", "cumulative_adopters"],
+                                        lambda row: (int(row[0]), int(row[1])))]
+    with _rejected_as(str(path), "body"):
         return AdoptionCurve(points)
-    except ValueError as exc:
-        raise ScenarioError(str(path), "body", str(exc)) from exc
 
 
 def read_tou_tariff_csv(path: Path) -> list[TouBand]:
-    rows = _read_rows(path, ["season", "start_hour", "end_hour", "dkk_per_kwh"])
-    bands = []
-    for line, row in rows:
-        try:
-            bands.append(TouBand(row[0].strip(), int(row[1]), int(row[2]),
-                                 _real(row[3])))
-        except ValueError as exc:
-            raise ScenarioError(str(path), f"line {line}", str(exc)) from exc
-    return bands
+    return [band for _, band in _parse_rows(
+        path, ["season", "start_hour", "end_hour", "dkk_per_kwh"],
+        lambda row: TouBand(row[0].strip(), int(row[1]), int(row[2]), _real(row[3])))]
 
 
 @dataclass
@@ -186,8 +166,6 @@ class Scenario:
 
 
 def _get(cfg, section: str, key: str, path: str, cast=str, default=None):
-    if not cfg.has_section(section) and default is not None:
-        return default
     try:
         raw = cfg.get(section, key)
     except (configparser.NoSectionError, configparser.NoOptionError):
@@ -198,6 +176,45 @@ def _get(cfg, section: str, key: str, path: str, cast=str, default=None):
         return cast(raw)
     except ValueError as exc:
         raise ScenarioError(path, f"{section}.{key}", f"bad value {raw!r}: {exc}")
+
+
+def _section(cfg, section: str, path: str, cls, keys: dict):
+    """``cls`` built from the keys of ``section``, each mapped by ``keys`` to
+    its field and cast; a key left out keeps the field's default."""
+    fields = {field: _get(cfg, section, key, path, cast)
+              for key, (field, cast) in keys.items() if cfg.has_option(section, key)}
+    with _rejected_as(path, section):
+        return cls(**fields)
+
+
+def _time_of_day(text: str) -> float:
+    """Minutes into the day of an ``HH:MM`` time."""
+    hh, mm = text.strip().split(":")
+    minute = int(hh) * 60 + int(mm)
+    if not 0 <= minute < 24 * 60:
+        raise ValueError("time of day out of range")
+    return float(minute)
+
+
+def _reals(*keys: str) -> dict:
+    return {key: (key, _real) for key in keys}
+
+
+_SYNTHETIC = {
+    "baseload": (SyntheticBaseloadSpec, _reals(
+        "mean_daily_kwh", "morning_peak_weight", "evening_peak_weight", "weekend_factor",
+        "noise_std")),
+    "spot": (SyntheticPriceSpec, _reals("mean_dkk_per_kwh", "diurnal_amplitude",
+                                        "noise_std")),
+    "co2": (SyntheticCo2Spec, _reals("mean_kg_per_kwh", "diurnal_amplitude",
+                                     "noise_std")),
+}
+_DRIVING_KEYS = {
+    "departure_mean": ("departure_mean_min", _time_of_day),
+    "arrival_mean": ("arrival_mean_min", _time_of_day),
+    **_reals("departure_std_min", "arrival_std_min", "trip_energy_mean_kwh",
+             "trip_energy_std_kwh", "weekday_trip_prob", "weekend_trip_prob"),
+}
 
 
 def parse_seed(raw) -> int:
@@ -235,7 +252,8 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     household_ids = list(range(1, households + 1))
     seed = _get(cfg, "scenario", "seed", sp, parse_seed, default=0)
     if seed_override is not None:
-        seed = seed_override
+        with _rejected_as(sp, "seed_override"):
+            seed = parse_seed(seed_override)
     tick = _get(cfg, "scenario", "tick_minutes", sp, int, default=1)
     span = _parse_span(cfg, "scenario", sp, tick)
 
@@ -246,7 +264,9 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
 
     streams = RngStreams(seed)
 
-    def source_of(section: str) -> str:
+    def dataset(section: str, read, generate):
+        """The section's hourly dataset, from its CSV file or generated from its
+        synthetic spec; it must cover the span, which the engine slices."""
         src = _get(cfg, section, "source", sp, str, default="synthetic").strip()
         has_path = cfg.has_option(section, "path")
         if src == "csv" and not has_path:
@@ -256,46 +276,22 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
                                 "exactly one of synthetic spec or path allowed")
         if src not in ("csv", "synthetic"):
             raise ScenarioError(sp, f"{section}.source", f"unknown source {src!r}")
-        return src
+        with _rejected_as(sp, section):
+            if src == "csv":
+                series = read(_resolve(path, cfg.get(section, "path")))
+            else:
+                series = generate(_section(cfg, section, sp, *_SYNTHETIC[section]))
+            series.slice_hours(span)
+        return series
 
-    # the hourly datasets; each must cover the span, which the engine slices
-    with _rejected_as(sp, "baseload"):
-        if source_of("baseload") == "csv":
-            baseload = read_baseload_csv(_resolve(path, cfg.get("baseload", "path")),
-                                         household_ids)
-        else:
-            bl_spec = SyntheticBaseloadSpec(
-                mean_daily_kwh=_get(cfg, "baseload", "mean_daily_kwh", sp, _real, 10.0),
-                morning_peak_weight=_get(cfg, "baseload", "morning_peak_weight", sp,
-                                         _real, 0.8),
-                evening_peak_weight=_get(cfg, "baseload", "evening_peak_weight", sp,
-                                         _real, 2.2),
-                weekend_factor=_get(cfg, "baseload", "weekend_factor", sp, _real, 1.1),
-                noise_std=_get(cfg, "baseload", "noise_std", sp, _real, 0.1))
-            baseload = generate_baseload(bl_spec, household_ids, span, streams)
-        baseload.slice_hours(span)
-
-    with _rejected_as(sp, "spot"):
-        if source_of("spot") == "csv":
-            spot = SpotPriceSeries(*read_hourly_series_csv(
-                _resolve(path, cfg.get("spot", "path")), "dkk_per_kwh"))
-        else:
-            spot = generate_spot(SyntheticPriceSpec(
-                mean_dkk_per_kwh=_get(cfg, "spot", "mean_dkk_per_kwh", sp, _real, 1.0),
-                diurnal_amplitude=_get(cfg, "spot", "diurnal_amplitude", sp, _real, 0.3),
-                noise_std=_get(cfg, "spot", "noise_std", sp, _real, 0.05)), span, streams)
-        spot.slice_hours(span)
-
-    with _rejected_as(sp, "co2"):
-        if source_of("co2") == "csv":
-            co2 = Co2IntensitySeries(*read_hourly_series_csv(
-                _resolve(path, cfg.get("co2", "path")), "kg_per_kwh"))
-        else:
-            co2 = generate_co2(SyntheticCo2Spec(
-                mean_kg_per_kwh=_get(cfg, "co2", "mean_kg_per_kwh", sp, _real, 0.15),
-                diurnal_amplitude=_get(cfg, "co2", "diurnal_amplitude", sp, _real, 0.05),
-                noise_std=_get(cfg, "co2", "noise_std", sp, _real, 0.01)), span, streams)
-        co2.slice_hours(span)
+    baseload = dataset("baseload", lambda p: read_baseload_csv(p, household_ids),
+                       lambda spec: generate_baseload(spec, household_ids, span, streams))
+    spot = dataset("spot",
+                   lambda p: SpotPriceSeries(*read_hourly_series_csv(p, "dkk_per_kwh")),
+                   lambda spec: generate_spot(spec, span, streams))
+    co2 = dataset("co2",
+                  lambda p: Co2IntensitySeries(*read_hourly_series_csv(p, "kg_per_kwh")),
+                  lambda spec: generate_co2(spec, span, streams))
 
     # tariffs
     tariffs: dict[str, DistributionTariff] = {}
@@ -319,18 +315,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
                             f"curve reaches {curve.final_value} adopters"
                             f" but the scenario has {households} households")
 
-    with _rejected_as(sp, "driving"):
-        driving = DrivingPattern(
-            departure_mean_min=_parse_time_of_day(
-                _get(cfg, "driving", "departure_mean", sp, str, "07:30"), sp),
-            departure_std_min=_get(cfg, "driving", "departure_std_min", sp, _real, 60.0),
-            arrival_mean_min=_parse_time_of_day(
-                _get(cfg, "driving", "arrival_mean", sp, str, "16:30"), sp),
-            arrival_std_min=_get(cfg, "driving", "arrival_std_min", sp, _real, 90.0),
-            trip_energy_mean_kwh=_get(cfg, "driving", "trip_energy_mean_kwh", sp, _real, 8.0),
-            trip_energy_std_kwh=_get(cfg, "driving", "trip_energy_std_kwh", sp, _real, 3.0),
-            weekday_trip_prob=_get(cfg, "driving", "weekday_trip_prob", sp, _real, 1.0),
-            weekend_trip_prob=_get(cfg, "driving", "weekend_trip_prob", sp, _real, 0.5))
+    driving = _section(cfg, "driving", sp, DrivingPattern, _DRIVING_KEYS)
 
     overload_unit = _get(cfg, "kpi", "overload_unit", sp, str, default="hours").strip()
     if overload_unit not in ("hours", "events", "minutes"):
@@ -361,25 +346,12 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
 def _parse_span(cfg, section: str, path: str, tick: int) -> SimulationSpan:
     start = _get(cfg, section, "span_start", path, Timestamp.from_iso)
     end = _get(cfg, section, "span_end", path, Timestamp.from_iso)
-    try:
+    with _rejected_as(path, section):
         span = SimulationSpan(start, end, tick)
-    except ValueError as exc:
-        raise ScenarioError(path, section, str(exc)) from exc
-    # the hourly series and the run's hours are aligned to whole hours
-    if start.minutes % 60 or end.minutes % 60:
-        raise ScenarioError(path, section, "span must start and end on whole hours")
+        # the hourly series and the run's hours are aligned to whole hours
+        if start.minutes % 60 or end.minutes % 60:
+            raise ValueError("span must start and end on whole hours")
     return span
-
-
-def _parse_time_of_day(text: str, path: str) -> float:
-    try:
-        hh, mm = text.strip().split(":")
-        minute = int(hh) * 60 + int(mm)
-    except ValueError as exc:
-        raise ScenarioError(path, "driving", f"bad time of day {text!r}") from exc
-    if not (0 <= minute < 24 * 60):
-        raise ScenarioError(path, "driving", f"time of day out of range: {text!r}")
-    return float(minute)
 
 
 def _parse_experiments(cfg, path: str, default_span: SimulationSpan,
@@ -389,33 +361,27 @@ def _parse_experiments(cfg, path: str, default_span: SimulationSpan,
     if not exp_sections:
         # one experiment per strategy over the scenario span, traditional baseline
         from .strategies import STRATEGY_NAMES
-        for name in STRATEGY_NAMES:
-            baseline = None if name == "traditional" else "traditional"
-            try:
+        with _rejected_as(path, "experiments"):
+            for name in STRATEGY_NAMES:
+                baseline = None if name == "traditional" else "traditional"
                 specs.append(ExperimentSpec(id=name, strategy=name, span=default_span,
                                             seed=seed, baseline_id=baseline))
-            except ValueError as exc:
-                raise ScenarioError(path, "experiments", str(exc)) from exc
         return specs
 
     for section in exp_sections:
-        exp_id = section.split(".", 1)[1]
-        strategy = _get(cfg, section, "strategy", path)
+        strategy = _get(cfg, section, "strategy", path).strip()
         span = default_span
         if cfg.has_option(section, "span_start") or cfg.has_option(section, "span_end"):
             span = _parse_span(cfg, section, path, default_span.tick_minutes)
         interval = _get(cfg, section, "decision_interval_min", path, int, default=0)
-        try:
+        tariff_mode = _get(cfg, section, "tariff_mode", path, default="fixed").strip()
+        exp_seed = _get(cfg, section, "seed", path, parse_seed, default=seed)
+        baseline = _get(cfg, section, "baseline", path, default="").strip() or None
+        with _rejected_as(path, section):
             specs.append(ExperimentSpec(
-                id=exp_id, strategy=strategy.strip(), span=span,
-                tariff_mode=_get(cfg, section, "tariff_mode", path, str,
-                                 default="fixed").strip(),
-                seed=_get(cfg, section, "seed", path, parse_seed, default=seed),
-                decision_interval_min=interval or None,
-                baseline_id=_get(cfg, section, "baseline", path, str,
-                                 default="").strip() or None))
-        except ValueError as exc:
-            raise ScenarioError(path, section, str(exc)) from exc
+                id=section.split(".", 1)[1], strategy=strategy, span=span,
+                tariff_mode=tariff_mode, seed=exp_seed,
+                decision_interval_min=interval or None, baseline_id=baseline))
 
     ids = [e.id for e in specs]
     if len(ids) != len(set(ids)):

@@ -10,7 +10,18 @@ from .timebase import SimulationSpan, Timestamp
 
 
 class CoverageError(ValueError):
-    """A price/intensity series does not cover the requested time."""
+    """Hourly data (baseload, price or CO2 intensity) does not cover a span."""
+
+
+def hours_covering(start: Timestamp, n_hours: int, span: SimulationSpan) -> slice:
+    """The hours of ``span`` in hourly data of ``n_hours`` values from ``start``."""
+    end = start.minutes + 60 * n_hours
+    if start.minutes > span.start.minutes or end < span.end.minutes:
+        raise CoverageError(
+            f"data covers [{start.isoformat()}, {Timestamp(end).isoformat()})"
+            f" but span is [{span.start.isoformat()}, {span.end.isoformat()})")
+    lo = (span.start.minutes - start.minutes) // 60
+    return slice(lo, lo + span.n_hours)
 
 
 @dataclass
@@ -27,23 +38,9 @@ class HourlySeries:
         if not np.isfinite(self.values).all():
             raise ValueError("series contains non-finite values")
 
-    @property
-    def end(self) -> Timestamp:
-        return Timestamp(self.start.minutes + 60 * len(self.values))
-
-    def covers(self, span: SimulationSpan) -> bool:
-        return self.start.minutes <= span.start.minutes and \
-            self.end.minutes >= span.end.minutes
-
     def slice_hours(self, span: SimulationSpan) -> np.ndarray:
         """Hourly values over the span (must be covered)."""
-        if not self.covers(span):
-            raise CoverageError(
-                f"series [{self.start.isoformat()}, {self.end.isoformat()})"
-                f" does not cover span [{span.start.isoformat()},"
-                f" {span.end.isoformat()})")
-        lo = (span.start.minutes - self.start.minutes) // 60
-        return self.values[lo:lo + span.n_hours]
+        return self.values[hours_covering(self.start, len(self.values), span)]
 
 
 class SpotPriceSeries(HourlySeries):

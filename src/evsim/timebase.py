@@ -46,10 +46,6 @@ class Timestamp:
         return self.to_datetime().month
 
     @property
-    def day(self) -> int:
-        return self.to_datetime().day
-
-    @property
     def hour(self) -> int:
         return (self.minutes // 60) % 24
 
@@ -57,9 +53,6 @@ class Timestamp:
     def weekday(self) -> int:
         """Monday == 0, per datetime convention."""
         return self.to_datetime().weekday()
-
-    def __add__(self, minutes: int) -> "Timestamp":
-        return Timestamp(self.minutes + minutes)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evsim.engine import ExperimentSpec, VehiclePlan, build_fleet, simulate
@@ -64,7 +64,16 @@ def fleet(spec, data, tweaks):
     return plans
 
 
+# EDF admits both vehicles at once and vehicle 2 departs first: a grant list in
+# deadline order, not id order, fails check_invariants
+_SPAN = make_span("2036-01-01T00:00", "2036-01-03T00:00")
+EDF_DEADLINES_OUT_OF_ID_ORDER = (
+    ExperimentSpec(id="p", strategy="edf", span=_SPAN, seed=1, decision_interval_min=1),
+    flat_data(_SPAN, n_households=2, capacity=60.0), [(0.0, 1.0, None)] * 2)
+
+
 @given(scenarios())
+@example(EDF_DEADLINES_OUT_OF_ID_ORDER)
 @settings(max_examples=60, deadline=None)
 def test_invariants_and_reference_equality(scenario):
     spec, data, tweaks = scenario

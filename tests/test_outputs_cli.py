@@ -193,11 +193,13 @@ class TestCliValidate:
          "driving", False),
         ("path = curve.csv\n", "path = curve.csv\n[driving]\nweekend_trip_prob = 1.5\n",
          "driving", False),
+        ("path = curve.csv\n", "path = curve.csv\n[driving]\ndeparture_mean = 24:00\n",
+         "driving.departure_mean", False),
     ], ids=["end_before_start", "part_day_synthetic_baseload", "empty_experiment_span",
             "start_not_a_date", "tick_not_dividing_60", "buffer_not_below_capacity",
             "start_off_the_hour", "end_off_the_hour", "experiment_start_off_the_hour",
             "negative_seed", "negative_experiment_seed", "non_finite_value",
-            "negative_std", "probability_above_one"])
+            "negative_std", "probability_above_one", "time_of_day_out_of_range"])
     def test_invalid_value_names_its_section_or_key(self, tmp_path, capsys, old, new,
                                                     where, csv_baseload):
         ini = SHORT_INI.replace(old, new)
@@ -210,6 +212,11 @@ class TestCliValidate:
         err = capsys.readouterr().err
         assert "validation error" in err and f"[{where}]" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_bad_seed_override_exit_1(self, scenario_path, monkeypatch, capsys, seed):
+        monkeypatch.setenv("EVSIM_SEED", seed)
+        assert main(["validate", str(scenario_path)]) == 1
+        assert "[env]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, edit, where", [
         ("baseload.csv", lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0] + ",-1"]

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from evsim.fleet import DrivingPattern
+from evsim.rng import RngStreams
 from evsim.scenario import (Scenario, ScenarioError, load_scenario,
                             read_adoption_curve_csv, read_baseload_csv,
                             read_catalog_csv, read_hourly_series_csv)
+from evsim.synth import (SyntheticBaseloadSpec, SyntheticCo2Spec, SyntheticPriceSpec,
+                         generate_baseload, generate_co2, generate_spot)
 
 CATALOG = """\
 name,battery_kwh,max_rate_kw,market_share
@@ -63,6 +67,23 @@ class TestLoadScenario:
         sc = load_scenario(write_scenario(tmp_path), seed_override=99)
         assert sc.seed == 99
         assert sc.experiments[0].seed == 99
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_bad_seed_override_rejected(self, tmp_path, seed):
+        with pytest.raises(ScenarioError, match="64 unsigned bits") as err:
+            load_scenario(write_scenario(tmp_path), seed_override=seed)
+        assert err.value.where == "seed_override"
+
+    def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
+        sc = load_scenario(write_scenario(tmp_path))
+        assert sc.data.driving == DrivingPattern()
+        streams = RngStreams(sc.seed)
+        assert np.array_equal(sc.data.baseload.matrix, generate_baseload(
+            SyntheticBaseloadSpec(), list(sc.data.household_ids), sc.span, streams).matrix)
+        assert np.array_equal(sc.data.spot.values,
+                              generate_spot(SyntheticPriceSpec(), sc.span, streams).values)
+        assert np.array_equal(sc.data.co2.values,
+                              generate_co2(SyntheticCo2Spec(), sc.span, streams).values)
 
     def test_explicit_experiments(self, tmp_path):
         ini = BASE_INI + """

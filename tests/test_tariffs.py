@@ -14,6 +14,10 @@ from conftest import LEAF, flat_data, make_span
 T0 = Timestamp.from_iso("2036-06-01T00:00")
 
 
+def at(minutes: int) -> Timestamp:
+    return Timestamp(T0.minutes + minutes)
+
+
 def fixed(rate=0.30):
     return DistributionTariff("fixed", fixed_dkk_per_kwh=rate)
 
@@ -44,10 +48,10 @@ def test_quote_fixed_sum():
 
 
 def test_quote_tou_peak_lookup():
-    rates = tou_peak_17_20().hourly_rates(SimulationSpan(T0, T0 + 24 * 60))
+    rates = tou_peak_17_20().hourly_rates(SimulationSpan(T0, at(24 * 60)))
     assert rates[18] == pytest.approx(1.0)
     assert rates[12] == pytest.approx(0.2)
-    assert tou_peak_17_20().rate_at(T0 + 18 * 60 + 30) == pytest.approx(1.0)
+    assert tou_peak_17_20().rate_at(at(18 * 60 + 30)) == pytest.approx(1.0)
 
 
 def test_negative_spot_passes_through():
@@ -58,13 +62,13 @@ def test_negative_spot_passes_through():
 def test_out_of_coverage_raises():
     spot = SpotPriceSeries(T0, np.full(24, 1.0))
     with pytest.raises(CoverageError):
-        spot.slice_hours(SimulationSpan(T0, T0 + 25 * 60))
+        spot.slice_hours(SimulationSpan(T0, at(25 * 60)))
 
 
 def test_hour_constancy():
     tariff = tou_peak_17_20()
     for h in range(24):
-        assert tariff.rate_at(T0 + h * 60) == tariff.rate_at(T0 + h * 60 + 59)
+        assert tariff.rate_at(at(h * 60)) == tariff.rate_at(at(h * 60 + 59))
 
 
 def test_cost_and_co2_examples():
@@ -106,7 +110,7 @@ def test_seasonal_bands():
 
 def test_every_minute_maps_to_one_rate():
     tariff = tou_peak_17_20()
-    span = SimulationSpan(T0, Timestamp(T0.minutes + 7 * 24 * 60))
+    span = SimulationSpan(T0, at(7 * 24 * 60))
     rates = tariff.hourly_rates(span)
     assert len(rates) == span.n_hours
     assert set(np.round(rates, 6)) == {0.2, 1.0}
