@@ -16,7 +16,8 @@ from . import outputs
 from .engine import SimulationOutput, run_experiment
 from .grid import LoadSeries
 from .kpi import pct_difference
-from .scenario import Scenario, ScenarioError, load_scenario, parse_seed
+from .rng import parse_seed
+from .scenario import Scenario, ScenarioError, load_scenario
 
 log = logging.getLogger("evsim")
 
@@ -180,7 +181,7 @@ def cmd_compare(args) -> int:
             except ValueError:
                 print(f"{ra['year']},{m},{ra[m]},{rb[m]},na")
                 continue
-            pct = 0.0 if va == vb == 0 else pct_difference(va, vb)
+            pct = pct_difference(va, vb)
             pct_s = "na" if pct is None else f"{pct:.2f}"
             print(f"{ra['year']},{m},{ra[m]},{rb[m]},{pct_s}")
     return EXIT_OK

@@ -45,8 +45,7 @@ from .kpi import KpiReport, YearLedger, assemble_report
 from .rng import RngStreams
 from .tariffs import (Co2IntensitySeries, DistributionTariff, SpotPriceSeries,
                       hours_covering)
-from .timebase import (MINUTES_PER_DAY, SimulationSpan, Timestamp,
-                       year_start_minutes)
+from .timebase import MINUTES_PER_DAY, SimulationSpan, Timestamp
 
 
 @dataclass(frozen=True)
@@ -595,9 +594,6 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     co2_h = data.co2.slice_hours(span)
     tariff_h = tariff.hourly_rates(span)
 
-    if span.start.minutes % 60 or span.end.minutes % 60:
-        raise ValueError("span must start and end on hour boundaries")
-
     key = (spec.physics_key, check_invariants)
     shared = plans is data._fleets.get((spec.seed, span))
     physics = data._physics.get(key) if shared else None
@@ -616,18 +612,14 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
     span = spec.span
     dt = span.tick_minutes
     n_ticks = span.n_ticks
-    n_hours = span.n_hours
     interval = spec.interval
     base_h = base_total_h.tolist()
     budget_h = available_capacity(tr, base_total_h).tolist()
 
-    year_of_hour = np.empty(n_hours, dtype=int)
-    year_end = {}
-    for y in span.years():
-        lo = max(0, (year_start_minutes(y) - span.start.minutes) // 60)
-        hi = min(n_hours, (year_start_minutes(y + 1) - span.start.minutes) // 60)
-        year_of_hour[lo:hi] = y
-        year_end[y] = min(span.end.minutes, year_start_minutes(y + 1))
+    start_min = span.start.minutes
+    year_of_hour = np.empty(span.n_hours, dtype=int)
+    for y, y0, y1 in span.year_bounds():
+        year_of_hour[(y0 - start_min) // 60:(y1 - start_min) // 60] = y
 
     initial_soc = {p.vehicle.id: p.vehicle.soc_kwh for p in plans}
     adoption_of = {p.vehicle.id: p.adoption.minutes for p in plans}
@@ -635,7 +627,6 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
 
     load = np.empty(n_ticks)
     per_hour = 60 // dt
-    start_min = span.start.minutes
     i = 0
     while i < n_ticks:
         h = i // per_hour
@@ -666,7 +657,7 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
         sessions=run.sessions, dissatisfactions=run.dissatisfactions,
         vehicles=summaries, delivered_by_year=run.delivered_by_year,
         ev_households={y: sorted(vid for vid, at in adoption_of.items() if at < y1)
-                       for y, y1 in year_end.items()},
+                       for y, _, y1 in span.year_bounds()},
         booked=run.booked, booked_vids=run.booked_vids, booked_kwh=run.booked_kwh)
 
 
@@ -700,9 +691,7 @@ def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
     # per-year post-processing: overloads, hourly maxima, baseload billing
     all_events: list[OverloadEvent] = []
     hh_ids = data.household_ids
-    for y in span.years():
-        y0 = max(span.start.minutes, year_start_minutes(y))
-        y1 = min(span.end.minutes, year_start_minutes(y + 1))
+    for y, y0, y1 in span.year_bounds():
         led = ledgers[y]
         evts = detect_overloads(physics.load.slice_minutes(y0, y1), tr)
         led.overload_events = evts

@@ -41,9 +41,10 @@ def round_half_away(x: float, decimals: int = 2) -> float:
 
 
 def pct_difference(value: float, baseline: float) -> float | None:
-    """(value - baseline) / baseline in percent, 2 decimals; None for zero base."""
+    """(value - baseline) / baseline in percent, 2 decimals; for a zero
+    baseline, 0.0 when the value is zero too, else None."""
     if baseline == 0:
-        return None
+        return 0.0 if value == 0 else None
     return round_half_away((value - baseline) / baseline * 100.0, 2)
 
 
@@ -70,13 +71,11 @@ def compare_reports(a: KpiReport, b: KpiReport) -> list[ComparisonRow]:
     rows = []
     for name in _METRICS:
         va, vb = getattr(a, name), getattr(b, name)
-        if va is not None and vb == 0 and va == 0:
-            rows.append(ComparisonRow(name, 0.0, 0.0, 0.0))
-        elif va is None or vb is None or vb == 0:
+        if va is None or vb is None:
             rows.append(ComparisonRow(name, va, vb, None))
         else:
-            rows.append(ComparisonRow(name, float(va), float(vb),
-                                      pct_difference(float(va), float(vb))))
+            va, vb = float(va), float(vb)
+            rows.append(ComparisonRow(name, va, vb, pct_difference(va, vb)))
     return rows
 
 

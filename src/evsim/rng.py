@@ -17,23 +17,21 @@ def _derive_key(seed: int, name: str) -> list[int]:
     return [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8)]
 
 
+def parse_seed(raw) -> int:
+    """A seed: an integer that fits in 64 unsigned bits."""
+    seed = int(raw)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return seed
+
+
 class RngStreams:
     """Factory for per-process numpy Generators tied to one master seed."""
 
     def __init__(self, seed: int):
-        if not (0 <= seed < 2 ** 64):
-            raise ValueError("seed must fit in 64 unsigned bits")
-        self.seed = seed
-        self._cache: dict[str, np.random.Generator] = {}
+        self.seed = parse_seed(seed)
 
     def stream(self, name: str) -> np.random.Generator:
-        """Return the (cached) generator for a named process."""
-        gen = self._cache.get(name)
-        if gen is None:
-            gen = np.random.default_rng(_derive_key(self.seed, name))
-            self._cache[name] = gen
-        return gen
-
-    def fresh(self, name: str) -> np.random.Generator:
-        """A brand-new generator for the name, ignoring the cache."""
+        """A new generator for a named process; each call starts its sequence
+        from the beginning."""
         return np.random.default_rng(_derive_key(self.seed, name))

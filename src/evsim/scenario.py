@@ -21,7 +21,7 @@ import numpy as np
 from .engine import ExperimentSpec, HouseholdBaseload, ScenarioData
 from .fleet import AdoptionCurve, DrivingPattern, EvModel, validate_catalog
 from .grid import Transformer
-from .rng import RngStreams
+from .rng import RngStreams, parse_seed
 from .synth import (SyntheticBaseloadSpec, SyntheticCo2Spec, SyntheticPriceSpec,
                     generate_baseload, generate_co2, generate_spot)
 from .tariffs import (Co2IntensitySeries, DistributionTariff, SpotPriceSeries,
@@ -74,6 +74,8 @@ def _parse_rows(path: Path, header: list[str], parse) -> Iterator[tuple[int, obj
         # not _rejected_as: a context manager per row doubles the read time of
         # a long-form baseload
         try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} columns, got {len(row)}")
             value = parse(row)
         except ValueError as exc:
             raise ScenarioError(str(path), f"line {line}", str(exc)) from exc
@@ -189,11 +191,10 @@ def _section(cfg, section: str, path: str, cls, keys: dict):
 
 def _time_of_day(text: str) -> float:
     """Minutes into the day of an ``HH:MM`` time."""
-    hh, mm = text.strip().split(":")
-    minute = int(hh) * 60 + int(mm)
-    if not 0 <= minute < 24 * 60:
+    hh, mm = map(int, text.strip().split(":"))
+    if not (0 <= hh < 24 and 0 <= mm < 60):
         raise ValueError("time of day out of range")
-    return float(minute)
+    return float(hh * 60 + mm)
 
 
 def _reals(*keys: str) -> dict:
@@ -215,14 +216,6 @@ _DRIVING_KEYS = {
     **_reals("departure_std_min", "arrival_std_min", "trip_energy_mean_kwh",
              "trip_energy_std_kwh", "weekday_trip_prob", "weekend_trip_prob"),
 }
-
-
-def parse_seed(raw) -> int:
-    """A seed: an integer that fits in 64 unsigned bits."""
-    seed = int(raw)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError("seed must fit in 64 unsigned bits")
-    return seed
 
 
 def _resolve(base: Path, rel: str) -> Path:
@@ -347,11 +340,7 @@ def _parse_span(cfg, section: str, path: str, tick: int) -> SimulationSpan:
     start = _get(cfg, section, "span_start", path, Timestamp.from_iso)
     end = _get(cfg, section, "span_end", path, Timestamp.from_iso)
     with _rejected_as(path, section):
-        span = SimulationSpan(start, end, tick)
-        # the hourly series and the run's hours are aligned to whole hours
-        if start.minutes % 60 or end.minutes % 60:
-            raise ValueError("span must start and end on whole hours")
-    return span
+        return SimulationSpan(start, end, tick)
 
 
 def _parse_experiments(cfg, path: str, default_span: SimulationSpan,

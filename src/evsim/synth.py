@@ -48,7 +48,7 @@ def generate_baseload(spec: SyntheticBaseloadSpec, household_ids: list[int],
 
     matrix = np.empty((len(household_ids), n_days * 24))
     for row, hid in enumerate(household_ids):
-        rng = streams.fresh(f"baseload/{hid}")
+        rng = streams.stream(f"baseload/{hid}")
         noise = np.maximum(0.0, 1.0 + rng.normal(0.0, spec.noise_std, size=n_days)) \
             if spec.noise_std > 0 else np.ones(n_days)
         daily = spec.mean_daily_kwh * day_factor * noise
@@ -67,7 +67,7 @@ class SyntheticPriceSpec:
 def generate_spot(spec: SyntheticPriceSpec, span: SimulationSpan,
                   streams: RngStreams) -> SpotPriceSeries:
     """Hourly spot price with a morning/evening double peak plus noise."""
-    values = _price_like(spec, span, streams.fresh("spot"))
+    values = _price_like(spec, span, streams.stream("spot"))
     return SpotPriceSeries(span.start, values)
 
 
@@ -82,7 +82,7 @@ def generate_co2(spec: SyntheticCo2Spec, span: SimulationSpan,
                  streams: RngStreams) -> Co2IntensitySeries:
     price_like = SyntheticPriceSpec(spec.mean_kg_per_kwh, spec.diurnal_amplitude,
                                     spec.noise_std, floor=0.0)
-    values = _price_like(price_like, span, streams.fresh("co2"))
+    values = _price_like(price_like, span, streams.stream("co2"))
     return Co2IntensitySeries(span.start, values)
 
 

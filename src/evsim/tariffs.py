@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .timebase import SimulationSpan, Timestamp
+from .timebase import EPOCH, SimulationSpan, Timestamp
 
 
 class CoverageError(ValueError):
@@ -64,8 +64,8 @@ class TouBand:
     dkk_per_kwh: float
 
 
-# Danish-style season split, override via scenario config
-DEFAULT_SUMMER_MONTHS = (4, 5, 6, 7, 8, 9)
+# Danish-style season split: April to September is summer
+SUMMER_MONTHS = (4, 5, 6, 7, 8, 9)
 
 
 @dataclass
@@ -75,7 +75,6 @@ class DistributionTariff:
     mode: str                               # "fixed" | "time_of_use"
     fixed_dkk_per_kwh: float = 0.0
     bands: list[TouBand] = field(default_factory=list)
-    summer_months: tuple[int, ...] = DEFAULT_SUMMER_MONTHS
 
     def __post_init__(self):
         if self.mode not in ("fixed", "time_of_use"):
@@ -109,21 +108,19 @@ class DistributionTariff:
                 raise ValueError(
                     f"season {season!r} bands do not partition the 24 hours")
 
-    def rate_at(self, t: Timestamp) -> float:
-        if self.mode == "fixed":
-            return self.fixed_dkk_per_kwh
-        season_now = "summer" if t.month in self.summer_months else "winter"
-        hour = t.hour
-        for b in self.bands:
-            if b.season in ("all", season_now) and b.start_hour <= hour < b.end_hour:
-                return b.dkk_per_kwh
-        raise AssertionError("validated bands must cover every hour")
-
     def hourly_rates(self, span: SimulationSpan) -> np.ndarray:
-        """Vectorised per-hour rates over a span (used by the engine)."""
+        """The rate of each hour of the span: a (winter, summer) x hour-of-day
+        table looked up by each hour's month and hour of day."""
         if self.mode == "fixed":
             return np.full(span.n_hours, self.fixed_dkk_per_kwh)
-        out = np.empty(span.n_hours)
-        for i in range(span.n_hours):
-            out[i] = self.rate_at(Timestamp(span.start.minutes + i * 60))
-        return out
+        table = np.full((2, 24), np.nan)              # rows: winter, summer
+        for b in self.bands:
+            rows = [0, 1] if b.season == "all" else [int(b.season == "summer")]
+            table[rows, b.start_hour:b.end_hour] = b.dkk_per_kwh
+        if np.isnan(table).any():
+            raise AssertionError("validated bands must cover every hour")
+        hours = span.start.minutes // 60 + np.arange(span.n_hours)     # since EPOCH
+        # datetime64[M] counts months from 1970-01, so % 12 + 1 is the month
+        months = (np.datetime64(EPOCH, "h") + hours).astype("datetime64[M]").astype(int)
+        summer = np.isin(months % 12 + 1, SUMMER_MONTHS)
+        return table[summer.astype(int), hours % 24]

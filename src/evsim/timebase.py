@@ -42,27 +42,14 @@ class Timestamp:
         return self.to_datetime().year
 
     @property
-    def month(self) -> int:
-        return self.to_datetime().month
-
-    @property
-    def hour(self) -> int:
-        return (self.minutes // 60) % 24
-
-    @property
     def weekday(self) -> int:
-        """Monday == 0, per datetime convention."""
-        return self.to_datetime().weekday()
+        """Monday == 0, per datetime convention; 2000-01-01 was a Saturday."""
+        return (self.minutes // MINUTES_PER_DAY + 5) % 7
 
 
 @lru_cache(maxsize=None)
 def year_start_minutes(year: int) -> int:
     return Timestamp.from_datetime(datetime(year, 1, 1)).minutes
-
-
-def year_of_minutes(minutes: int) -> int:
-    """Calendar year containing an epoch-minute value."""
-    return (EPOCH + timedelta(minutes=minutes)).year
 
 
 @dataclass(frozen=True)
@@ -80,8 +67,10 @@ class SimulationSpan:
             raise ValueError("tick must be positive")
         if 60 % self.tick_minutes != 0:
             raise ValueError("tick must divide 60 so hours aggregate exactly")
-        if (self.end.minutes - self.start.minutes) % self.tick_minutes != 0:
-            raise ValueError("span length must be a whole number of ticks")
+        # hourly data and the run's hours align to whole hours; a tick that
+        # divides 60 then divides the span too
+        if self.start.minutes % 60 or self.end.minutes % 60:
+            raise ValueError("span must start and end on whole hours")
 
     @property
     def n_ticks(self) -> int:
@@ -97,6 +86,10 @@ class SimulationSpan:
 
     def years(self) -> list[int]:
         """Calendar years touched by the span, in order."""
-        last_minute = self.end.minutes - 1
-        return list(range(year_of_minutes(self.start.minutes),
-                          year_of_minutes(last_minute) + 1))
+        return list(range(self.start.year, Timestamp(self.end.minutes - 1).year + 1))
+
+    def year_bounds(self) -> list[tuple[int, int, int]]:
+        """``(year, first minute, end minute)`` of each calendar year the span
+        touches, clipped to the span."""
+        return [(y, max(self.start.minutes, year_start_minutes(y)),
+                 min(self.end.minutes, year_start_minutes(y + 1))) for y in self.years()]

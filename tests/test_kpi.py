@@ -109,6 +109,7 @@ class TestPctDifference:
 
     def test_zero_baseline_not_applicable(self):
         assert pct_difference(5.0, 0.0) is None
+        assert pct_difference(0.0, 0.0) == 0.0
 
     def test_half_away_from_zero(self):
         assert round_half_away(0.005, 2) == 0.01

@@ -15,7 +15,7 @@ from evsim.scenario import load_scenario
 from evsim.svgplot import _polyline, bar_chart_svg, day_zoom_svg, load_profile_svg
 from evsim.timebase import Timestamp
 
-from test_scenario import write_scenario
+from test_scenario import CATALOG, write_scenario
 
 SHORT_INI = """\
 [scenario]
@@ -195,11 +195,16 @@ class TestCliValidate:
          "driving", False),
         ("path = curve.csv\n", "path = curve.csv\n[driving]\ndeparture_mean = 24:00\n",
          "driving.departure_mean", False),
+        ("path = curve.csv\n", "path = curve.csv\n[driving]\ndeparture_mean = 7:75\n",
+         "driving.departure_mean", False),
+        ("path = curve.csv\n", "path = curve.csv\n[driving]\ndeparture_mean = 07:-5\n",
+         "driving.departure_mean", False),
     ], ids=["end_before_start", "part_day_synthetic_baseload", "empty_experiment_span",
             "start_not_a_date", "tick_not_dividing_60", "buffer_not_below_capacity",
             "start_off_the_hour", "end_off_the_hour", "experiment_start_off_the_hour",
             "negative_seed", "negative_experiment_seed", "non_finite_value",
-            "negative_std", "probability_above_one", "time_of_day_out_of_range"])
+            "negative_std", "probability_above_one", "time_of_day_out_of_range",
+            "minute_above_59", "negative_minute"])
     def test_invalid_value_names_its_section_or_key(self, tmp_path, capsys, old, new,
                                                     where, csv_baseload):
         ini = SHORT_INI.replace(old, new)
@@ -211,6 +216,12 @@ class TestCliValidate:
         assert main(["validate", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "validation error" in err and f"[{where}]" in err
+
+    def test_short_csv_row_names_its_line(self, tmp_path, capsys):
+        catalog = CATALOG.replace("small,40,3.7,0.6", "small,40")
+        assert main(["validate", str(write_scenario(tmp_path, SHORT_INI, catalog))]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and "[line 2]" in err
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_bad_seed_override_exit_1(self, scenario_path, monkeypatch, capsys, seed):

@@ -22,6 +22,7 @@ def test_distinct_names_distinct_sequences():
 
 
 def test_fresh_restarts_sequence():
+    # each stream call is a fresh generator, not a continuation
     s = RngStreams(9)
-    first = s.fresh("x").random(3).tolist()
-    assert s.fresh("x").random(3).tolist() == first
+    first = s.stream("x").random(3).tolist()
+    assert s.stream("x").random(3).tolist() == first

@@ -4,7 +4,8 @@ key names one: ``evsim validate`` accepts or rejects each (exit 0 or 1, never
 ``check_invariants`` and equals the per-tick reference loop exactly.
 
 Most values are drawn from their valid range; each key is occasionally given
-a value that load_scenario must reject.
+a value that load_scenario must reject, and each CSV file a row of the wrong
+width.
 """
 
 import tempfile
@@ -73,6 +74,17 @@ def tou_bands(draw):
         bands = bands[1:] if len(bands) > 1 else [("all", 0, 23, 0.1)]   # a gap
     rows = [f"{s},{a},{b},{v:.4f}" for s, a, b, v in bands]
     return "\n".join(["season,start_hour,end_hour,dkk_per_kwh", *rows]) + "\n"
+
+
+@st.composite
+def ragged(draw, text):
+    """CSV ``text``, now and then with one body row a column short or long."""
+    rows = text.splitlines()
+    if len(rows) < 2 or not draw(mostly(st.just(False), st.just(True))):
+        return text
+    k = draw(st.integers(1, len(rows) - 1))
+    rows[k] = rows[k].rsplit(",", 1)[0] if draw(st.booleans()) else rows[k] + ",1"
+    return "\n".join(rows) + "\n"
 
 
 @st.composite
@@ -178,7 +190,8 @@ def scenario_files(draw):
         sections.append(("adoption", {"path": "curve.csv"}))
 
     clock = mostly(st.tuples(st.integers(0, 23), st.integers(0, 59)).map(
-        lambda t: f"{t[0]:02d}:{t[1]:02d}"), st.sampled_from(["24:00", "7", "7:30:00"]))
+        lambda t: f"{t[0]:02d}:{t[1]:02d}"),
+        st.sampled_from(["24:00", "7", "7:30:00", "7:75", "07:-5", "-1:30", "12:60"]))
     sections.append(("driving", {
         "departure_mean": draw(optional(clock)),
         "departure_std_min": draw(optional(real(0.0, 120.0))),
@@ -211,7 +224,7 @@ def scenario_files(draw):
     ini = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()
                                            if v is not None) + "\n"
                   for name, keys in sections)
-    return ini, files
+    return ini, {name: draw(ragged(text)) for name, text in files.items()}
 
 
 def cut(spec):

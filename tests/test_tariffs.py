@@ -1,3 +1,5 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,7 +53,8 @@ def test_quote_tou_peak_lookup():
     rates = tou_peak_17_20().hourly_rates(SimulationSpan(T0, at(24 * 60)))
     assert rates[18] == pytest.approx(1.0)
     assert rates[12] == pytest.approx(0.2)
-    assert tou_peak_17_20().rate_at(at(18 * 60 + 30)) == pytest.approx(1.0)
+    # band edges: start hour inclusive, end hour exclusive
+    assert rates[16:21].tolist() == [0.2, 1.0, 1.0, 1.0, 0.2]
 
 
 def test_negative_spot_passes_through():
@@ -66,9 +69,11 @@ def test_out_of_coverage_raises():
 
 
 def test_hour_constancy():
+    # an hour's rate does not depend on where the span starts
     tariff = tou_peak_17_20()
+    day = tariff.hourly_rates(SimulationSpan(T0, at(24 * 60)))
     for h in range(24):
-        assert tariff.rate_at(at(h * 60)) == tariff.rate_at(at(h * 60 + 59))
+        assert tariff.hourly_rates(SimulationSpan(at(h * 60), at(h * 60 + 60)))[0] == day[h]
 
 
 def test_cost_and_co2_examples():
@@ -97,15 +102,40 @@ def test_tou_partition_enforced():
             TouBand("all", 0, 13, 0.2), TouBand("all", 12, 24, 0.3)])   # overlap
 
 
+def oracle_rates(tariff, span):
+    """Each hour's rate from datetime's calendar, band by band: April to
+    September is summer."""
+    rates = []
+    for h in range(span.n_hours):
+        t = span.start.to_datetime() + timedelta(hours=h)
+        season = "summer" if 4 <= t.month <= 9 else "winter"
+        rates.append(next(b.dkk_per_kwh for b in tariff.bands if b.season in ("all", season)
+                          and b.start_hour <= t.hour < b.end_hour))
+    return rates
+
+
 def test_seasonal_bands():
     tariff = DistributionTariff("time_of_use", bands=[
-        TouBand("summer", 0, 24, 0.2),
+        TouBand("summer", 0, 17, 0.2), TouBand("summer", 17, 20, 0.8),
+        TouBand("summer", 20, 24, 0.25),
         TouBand("winter", 0, 17, 0.3), TouBand("winter", 17, 20, 1.2),
-        TouBand("winter", 20, 24, 0.3)])
-    june = Timestamp.from_iso("2036-06-15T18:00")
-    january = Timestamp.from_iso("2036-01-15T18:00")
-    assert tariff.rate_at(june) == pytest.approx(0.2)
-    assert tariff.rate_at(january) == pytest.approx(1.2)
+        TouBand("winter", 20, 24, 0.35)])
+    # the 2036 leap day and both season edges of 2035, 2036 and 2037
+    span = SimulationSpan(Timestamp.from_iso("2035-03-01T00:00"),
+                          Timestamp.from_iso("2037-11-01T00:00"))
+    for t in (tariff, tou_peak_17_20()):
+        assert t.hourly_rates(span).tolist() == oracle_rates(t, span)
+
+    rates = tariff.hourly_rates(span)
+
+    def rate(iso):
+        return rates[(Timestamp.from_iso(iso).minutes - span.start.minutes) // 60]
+
+    assert rate("2036-06-15T18:00") == pytest.approx(0.8)
+    assert rate("2036-01-15T18:00") == pytest.approx(1.2)
+    assert rate("2036-02-29T18:00") == pytest.approx(1.2)
+    assert (rate("2036-03-31T23:00"), rate("2036-04-01T00:00")) == (0.35, 0.2)
+    assert (rate("2036-09-30T23:00"), rate("2036-10-01T00:00")) == (0.25, 0.3)
 
 
 def test_every_minute_maps_to_one_rate():

@@ -17,12 +17,13 @@ def test_calendar_round_trip_examples():
 def test_calendar_round_trip_property(minutes):
     t = Timestamp(minutes)
     assert Timestamp.from_datetime(t.to_datetime()).minutes == minutes
+    assert t.weekday == t.to_datetime().weekday()
 
 
 def test_derived_fields():
     t = Timestamp.from_datetime(datetime(2036, 1, 29, 17, 5))
-    assert (t.year, t.month) == (2036, 1)
-    assert t.hour == 17
+    assert t.year == 2036
+    assert t.isoformat() == "2036-01-29T17:05"
     assert t.weekday == datetime(2036, 1, 29).weekday()
 
 
@@ -46,6 +47,9 @@ def test_span_invariants():
         SimulationSpan(t1, t0)
     with pytest.raises(ValueError):
         SimulationSpan(t0, t1, tick_minutes=7)   # does not divide 60
+    for start, end in [(Timestamp(t0.minutes + 30), t1), (t0, Timestamp(t1.minutes - 1))]:
+        with pytest.raises(ValueError, match="whole hours"):
+            SimulationSpan(start, end)
     span = SimulationSpan(t0, t1, tick_minutes=15)
     assert span.n_ticks == 96
     assert span.n_hours == 24
@@ -55,3 +59,8 @@ def test_span_years():
     span = SimulationSpan(Timestamp.from_iso("2031-06-01T00:00"),
                           Timestamp.from_iso("2033-01-01T00:00"))
     assert span.years() == [2031, 2032]
+    # starts and ends mid-year: the first and last years are clipped
+    start, y2032, y2033, end = (Timestamp.from_iso(iso).minutes for iso in (
+        "2031-06-01T00:00", "2032-01-01T00:00", "2033-01-01T00:00", "2033-03-01T05:00"))
+    assert SimulationSpan(Timestamp(start), Timestamp(end)).year_bounds() == [
+        (2031, start, y2032), (2032, y2032, y2033), (2033, y2033, end)]
