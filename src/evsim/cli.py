@@ -94,11 +94,11 @@ def cmd_run(args) -> int:
             known = ", ".join(s.id for s in specs)
             raise ScenarioError(args.scenario, "experiments",
                                 f"unknown experiment(s) {unknown}; available: {known}")
-        specs = [s for s in specs if s.id in args.experiment]
-        # baselines referenced by selected experiments must run too
-        needed = {s.baseline_id for s in specs if s.baseline_id}
-        specs += [s for s in scn.experiments
-                  if s.id in needed and all(x.id != s.id for x in specs)]
+        # the selected experiments, their baselines, theirs in turn, and so on
+        needed = set(args.experiment)
+        for _ in specs:     # no chain of baselines has more links than specs
+            needed |= {s.baseline_id for s in specs if s.id in needed and s.baseline_id}
+        specs = [s for s in specs if s.id in needed]
 
     if args.parallel > 1:
         # imported here: the serial path, and every other command, starts no pool

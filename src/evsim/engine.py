@@ -159,14 +159,14 @@ class ExperimentSpec:
 
 @dataclass
 class VehiclePlan:
-    """One vehicle, when it joins the fleet, and its scripted trip list."""
+    """One vehicle, when it joins the fleet, and its trips in arrival order."""
 
     vehicle: Vehicle
     adoption: Timestamp
     trips: list[TripEvent]
 
 
-@dataclass
+@dataclass(slots=True)
 class ChargeSession:
     vehicle_id: int
     plug_in: Timestamp
@@ -213,7 +213,7 @@ class SimulationOutput:
 
 class ChargingRecord:
     """One vehicle's charging state in a run: its ``Vehicle``, its rate, its
-    current grant, and the energy of its open hour and of its open session.
+    current grant, the energy of its open hour and session, and its next trip.
 
     The dispatcher objects of ``strategies.DISPATCHERS`` take records in
     ``arrive`` and set the ``grant`` of the records they return from
@@ -223,9 +223,10 @@ class ChargingRecord:
     """
 
     __slots__ = ("vehicle", "vid", "rate", "grant", "hour_kwh", "session_kwh",
-                 "session_start", "delivered_kwh", "trip_drain_kwh")
+                 "session_start", "delivered_kwh", "trip_drain_kwh", "trips",
+                 "next_trip")
 
-    def __init__(self, vehicle: Vehicle):
+    def __init__(self, vehicle: Vehicle, trips: list[TripEvent] = ()):
         self.vehicle = vehicle
         self.vid = vehicle.id
         self.rate = vehicle.model.max_rate_kw
@@ -235,10 +236,12 @@ class ChargingRecord:
         self.session_start: int | None = None    # None: no open session
         self.delivered_kwh = 0.0
         self.trip_drain_kwh = 0.0
+        self.trips = trips             # the plan's trips, in arrival order
+        self.next_trip = 0             # the trip its next arrival ends
 
 
-# event kinds, processed in this order within one tick
-_ADOPT, _DEPART, _ARRIVE = 0, 1, 2
+# the _KINDS event kinds, processed in this order within one minute
+_ADOPT, _DEPART, _ARRIVE, _KINDS = 0, 1, 2, 3
 
 # Relative slack of the completion horizon (_Run._horizon): about nine times
 # the 2**-53 rounding error of one float operation, so the horizon stays a
@@ -295,20 +298,23 @@ def run_experiment(spec: ExperimentSpec, data: ScenarioData) -> SimulationOutput
     return simulate(spec, data, plans)
 
 
-def _event_list(plans: list[VehiclePlan], end_minute: int):
-    """The fleet plan as one list of (minute, kind, vehicle id, trip, next
-    planned departure) sorted in processing order; a departure carries
-    neither a trip nor a next departure, an adoption no trip."""
-    events: list[tuple[int, int, int, TripEvent | None, int | None]] = []
+def _event_keys(plans: list[VehiclePlan], n_ids: int) -> array:
+    """The fleet plan's adoptions, departures and arrivals as integer keys
+    ``(minute * _KINDS + kind) * n_ids + vehicle id``, sorted: the processing
+    order, by minute, then kind, then vehicle id. ``n_ids`` exceeds every id."""
+    keys = array("q")
     for p in plans:
         vid = p.vehicle.id
-        departures = [trip.departure.minutes for trip in p.trips] + [end_minute]
-        events.append((p.adoption.minutes, _ADOPT, vid, None, departures[0]))
-        for trip, nxt in zip(p.trips, departures[1:]):
-            events.append((trip.departure.minutes, _DEPART, vid, None, None))
-            events.append((trip.arrival.minutes, _ARRIVE, vid, trip, nxt))
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-    return events
+        if vid < 0:
+            raise ValueError(f"vehicle id {vid} is negative")
+        keys.append((p.adoption.minutes * _KINDS + _ADOPT) * n_ids + vid)
+        arrivals = [trip.arrival.minutes for trip in p.trips]
+        if arrivals != sorted(arrivals):     # _Run.apply_events takes them in turn
+            raise ValueError(f"vehicle {vid}: trips not in arrival order")
+        for trip in p.trips:
+            keys.append((trip.departure.minutes * _KINDS + _DEPART) * n_ids + vid)
+            keys.append((trip.arrival.minutes * _KINDS + _ARRIVE) * n_ids + vid)
+    return array("q", np.sort(np.frombuffer(keys, dtype=np.int64)).tobytes())
 
 
 class _Run:
@@ -327,6 +333,7 @@ class _Run:
         self.start = span.start.minutes
         self.n_ticks = span.n_ticks
         self.interval = spec.interval
+        self.end = span.end.minutes
         self.check_invariants = check_invariants
         self.coordinated = spec.strategy != "traditional"
 
@@ -334,8 +341,9 @@ class _Run:
         # were; built anew, as copy.copy's instances take about 20% longer on
         # the charging loop's attribute accesses
         self.records: dict[int, ChargingRecord] = {
-            p.vehicle.id: ChargingRecord(replace(p.vehicle)) for p in plans}
-        self.events = _event_list(plans, span.end.minutes)
+            p.vehicle.id: ChargingRecord(replace(p.vehicle), p.trips) for p in plans}
+        self.n_ids = max(self.records, default=0) + 1
+        self.events = _event_keys(plans, self.n_ids)
         self.ev_ptr = 0
 
         self.dispatcher = strat.DISPATCHERS[spec.strategy]()
@@ -361,11 +369,13 @@ class _Run:
         self.dissatisfactions: list[tuple[Timestamp, int]] = []
 
     def apply_events(self, m: int) -> None:
-        """Phase 1: the adoptions, departures and arrivals due before m + dt."""
-        events, records = self.events, self.records
-        due = m + self.dt
-        while self.ev_ptr < len(events) and events[self.ev_ptr][0] < due:
-            _, kind, vid, trip, departure = events[self.ev_ptr]
+        """Phase 1: the adoptions, departures and arrivals due before m + dt; an
+        arrival ends its vehicle's next trip, and it plugs in until the one after."""
+        events, records, n_ids = self.events, self.records, self.n_ids
+        due = (m + self.dt) * _KINDS * n_ids      # the first key not due
+        while self.ev_ptr < len(events) and events[self.ev_ptr] < due:
+            minute_kind, vid = divmod(events[self.ev_ptr], n_ids)
+            kind = minute_kind % _KINDS
             self.ev_ptr += 1
             r = records[vid]
             v = r.vehicle
@@ -387,6 +397,8 @@ class _Run:
                 v.plugged = True
                 arrival = m
             else:
+                trip = r.trips[r.next_trip]
+                r.next_trip += 1
                 soc_before = v.soc_kwh
                 apply_trip_energy(v, trip)
                 r.trip_drain_kwh += soc_before - v.soc_kwh
@@ -394,6 +406,8 @@ class _Run:
             r.session_start = m
             r.session_kwh = 0.0
             if not v.satisfied:
+                departure = r.trips[r.next_trip].departure.minutes \
+                    if r.next_trip < len(r.trips) else self.end
                 self.requests.add(vid)
                 self.dispatcher.arrive(r, arrival, departure)
                 self.inputs_changed = True
@@ -436,7 +450,7 @@ class _Run:
         dt = self.dt
         j = hour_end
         if self.ev_ptr < len(self.events):
-            j = min(j, (self.events[self.ev_ptr][0] - self.start) // dt)
+            j = min(j, (self.events[self.ev_ptr] // (_KINDS * self.n_ids) - self.start) // dt)
         if self._dispatch_pending(budget):
             boundary = ((self.start + i * dt) // self.interval + 1) * self.interval
             j = min(j, (boundary - self.start) // dt)

@@ -64,7 +64,7 @@ class Vehicle:
         return self.soc_kwh >= self.desired_target_kwh - SOC_EPS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripEvent:
     departure: Timestamp
     arrival: Timestamp

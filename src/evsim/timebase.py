@@ -11,7 +11,7 @@ EPOCH = datetime(2000, 1, 1)
 MINUTES_PER_DAY = 24 * 60
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Timestamp:
     """A point in simulated time, stored as whole minutes since 2000-01-01."""
 
@@ -29,7 +29,13 @@ class Timestamp:
 
     @classmethod
     def from_iso(cls, text: str) -> "Timestamp":
-        return cls.from_datetime(datetime.fromisoformat(text))
+        """A local time on a whole minute; a UTC offset or seconds are rejected."""
+        dt = datetime.fromisoformat(text)
+        if dt.tzinfo is not None:
+            raise ValueError(f"timestamp {text!r} has a UTC offset; local time expected")
+        if dt.second or dt.microsecond:
+            raise ValueError(f"timestamp {text!r} is not on a whole minute")
+        return cls.from_datetime(dt)
 
     def to_datetime(self) -> datetime:
         return EPOCH + timedelta(minutes=self.minutes)

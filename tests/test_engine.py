@@ -71,6 +71,28 @@ class TestPhaseOrder:
         out = simulate(spec_for(span, "traditional"), data, plans)
         assert out.load.values[16 * 60 + 7] == pytest.approx(11.0)
 
+    def test_event_keys_decode_in_processing_order(self, two_day_span):
+        # adoptions, departures and arrivals of three vehicles, 9 the largest
+        # id, meet in minute t: by minute, then kind, then vehicle id
+        span = two_day_span
+        t = 8 * 60
+
+        def trip(dep, arr):
+            return TripEvent(minute(span, dep), minute(span, arr), 1.0)
+        plans = [plan(9, LEAF, 0.0, minute(span, t), [trip(t, t + 5), trip(t + 9, t + 20)]),
+                 plan(2, LEAF, 0.0, minute(span, t), [trip(t + 5, t + 9)]),
+                 plan(4, LEAF, 0.0, minute(span, 0), [trip(t - 9, t), trip(t, t + 5)])]
+        keys = engine._event_keys(plans, 10)
+        want = sorted([(p.adoption.minutes, engine._ADOPT, p.vehicle.id) for p in plans]
+                      + [(tr.departure.minutes, engine._DEPART, p.vehicle.id)
+                         for p in plans for tr in p.trips]
+                      + [(tr.arrival.minutes, engine._ARRIVE, p.vehicle.id)
+                         for p in plans for tr in p.trips])
+        decoded = [(mk // engine._KINDS, mk % engine._KINDS, vid)
+                   for mk, vid in (divmod(k, 10) for k in keys)]
+        assert decoded == want
+        assert sum(m == span.start.minutes + t for m, _, _ in decoded) == 5
+
 
 class TestCompletionHorizon:
     def test_released_at_the_first_stop_on_its_finishing_tick(self, two_day_span,
@@ -193,6 +215,16 @@ class TestInputHandling:
         with pytest.raises(ValueError, match="decision_interval_min must divide 60"):
             spec_for(two_day_span, "edf", decision_interval_min=45)
         assert spec_for(two_day_span, "edf", decision_interval_min=60).interval == 60
+
+    @pytest.mark.parametrize("vid, arrivals, match", [
+        (-1, [16 * 60], "negative"), (1, [40 * 60, 16 * 60], "arrival order")])
+    def test_plan_the_event_keys_cannot_hold_rejected(self, two_day_span, vid, arrivals,
+                                                      match):
+        span = two_day_span
+        data = flat_data(span, n_households=1, base_kw=0.0)
+        trips = [TripEvent(minute(span, a - 60), minute(span, a), 1.0) for a in arrivals]
+        with pytest.raises(ValueError, match=match):
+            simulate(spec_for(span, "edf"), data, [plan(vid, LEAF, 0.0, span.start, trips)])
 
     def test_unknown_strategy_rejected(self, two_day_span):
         with pytest.raises(ValueError, match="valid"):
@@ -372,7 +404,14 @@ class TestSharedPhysics:
                          curve=AdoptionCurve([(2035, 4)]))
         trad, edf = (run_experiment(spec_for(span, name, seed=2), data)
                      for name in ("traditional", "edf"))
-        assert trad == pickle.loads(pickle.dumps(trad))
+        # what a --parallel worker sends back; the per-trip and per-session
+        # values carry no __dict__
+        assert trad.sessions and trad == pickle.loads(pickle.dumps(trad))
+        trip = data._fleets[(2, span)][0].trips[0]
+        for value in (trip, trip.arrival, trad.sessions[0]):
+            assert not hasattr(value, "__dict__")
+            assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+        assert hash(pickle.loads(pickle.dumps(trip))) == hash(trip)
         assert trad.load == pickle.loads(pickle.dumps(trad.load))
         assert trad != edf and trad.load != edf.load
 

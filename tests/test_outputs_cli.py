@@ -153,6 +153,19 @@ class TestCliRun:
         assert (full / "edf_tou" / "overloads.csv").read_bytes() == \
             (full / "edf_fixed" / "overloads.csv").read_bytes()
 
+    def test_baselines_of_baselines_run_too(self, tmp_path):
+        ini = SHORT_INI.replace("span_end = 2036-01-08T00:00", "span_end = 2036-01-02T00:00") \
+            + "\n[experiment.c]\nstrategy = traditional\n" \
+            + "\n[experiment.b]\nstrategy = fcfs\nbaseline = c\n" \
+            + "\n[experiment.a]\nstrategy = edf\nbaseline = b\n"
+        path = write_scenario(tmp_path, ini)
+        full, alone = tmp_path / "full", tmp_path / "alone"
+        assert main(["run", str(path), "--out", str(full)]) == 0
+        assert main(["run", str(path), "--out", str(alone), "--experiment", "a"]) == 0
+        assert (alone / "b" / "comparison.csv").exists()
+        assert tree(alone / "b") == tree(full / "b")
+        assert tree(alone / "a") == tree(full / "a")
+
 
 class TestCliValidate:
     def test_valid_scenario(self, scenario_path, capsys):
@@ -176,6 +189,10 @@ class TestCliValidate:
          False),
         ("span_start = 2036-01-01T00:00", "span_start = notadate", "scenario.span_start",
          False),
+        ("span_start = 2036-01-01T00:00", "span_start = 2036-01-01T00:00+05:00",
+         "scenario.span_start", False),
+        ("span_end = 2036-01-08T00:00", "span_end = 2036-01-08T00:00:30",
+         "scenario.span_end", False),
         ("seed = 11", "seed = 11\ntick_minutes = 7", "scenario", False),
         ("capacity_kw = 400", "capacity_kw = 400\nbuffer_kw = 400", "transformer", False),
         # a CSV baseload takes any span
@@ -200,7 +217,8 @@ class TestCliValidate:
         ("path = curve.csv\n", "path = curve.csv\n[driving]\ndeparture_mean = 07:-5\n",
          "driving.departure_mean", False),
     ], ids=["end_before_start", "part_day_synthetic_baseload", "empty_experiment_span",
-            "start_not_a_date", "tick_not_dividing_60", "buffer_not_below_capacity",
+            "start_not_a_date", "start_with_utc_offset", "end_with_seconds",
+            "tick_not_dividing_60", "buffer_not_below_capacity",
             "start_off_the_hour", "end_off_the_hour", "experiment_start_off_the_hour",
             "negative_seed", "negative_experiment_seed", "non_finite_value",
             "negative_std", "probability_above_one", "time_of_day_out_of_range",
@@ -234,7 +252,12 @@ class TestCliValidate:
          + rows[2:], "baseload"),
         ("spot.csv", lambda rows: rows[:-1], "spot"),
         ("co2.csv", lambda rows: rows[:1] + rows[2:], "co2"),
-    ], ids=["negative_baseload", "spot_ends_before_the_span", "co2_starts_after_it"])
+        ("spot.csv", lambda rows: rows[:2] + [rows[2].replace(",", "+01:00,", 1)]
+         + rows[3:], "line 3"),
+        ("baseload.csv", lambda rows: rows[:1] + [rows[1].replace(",", ":30,", 1)]
+         + rows[2:], "line 2"),
+    ], ids=["negative_baseload", "spot_ends_before_the_span", "co2_starts_after_it",
+            "spot_stamp_with_utc_offset", "baseload_stamp_with_seconds"])
     def test_invalid_dataset_names_its_section(self, tmp_path, capsys, name, edit, where):
         # the datasets are checked at load, not when an experiment slices them
         assert main(["gen-synthetic", str(write_scenario(tmp_path, SHORT_INI)),

@@ -4,8 +4,8 @@ key names one: ``evsim validate`` accepts or rejects each (exit 0 or 1, never
 ``check_invariants`` and equals the per-tick reference loop exactly.
 
 Most values are drawn from their valid range; each key is occasionally given
-a value that load_scenario must reject, and each CSV file a row of the wrong
-width.
+a value that load_scenario must reject, each CSV file a row of the wrong
+width, and each timestamp a UTC offset or seconds.
 """
 
 import tempfile
@@ -87,6 +87,21 @@ def ragged(draw, text):
     return "\n".join(rows) + "\n"
 
 
+OFF_MINUTE = st.sampled_from(["+01:00", ":30"])   # a UTC offset, or seconds
+
+
+@st.composite
+def off_minute_stamp(draw, text):
+    """CSV ``text`` whose first column is a timestamp, now and then with one
+    body row's stamp given a UTC offset or seconds."""
+    rows = text.splitlines()
+    if len(rows) < 2 or not draw(mostly(st.just(False), st.just(True))):
+        return text
+    k = draw(st.integers(1, len(rows) - 1))
+    rows[k] = rows[k].replace(",", draw(OFF_MINUTE) + ",", 1)
+    return "\n".join(rows) + "\n"
+
+
 @st.composite
 def scenario_files(draw):
     """(INI text, {file name: CSV text})."""
@@ -105,7 +120,8 @@ def scenario_files(draw):
                          st.sampled_from([0, 5, -24])))
     end = start + timedelta(hours=length)
     start_text = draw(mostly(st.just(start.strftime(ISO)),
-                             st.just(start.strftime(ISO)[:-2] + "30")))
+                             st.just(start.strftime(ISO)[:-2] + "30")
+                             | OFF_MINUTE.map(start.strftime(ISO).__add__)))
     sections.append(("scenario", {
         "households": households,
         "seed": draw(optional(mostly(st.integers(0, 10**6), st.sampled_from([-1, "x"])))),
@@ -224,7 +240,9 @@ def scenario_files(draw):
     ini = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()
                                            if v is not None) + "\n"
                   for name, keys in sections)
-    return ini, {name: draw(ragged(text)) for name, text in files.items()}
+    stamped = {name: draw(off_minute_stamp(text)) if text.startswith("timestamp") else text
+               for name, text in files.items()}
+    return ini, {name: draw(ragged(text)) for name, text in stamped.items()}
 
 
 def cut(spec):
