@@ -177,13 +177,10 @@ def cmd_compare(args) -> int:
             continue
         for m in outputs.KPI_HEADER[2:]:
             try:
-                va, vb = float(ra[m]), float(rb[m])
+                pct = pct_difference(float(ra[m]), float(rb[m]))
             except ValueError:
-                print(f"{ra['year']},{m},{ra[m]},{rb[m]},na")
-                continue
-            pct = pct_difference(va, vb)
-            pct_s = "na" if pct is None else f"{pct:.2f}"
-            print(f"{ra['year']},{m},{ra[m]},{rb[m]},{pct_s}")
+                pct = None
+            print(f"{ra['year']},{m},{ra[m]},{rb[m]},{outputs._fmt(pct, 2)}")
     return EXIT_OK
 
 

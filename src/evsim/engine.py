@@ -8,8 +8,9 @@ Identical (spec, inputs) reproduce identical outputs bit for bit.
 Time advances from event to event (next-event time advance). The loop
 stops only at the tick of the next trip event, at the closing tick of each
 hour, at a decision boundary where the dispatcher's inputs (requests,
-budget) changed since its last call (every boundary for Round Robin), and
-at the earliest tick on which a charging vehicle may reach its target.
+budget) changed since its last call (every boundary for a dispatcher with
+``every_boundary`` set), and at the earliest tick on which a charging
+vehicle may reach its target.
 Between two stops the grants and the hour's baseload are constant: the load
 array is filled by one slice, and each charging vehicle's state of charge,
 hour and session energy take the same sequence of float adds as on a
@@ -43,8 +44,8 @@ from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
                    detect_overloads, hourly_max)
 from .kpi import KpiReport, YearLedger, assemble_report
 from .rng import RngStreams
-from .tariffs import (Co2IntensitySeries, DistributionTariff, SpotPriceSeries,
-                      hours_covering)
+from .tariffs import (TARIFF_MODES, Co2IntensitySeries, DistributionTariff,
+                      SpotPriceSeries, hours_covering)
 from .timebase import MINUTES_PER_DAY, SimulationSpan, Timestamp
 
 
@@ -129,6 +130,8 @@ class ExperimentSpec:
         if self.strategy not in strat.STRATEGY_NAMES:
             raise ValueError(f"unknown strategy {self.strategy!r}; "
                              f"valid: {', '.join(strat.STRATEGY_NAMES)}")
+        if self.tariff_mode not in TARIFF_MODES:
+            raise ValueError(f"unknown tariff mode {self.tariff_mode!r}")
         explicit, tick = self.decision_interval_min, self.span.tick_minutes
         if explicit is not None and (explicit <= 0 or explicit % tick != 0):
             raise ValueError(f"decision_interval_min must be a positive multiple "
@@ -146,7 +149,7 @@ class ExperimentSpec:
         if self.decision_interval_min is not None:
             return self.decision_interval_min
         tick = self.span.tick_minutes
-        default = strat.DEFAULT_DECISION_INTERVAL_MIN[self.strategy]
+        default = strat.DISPATCHERS[self.strategy].default_interval_min
         return next(m for m in range(tick, 61, tick) if m >= default and 60 % m == 0)
 
     @property
@@ -190,7 +193,8 @@ class SimulationOutput:
     """One experiment's results.
 
     Outputs priced from one charging-physics pass share its load series and
-    the session, dissatisfaction and vehicle records in their lists.
+    its session, dissatisfaction, vehicle and delivered-energy lists and dicts
+    themselves: treat them as read-only.
     """
 
     spec: ExperimentSpec
@@ -335,7 +339,6 @@ class _Run:
         self.interval = spec.interval
         self.end = span.end.minutes
         self.check_invariants = check_invariants
-        self.coordinated = spec.strategy != "traditional"
 
         # the run changes copies of the vehicles, so the plans stay as they
         # were; built anew, as copy.copy's instances take about 20% longer on
@@ -347,10 +350,8 @@ class _Run:
         self.ev_ptr = 0
 
         self.dispatcher = strat.DISPATCHERS[spec.strategy]()
-        # Round Robin advances its charging streaks on every call. The other
-        # dispatchers give the same grants for the same requests and budget
-        # (FCFS also leaves its queue as it was), so such a call is skipped.
-        self.dispatch_every_boundary = spec.strategy == "round_robin"
+        # read here, as _dispatch_pending runs at every stop
+        self.dispatch_every_boundary = self.dispatcher.every_boundary
         self.inputs_changed = True     # requests differ from the last call's
         self.last_budget: float | None = None
         self.grants: list[ChargingRecord] = []   # granted now, in vehicle-id order
@@ -380,13 +381,12 @@ class _Run:
             r = records[vid]
             v = r.vehicle
             if kind == _DEPART:
-                if v.plugged:
+                if r.session_start is not None:
                     if not v.satisfied:
                         self.dissatisfactions.append((Timestamp(m), vid))
                     self.sessions.append(ChargeSession(
                         vid, Timestamp(r.session_start), Timestamp(m), r.session_kwh))
                     r.session_start = None
-                v.plugged = False
                 if vid in self.requests:
                     self._ungrant(r)
                     self.requests.remove(vid)
@@ -394,7 +394,6 @@ class _Run:
                     self.inputs_changed = True
                 continue
             if kind == _ADOPT:
-                v.plugged = True
                 arrival = m
             else:
                 trip = r.trips[r.next_trip]
@@ -439,7 +438,7 @@ class _Run:
             for r in grants:
                 assert r.vid in self.requests and r is self.records[r.vid]
                 assert 0.0 <= r.grant <= r.vehicle.model.max_rate_kw + strat.CAPACITY_EPS
-            if self.coordinated:
+            if self.dispatcher.within_budget:
                 assert sum(r.grant for r in grants) <= budget + strat.CAPACITY_EPS
 
     def next_stop(self, i: int, hour_end: int, budget: float) -> int:
@@ -636,7 +635,6 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
         year_of_hour[(y0 - start_min) // 60:(y1 - start_min) // 60] = y
 
     initial_soc = {p.vehicle.id: p.vehicle.soc_kwh for p in plans}
-    adoption_of = {p.vehicle.id: p.adoption.minutes for p in plans}
     run = _Run(spec, plans, check_invariants)
 
     load = np.empty(n_ticks)
@@ -670,7 +668,7 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
         fleet=plans, load=load_series, hourly_max=hourly_max(load_series),
         sessions=run.sessions, dissatisfactions=run.dissatisfactions,
         vehicles=summaries, delivered_by_year=run.delivered_by_year,
-        ev_households={y: sorted(vid for vid, at in adoption_of.items() if at < y1)
+        ev_households={y: sorted(p.vehicle.id for p in plans if p.adoption.minutes < y1)
                        for y, _, y1 in span.year_bounds()},
         booked=run.booked, booked_vids=run.booked_vids, booked_kwh=run.booked_kwh)
 
@@ -738,9 +736,6 @@ def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
 
     return SimulationOutput(
         spec=spec, load=physics.load, hourly_max=physics.hourly_max,
-        overload_events=all_events, reports=reports,
-        sessions=list(physics.sessions),
-        dissatisfactions=list(physics.dissatisfactions),
-        vehicles=list(physics.vehicles),
-        delivered_by_year={y: dict(d) for y, d in physics.delivered_by_year.items()},
-        _physics=physics)
+        overload_events=all_events, reports=reports, sessions=physics.sessions,
+        dissatisfactions=physics.dissatisfactions, vehicles=physics.vehicles,
+        delivered_by_year=physics.delivered_by_year, _physics=physics)

@@ -106,11 +106,8 @@ def write_comparison_csv(path: Path, rows: list[ComparisonRow]) -> None:
         w = csv.writer(fh)
         w.writerow(["metric", "value", "baseline", "pct_difference"])
         for r in rows:
-            pct = "na" if r.pct_difference is None else f"{r.pct_difference:.2f}"
-            w.writerow([r.metric,
-                        "na" if r.value is None else f"{r.value:.6f}",
-                        "na" if r.baseline is None else f"{r.baseline:.6f}",
-                        pct])
+            w.writerow([r.metric, _fmt(r.value, 6), _fmt(r.baseline, 6),
+                        _fmt(r.pct_difference, 2)])
 
 
 def write_overloads_csv(path: Path, out: SimulationOutput) -> None:
@@ -180,16 +177,16 @@ def emit_plots(out_dir: Path, out: SimulationOutput, capacity_kw: float,
         y_label="events"))
 
     if baseline is not None:
-        day = _worst_day(baseline, capacity_kw)
-        top = baseline.load.slice_minutes(day, day + 24 * 60).values
-        bottom = out.load.slice_minutes(day, day + 24 * 60).values
+        day = _worst_day(baseline)
+        top = baseline.load.slice_minutes(day, day + MINUTES_PER_DAY).values
+        bottom = out.load.slice_minutes(day, day + MINUTES_PER_DAY).values
         (out_dir / "day_zoom.svg").write_text(day_zoom_svg(
             top, bottom, capacity_kw,
             baseline.spec.id, out.spec.id,
             f"Grid load on {Timestamp(day).isoformat()[:10]}"))
 
 
-def _worst_day(out: SimulationOutput, capacity_kw: float) -> int:
+def _worst_day(out: SimulationOutput) -> int:
     """Start minute of the day with the largest load peak (overload day if any)."""
     if out.overload_events:
         peak_event = max(out.overload_events, key=lambda e: e.peak_excess_kw)
@@ -197,7 +194,7 @@ def _worst_day(out: SimulationOutput, capacity_kw: float) -> int:
     else:
         idx = int(np.argmax(out.load.values))
         minute = out.load.minute_of(idx)
-    return minute - minute % (24 * 60)
+    return minute - minute % MINUTES_PER_DAY
 
 
 def write_all(out_dir: Path, out: SimulationOutput, scenario_hash: str,

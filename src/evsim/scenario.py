@@ -22,6 +22,7 @@ from .engine import ExperimentSpec, HouseholdBaseload, ScenarioData
 from .fleet import AdoptionCurve, DrivingPattern, EvModel, validate_catalog
 from .grid import Transformer
 from .rng import RngStreams, parse_seed
+from .strategies import STRATEGY_NAMES
 from .synth import (SyntheticBaseloadSpec, SyntheticCo2Spec, SyntheticPriceSpec,
                     generate_baseload, generate_co2, generate_spot)
 from .tariffs import (Co2IntensitySeries, DistributionTariff, SpotPriceSeries,
@@ -321,19 +322,9 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
         adoption_curve=curve, driving=driving, addons_dkk_per_kwh=addons,
         overload_unit=overload_unit)
 
-    experiments = _parse_experiments(cfg, sp, span, seed)
-    for e in experiments:
-        if e.span.start.minutes < span.start.minutes or \
-                e.span.end.minutes > span.end.minutes:
-            raise ScenarioError(sp, f"experiment.{e.id}",
-                                "experiment span must lie within the scenario span")
-        if e.tariff_mode not in tariffs:
-            raise ScenarioError(sp, f"experiment.{e.id}",
-                                f"scenario defines no {e.tariff_mode!r} tariff"
-                                " (add tariff.tou_path for time_of_use)")
-
     return Scenario(path=path, data=data, span=span, seed=seed,
-                    experiments=experiments, content_hash=content_hash)
+                    experiments=_parse_experiments(cfg, sp, span, seed, tariffs),
+                    content_hash=content_hash)
 
 
 def _parse_span(cfg, section: str, path: str, tick: int) -> SimulationSpan:
@@ -343,21 +334,25 @@ def _parse_span(cfg, section: str, path: str, tick: int) -> SimulationSpan:
         return SimulationSpan(start, end, tick)
 
 
-def _parse_experiments(cfg, path: str, default_span: SimulationSpan,
-                       seed: int) -> list[ExperimentSpec]:
-    exp_sections = [s for s in cfg.sections() if s.startswith("experiment.")]
-    specs: list[ExperimentSpec] = []
-    if not exp_sections:
-        # one experiment per strategy over the scenario span, traditional baseline
-        from .strategies import STRATEGY_NAMES
-        with _rejected_as(path, "experiments"):
-            for name in STRATEGY_NAMES:
-                baseline = None if name == "traditional" else "traditional"
-                specs.append(ExperimentSpec(id=name, strategy=name, span=default_span,
-                                            seed=seed, baseline_id=baseline))
-        return specs
+def _parse_experiments(cfg, path: str, default_span: SimulationSpan, seed: int,
+                       tariffs: dict[str, DistributionTariff]) -> list[ExperimentSpec]:
+    """The experiment of each ``experiment.<id>`` section, checked as it is
+    read; ids are unique, as section names are. Without such sections, one
+    experiment per strategy over the scenario span, traditional the baseline."""
+    ids = [s.split(".", 1)[1] for s in cfg.sections() if s.startswith("experiment.")]
+    if not ids:
+        return [ExperimentSpec(id=name, strategy=name, span=default_span, seed=seed,
+                               baseline_id=None if name == "traditional" else "traditional")
+                for name in STRATEGY_NAMES]
 
-    for section in exp_sections:
+    specs: list[ExperimentSpec] = []
+    for exp_id in ids:
+        section = f"experiment.{exp_id}"
+        # evsim run writes each experiment to <out>/<id>, beside baseload_hourly.csv
+        if exp_id in ("", ".", "..", "baseload_hourly.csv") or "/" in exp_id \
+                or "\\" in exp_id:
+            raise ScenarioError(path, section, f"experiment id {exp_id!r} does not name "
+                                "a directory of its own inside the output directory")
         strategy = _get(cfg, section, "strategy", path).strip()
         span = default_span
         if cfg.has_option(section, "span_start") or cfg.has_option(section, "span_end"):
@@ -368,18 +363,16 @@ def _parse_experiments(cfg, path: str, default_span: SimulationSpan,
         baseline = _get(cfg, section, "baseline", path, default="").strip() or None
         with _rejected_as(path, section):
             specs.append(ExperimentSpec(
-                id=section.split(".", 1)[1], strategy=strategy, span=span,
-                tariff_mode=tariff_mode, seed=exp_seed,
-                decision_interval_min=interval or None, baseline_id=baseline))
-
-    ids = [e.id for e in specs]
-    if len(ids) != len(set(ids)):
-        raise ScenarioError(path, "experiments", "duplicate experiment ids")
-    for e in specs:
-        if e.baseline_id is not None and e.baseline_id not in ids:
-            raise ScenarioError(path, f"experiment.{e.id}",
-                                f"unknown baseline {e.baseline_id!r}")
-        if e.tariff_mode not in ("fixed", "time_of_use"):
-            raise ScenarioError(path, f"experiment.{e.id}",
-                                f"unknown tariff mode {e.tariff_mode!r}")
+                id=exp_id, strategy=strategy, span=span, tariff_mode=tariff_mode,
+                seed=exp_seed, decision_interval_min=interval or None,
+                baseline_id=baseline))
+        if span.start.minutes < default_span.start.minutes or \
+                span.end.minutes > default_span.end.minutes:
+            raise ScenarioError(path, section,
+                                "experiment span must lie within the scenario span")
+        if tariff_mode not in tariffs:
+            raise ScenarioError(path, section, f"scenario defines no {tariff_mode!r} tariff"
+                                " (add tariff.tou_path for time_of_use)")
+        if baseline is not None and baseline not in ids:
+            raise ScenarioError(path, section, f"unknown baseline {baseline!r}")
     return specs

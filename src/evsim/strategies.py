@@ -18,6 +18,9 @@ to date as requests arrive and leave:
   granted records in vehicle-id order, a list the caller may change. The
   (id, grant) pairs equal the function called on the current requests in
   vehicle-id order.
+
+Each class also carries what the engine must know of its strategy (see
+``Dispatcher``), so ``DISPATCHERS`` is the one table of strategies.
 """
 
 from __future__ import annotations
@@ -30,18 +33,6 @@ from operator import attrgetter
 from .timebase import Timestamp
 
 CAPACITY_EPS = 1e-9
-
-STRATEGY_NAMES = ("traditional", "round_robin", "fcfs", "equal_charge", "edf")
-
-# Round Robin is interval-based (the 15-minute cycle); the others react
-# every engine tick by default.
-DEFAULT_DECISION_INTERVAL_MIN = {
-    "traditional": 1,
-    "round_robin": 15,
-    "fcfs": 1,
-    "equal_charge": 1,
-    "edf": 1,
-}
 
 
 @dataclass(frozen=True)
@@ -222,9 +213,24 @@ def _admit(ordered, budget: float) -> list:
     return granted
 
 
-class TraditionalDispatcher:
+class Dispatcher:
+    """Base of the dispatcher classes: what the engine must know of a
+    strategy besides its methods. A class sets only what differs from these."""
+
+    # minutes between decision boundaries when the experiment sets none
+    default_interval_min = 1
+    # whether the grants of one call add up to at most its budget
+    within_budget = True
+    # whether a call with the requests and budget of the last one may grant
+    # otherwise or change the dispatcher's state; if not, the engine skips it
+    every_boundary = False
+
+
+class TraditionalDispatcher(Dispatcher):
     """``dispatch_traditional`` kept up to date: the requesters in id order,
     each granted its rate from its arrival on."""
+
+    within_budget = False     # plug in and charge: capacity ignored
 
     def __init__(self):
         self.records: list = []
@@ -240,7 +246,7 @@ class TraditionalDispatcher:
         return self.records.copy()
 
 
-class EdfDispatcher:
+class EdfDispatcher(Dispatcher):
     """``dispatch_edf`` kept up to date: the requests sorted by (departure,
     arrival, id)."""
 
@@ -259,7 +265,7 @@ class EdfDispatcher:
         return _admit((e[3] for e in self.order), budget)
 
 
-class EqualChargeDispatcher:
+class EqualChargeDispatcher(Dispatcher):
     """``dispatch_equal_charge`` kept up to date: the requesters and their rate
     caps in id order, so the caps add in the function's order, and sorted by
     (cap, id) for the water-fill."""
@@ -303,7 +309,7 @@ class EqualChargeDispatcher:
         return self.records.copy()
 
 
-class _Queued:
+class _Queued(Dispatcher):
     """The requesters of a strategy that keeps a queue across calls.
 
     ``dispatch_fcfs`` and ``dispatch_round_robin`` see only the requests
@@ -386,6 +392,9 @@ class RoundRobinDispatcher(_Queued):
     ``streaks`` holds just those: its keys are the last call's grants.
     """
 
+    default_interval_min = 15    # the paper's 15-minute rotation cycle
+    every_boundary = True        # each call advances the charging streaks
+
     def __init__(self):
         super().__init__()
         self.queue: list[int] = []
@@ -415,3 +424,5 @@ DISPATCHERS = {
     "equal_charge": EqualChargeDispatcher,
     "edf": EdfDispatcher,
 }
+
+STRATEGY_NAMES = tuple(DISPATCHERS)

@@ -64,6 +64,8 @@ class TouBand:
     dkk_per_kwh: float
 
 
+TARIFF_MODES = ("fixed", "time_of_use")
+
 # Danish-style season split: April to September is summer
 SUMMER_MONTHS = (4, 5, 6, 7, 8, 9)
 
@@ -72,12 +74,12 @@ SUMMER_MONTHS = (4, 5, 6, 7, 8, 9)
 class DistributionTariff:
     """Distribution grid tariff: a flat rate or hour-of-day (and season) bands."""
 
-    mode: str                               # "fixed" | "time_of_use"
+    mode: str                               # one of TARIFF_MODES
     fixed_dkk_per_kwh: float = 0.0
     bands: list[TouBand] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "time_of_use"):
+        if self.mode not in TARIFF_MODES:
             raise ValueError(f"unknown tariff mode {self.mode!r}")
         if self.mode == "fixed":
             if self.fixed_dkk_per_kwh < 0:

@@ -230,6 +230,10 @@ class TestInputHandling:
         with pytest.raises(ValueError, match="valid"):
             ExperimentSpec(id="x", strategy="fastest_first", span=two_day_span)
 
+    def test_unknown_tariff_mode_rejected(self, two_day_span):
+        with pytest.raises(ValueError, match="unknown tariff mode 'bogus'"):
+            ExperimentSpec(id="x", strategy="edf", span=two_day_span, tariff_mode="bogus")
+
 
 class TestBaseloadIsolation:
     def test_strategies_differ_only_in_charging(self):
@@ -314,6 +318,12 @@ class TestSharedPhysics:
         assert specs[0].tariff_mode == "time_of_use" and len(specs) == 10
         outs = [run_experiment(s, scn.data) for s in specs]
         assert len(count_physics) == 5
+        # a tariff pair shares its pass's lists themselves
+        first_of_pass = {}
+        for s, out in zip(specs, outs):
+            first = first_of_pass.setdefault(s.physics_key, out)
+            assert out.sessions is first.sessions and out.vehicles is first.vehicles
+        assert len(first_of_pass) == 5
         for s, out in zip(specs, outs):
             fresh = build_fleet(s, scn.data, RngStreams(s.seed))
             assert first_difference(out, simulate_ticks(s, scn.data, fresh)) is None, s.id

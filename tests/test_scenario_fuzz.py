@@ -5,7 +5,8 @@ key names one: ``evsim validate`` accepts or rejects each (exit 0 or 1, never
 
 Most values are drawn from their valid range; each key is occasionally given
 a value that load_scenario must reject, each CSV file a row of the wrong
-width, and each timestamp a UTC offset or seconds.
+width, each timestamp a UTC offset or seconds, and each experiment an id that
+names no output directory of its own.
 """
 
 import tempfile
@@ -21,6 +22,7 @@ from evsim.engine import build_fleet, simulate
 from evsim.rng import RngStreams
 from evsim.scenario import load_scenario
 from evsim.strategies import STRATEGY_NAMES
+from evsim.tariffs import TARIFF_MODES
 from evsim.timebase import SimulationSpan, Timestamp
 
 from reference_engine import first_difference, simulate_ticks
@@ -221,10 +223,13 @@ def scenario_files(draw):
     sections.append(("kpi", {"overload_unit": draw(optional(mostly(
         st.sampled_from(["hours", "events", "minutes"]), st.just("days"))))}))
 
-    ids = [f"e{k}" for k in range(draw(st.integers(0, 3)))]
+    ids = [draw(mostly(st.just(f"e{k}"), st.sampled_from(
+        ["", ".", "..", "a/b", "/some/dir", "a\\b", "baseload_hourly.csv"])))
+        for k in range(draw(st.integers(0, 3)))]
     for exp_id in ids:
         spec = {"strategy": draw(mostly(st.sampled_from(STRATEGY_NAMES), st.just("greedy"))),
-                "tariff_mode": draw(optional(st.sampled_from(["fixed", "time_of_use"]))),
+                "tariff_mode": draw(optional(mostly(st.sampled_from(TARIFF_MODES),
+                                                    st.just("flat")))),
                 "decision_interval_min": draw(optional(mostly(
                     st.sampled_from([1, 2, 5, 10, 15, 20, 30, 60]),
                     st.sampled_from([45, 7, -5])))),
