@@ -37,8 +37,9 @@ from operator import attrgetter
 import numpy as np
 
 from . import strategies as strat
-from .fleet import (SOC_EPS, AdoptionCurve, DrivingPattern, EvModel, TripEvent,
-                    Vehicle, apply_trip_energy, sample_adoptions, sample_daily_trips,
+from .columns import Columns
+from .fleet import (SOC_EPS, AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips,
+                    Vehicle, apply_trip_energy, draw_daily_trip, sample_adoptions,
                     validate_catalog)
 from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
                    detect_overloads, hourly_max)
@@ -162,11 +163,12 @@ class ExperimentSpec:
 
 @dataclass
 class VehiclePlan:
-    """One vehicle, when it joins the fleet, and its trips in arrival order."""
+    """One vehicle, when it joins the fleet, and its trips in arrival order:
+    ``Trips`` from ``build_fleet``, or any list of ``TripEvent``."""
 
     vehicle: Vehicle
     adoption: Timestamp
-    trips: list[TripEvent]
+    trips: Trips | list[TripEvent]
 
 
 @dataclass(slots=True)
@@ -175,6 +177,23 @@ class ChargeSession:
     plug_in: Timestamp
     unplug: Timestamp
     delivered_kwh: float
+
+
+class Sessions(Columns):
+    """The charging sessions of a physics pass as vehicle ids, plug-in and
+    unplug minutes and delivered energies, one typed array each; indexing and
+    iteration yield ``ChargeSession``."""
+
+    __slots__ = ()
+    typecodes = "qqqd"
+    values_of = attrgetter("vehicle_id", "plug_in.minutes", "unplug.minutes",
+                           "delivered_kwh")
+
+    @staticmethod
+    def element(vehicle_id: int, plug_in: int, unplug: int,
+                delivered_kwh: float) -> ChargeSession:
+        return ChargeSession(vehicle_id, Timestamp(plug_in), Timestamp(unplug),
+                             delivered_kwh)
 
 
 @dataclass
@@ -202,7 +221,7 @@ class SimulationOutput:
     hourly_max: LoadSeries
     overload_events: list[OverloadEvent]
     reports: list[KpiReport]
-    sessions: list[ChargeSession]
+    sessions: Sessions
     dissatisfactions: list[tuple[Timestamp, int]]
     vehicles: list[VehicleSummary]
     delivered_by_year: dict[int, dict[int, float]]   # year -> vehicle id -> kWh
@@ -230,7 +249,7 @@ class ChargingRecord:
                  "session_start", "delivered_kwh", "trip_drain_kwh", "trips",
                  "next_trip")
 
-    def __init__(self, vehicle: Vehicle, trips: list[TripEvent] = ()):
+    def __init__(self, vehicle: Vehicle, trips: Trips = ()):
         self.vehicle = vehicle
         self.vid = vehicle.id
         self.rate = vehicle.model.max_rate_kw
@@ -269,14 +288,13 @@ def build_fleet(spec: ExperimentSpec, data: ScenarioData,
                           model=ev.model, soc_kwh=ev.model.battery_kwh)
         start = max(ev.at.minutes, span.start.minutes)
         rng = streams.stream(f"trips/{ev.household_id}")
-        trips: list[TripEvent] = []
+        trips = Trips()
         first_day = start // MINUTES_PER_DAY + (1 if start % MINUTES_PER_DAY else 0)
         for day in range(first_day, span.end.minutes // MINUTES_PER_DAY):
-            day_start = Timestamp(day * MINUTES_PER_DAY)
-            for trip in sample_daily_trips(vehicle, day_start, data.driving, rng):
-                if trip.departure.minutes >= start and \
-                        trip.arrival.minutes < span.end.minutes:
-                    trips.append(trip)
+            trip = draw_daily_trip(vehicle, Timestamp(day * MINUTES_PER_DAY),
+                                   data.driving, rng)
+            if trip is not None and trip[0] >= start and trip[1] < span.end.minutes:
+                trips.add(*trip)
         plans.append(VehiclePlan(vehicle, Timestamp(start), trips))
     return plans
 
@@ -312,12 +330,12 @@ def _event_keys(plans: list[VehiclePlan], n_ids: int) -> array:
         if vid < 0:
             raise ValueError(f"vehicle id {vid} is negative")
         keys.append((p.adoption.minutes * _KINDS + _ADOPT) * n_ids + vid)
-        arrivals = [trip.arrival.minutes for trip in p.trips]
-        if arrivals != sorted(arrivals):     # _Run.apply_events takes them in turn
+        departures, arrivals, _ = Trips.of(p.trips).columns
+        if list(arrivals) != sorted(arrivals):   # _Run.apply_events takes them in turn
             raise ValueError(f"vehicle {vid}: trips not in arrival order")
-        for trip in p.trips:
-            keys.append((trip.departure.minutes * _KINDS + _DEPART) * n_ids + vid)
-            keys.append((trip.arrival.minutes * _KINDS + _ARRIVE) * n_ids + vid)
+        for departure, arrival in zip(departures, arrivals):
+            keys.append((departure * _KINDS + _DEPART) * n_ids + vid)
+            keys.append((arrival * _KINDS + _ARRIVE) * n_ids + vid)
     return array("q", np.sort(np.frombuffer(keys, dtype=np.int64)).tobytes())
 
 
@@ -340,11 +358,17 @@ class _Run:
         self.end = span.end.minutes
         self.check_invariants = check_invariants
 
+        # trips given as a list are converted to columns once, here
+        plans = [replace(p, trips=Trips.of(p.trips)) for p in plans]
         # the run changes copies of the vehicles, so the plans stay as they
         # were; built anew, as copy.copy's instances take about 20% longer on
         # the charging loop's attribute accesses
-        self.records: dict[int, ChargingRecord] = {
-            p.vehicle.id: ChargingRecord(replace(p.vehicle), p.trips) for p in plans}
+        self.records: dict[int, ChargingRecord] = {}
+        for p in plans:
+            vid = p.vehicle.id
+            if vid in self.records:
+                raise ValueError(f"vehicle id {vid} is in more than one plan")
+            self.records[vid] = ChargingRecord(replace(p.vehicle), p.trips)
         self.n_ids = max(self.records, default=0) + 1
         self.events = _event_keys(plans, self.n_ids)
         self.ev_ptr = 0
@@ -366,7 +390,7 @@ class _Run:
         self.booked: list[tuple[int, int, int]] = []
         self.booked_vids = array("q")
         self.booked_kwh = array("d")
-        self.sessions: list[ChargeSession] = []
+        self.sessions = Sessions()
         self.dissatisfactions: list[tuple[Timestamp, int]] = []
 
     def apply_events(self, m: int) -> None:
@@ -384,8 +408,7 @@ class _Run:
                 if r.session_start is not None:
                     if not v.satisfied:
                         self.dissatisfactions.append((Timestamp(m), vid))
-                    self.sessions.append(ChargeSession(
-                        vid, Timestamp(r.session_start), Timestamp(m), r.session_kwh))
+                    self.sessions.add(vid, r.session_start, m, r.session_kwh)
                     r.session_start = None
                 if vid in self.requests:
                     self._ungrant(r)
@@ -405,8 +428,9 @@ class _Run:
             r.session_start = m
             r.session_kwh = 0.0
             if not v.satisfied:
-                departure = r.trips[r.next_trip].departure.minutes \
-                    if r.next_trip < len(r.trips) else self.end
+                departures = r.trips.columns[0]
+                departure = departures[r.next_trip] \
+                    if r.next_trip < len(departures) else self.end
                 self.requests.add(vid)
                 self.dispatcher.arrive(r, arrival, departure)
                 self.inputs_changed = True
@@ -561,9 +585,7 @@ class _Run:
         for vid in sorted(self.records):
             r = self.records[vid]
             if r.session_start is not None:
-                self.sessions.append(ChargeSession(vid, Timestamp(r.session_start),
-                                                   Timestamp(end_minute),
-                                                   r.session_kwh))
+                self.sessions.add(vid, r.session_start, end_minute, r.session_kwh)
 
 
 @dataclass
@@ -573,7 +595,7 @@ class _Physics:
     fleet: list[VehiclePlan]       # the plans it ran, kept alive with it
     load: LoadSeries
     hourly_max: LoadSeries
-    sessions: list[ChargeSession]
+    sessions: Sessions
     dissatisfactions: list[tuple[Timestamp, int]]
     vehicles: list[VehicleSummary]
     delivered_by_year: dict[int, dict[int, float]]

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
+from .columns import Columns
 from .timebase import MINUTES_PER_DAY, Timestamp, year_start_minutes
 
 log = logging.getLogger(__name__)
@@ -69,6 +71,19 @@ class TripEvent:
     departure: Timestamp
     arrival: Timestamp
     energy_kwh: float
+
+
+class Trips(Columns):
+    """A plan's trips as departure and arrival minutes and energies, one
+    typed array each; indexing and iteration yield ``TripEvent``."""
+
+    __slots__ = ()
+    typecodes = "qqd"
+    values_of = attrgetter("departure.minutes", "arrival.minutes", "energy_kwh")
+
+    @staticmethod
+    def element(departure: int, arrival: int, energy_kwh: float) -> TripEvent:
+        return TripEvent(Timestamp(departure), Timestamp(arrival), energy_kwh)
 
 
 @dataclass(frozen=True)
@@ -185,13 +200,14 @@ def sample_adoptions(curve: AdoptionCurve, household_ids: list[int],
     return events
 
 
-def sample_daily_trips(v: Vehicle, day_start: Timestamp, pattern: DrivingPattern,
-                       rng: np.random.Generator) -> list[TripEvent]:
-    """Zero or one home-away-home trip for the given calendar day."""
+def draw_daily_trip(v: Vehicle, day_start: Timestamp, pattern: DrivingPattern,
+                    rng: np.random.Generator) -> tuple[int, int, float] | None:
+    """The draws of one calendar day: None, or one home-away-home trip as its
+    departure minute, arrival minute and energy."""
     weekend = day_start.weekday >= 5
     prob = pattern.weekend_trip_prob if weekend else pattern.weekday_trip_prob
     if rng.random() >= prob:
-        return []
+        return None
 
     dep = int(round(rng.normal(pattern.departure_mean_min, pattern.departure_std_min)))
     dep = min(max(dep, 0), MINUTES_PER_DAY - 2)
@@ -212,7 +228,14 @@ def sample_daily_trips(v: Vehicle, day_start: Timestamp, pattern: DrivingPattern
         energy = 0.9 * v.model.battery_kwh
 
     base = day_start.minutes
-    return [TripEvent(Timestamp(base + dep), Timestamp(base + arr), energy)]
+    return base + dep, base + arr, energy
+
+
+def sample_daily_trips(v: Vehicle, day_start: Timestamp, pattern: DrivingPattern,
+                       rng: np.random.Generator) -> list[TripEvent]:
+    """Zero or one home-away-home trip for the given calendar day."""
+    trip = draw_daily_trip(v, day_start, pattern, rng)
+    return [] if trip is None else [Trips.element(*trip)]
 
 
 def apply_trip_energy(v: Vehicle, trip: TripEvent) -> None:

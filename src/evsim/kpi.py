@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -42,10 +43,13 @@ def round_half_away(x: float, decimals: int = 2) -> float:
 
 def pct_difference(value: float, baseline: float) -> float | None:
     """(value - baseline) / baseline in percent, 2 decimals; for a zero
-    baseline, 0.0 when the value is zero too, else None."""
+    baseline, 0.0 when the value is zero too, else None. None as well when
+    the percentage is not a finite number: a value or baseline that is
+    infinite or NaN, or a quotient that overflows."""
     if baseline == 0:
         return 0.0 if value == 0 else None
-    return round_half_away((value - baseline) / baseline * 100.0, 2)
+    pct = (value - baseline) / baseline * 100.0
+    return round_half_away(pct, 2) if math.isfinite(pct) else None
 
 
 def load_factor(values) -> float:

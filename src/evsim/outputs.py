@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ExperimentSpec, SimulationOutput
+from .engine import ExperimentSpec, Sessions, SimulationOutput
 from .grid import LoadSeries
 from .kpi import ComparisonRow, KpiReport, compare_reports
 from .svgplot import bar_chart_svg, day_zoom_svg, load_profile_svg
@@ -118,12 +118,13 @@ def write_overloads_csv(path: Path, out: SimulationOutput) -> None:
 
 
 def write_sessions_csv(path: Path, out: SimulationOutput) -> None:
-    _write_records(path, ["vehicle_id", "plug_in_iso8601", "unplug_iso8601",
-                          "delivered_kwh"],
-                   "%d,%s,%s,%.6f\r\n", out.sessions,
-                   attrgetter("vehicle_id", "plug_in.minutes", "unplug.minutes",
-                              "delivered_kwh"),
-                   stamped=(1, 2))
+    vids, plug_ins, unplugs, kwhs = Sessions.of(out.sessions).columns
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["vehicle_id", "plug_in_iso8601", "unplug_iso8601",
+                                 "delivered_kwh"])
+        _write_rows(fh, "%d,%s,%s,%.6f\r\n", len(vids), lambda lo, hi: (
+            vids[lo:hi], _stamps(plug_ins[lo:hi]), _stamps(unplugs[lo:hi]),
+            kwhs[lo:hi]))
 
 
 def write_dissatisfactions_csv(path: Path, out: SimulationOutput) -> None:

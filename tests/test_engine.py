@@ -226,6 +226,14 @@ class TestInputHandling:
         with pytest.raises(ValueError, match=match):
             simulate(spec_for(span, "edf"), data, [plan(vid, LEAF, 0.0, span.start, trips)])
 
+    def test_repeated_vehicle_id_rejected(self, two_day_span):
+        span = two_day_span
+        data = flat_data(span, n_households=1, base_kw=0.0)
+        trips = [TripEvent(minute(span, 8 * 60), minute(span, 16 * 60), 5.0)]
+        plans = [plan(1, LEAF, 0.0, span.start, trips), plan(1, FAST, 0.0, span.start, [])]
+        with pytest.raises(ValueError, match="vehicle id 1 is in more than one plan"):
+            simulate(spec_for(span, "edf"), data, plans)
+
     def test_unknown_strategy_rejected(self, two_day_span):
         with pytest.raises(ValueError, match="valid"):
             ExperimentSpec(id="x", strategy="fastest_first", span=two_day_span)
@@ -424,6 +432,23 @@ class TestSharedPhysics:
         assert hash(pickle.loads(pickle.dumps(trip))) == hash(trip)
         assert trad.load == pickle.loads(pickle.dumps(trad.load))
         assert trad != edf and trad.load != edf.load
+
+    def test_output_holds_no_trip_or_session_objects(self):
+        # the fleet an output keeps alive holds its trips, and the physics
+        # pass its sessions, as numbers: records are built only on demand
+        span = make_span("2036-01-01T00:00", "2036-01-08T00:00")
+        data = flat_data(span, n_households=6, capacity=20.0,
+                         curve=AdoptionCurve([(2035, 6)]))
+
+        def records_alive():
+            gc.collect()
+            return sum(isinstance(o, (TripEvent, engine.ChargeSession))
+                       for o in gc.get_objects())
+        before = records_alive()
+        out = run_experiment(spec_for(span, "edf", seed=3), data)
+        assert len(out.sessions) > 0
+        assert sum(len(p.trips) for p in data._fleets[(3, span)]) > 0
+        assert records_alive() == before
 
     def test_trip_clamp_warned_once_per_run(self, caplog):
         # seed 1 draws exactly one trip above the 10 kWh battery

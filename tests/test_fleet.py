@@ -3,8 +3,8 @@ import pytest
 from scipy import stats
 
 from evsim import strategies
-from evsim.engine import ExperimentSpec, VehiclePlan, simulate
-from evsim.fleet import (AdoptionCurve, DrivingPattern, EvModel, TripEvent,
+from evsim.engine import ExperimentSpec, VehiclePlan, build_fleet, simulate
+from evsim.fleet import (AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips,
                          Vehicle, apply_trip_energy, sample_adoptions,
                          sample_daily_trips, validate_catalog)
 from evsim.rng import RngStreams
@@ -193,6 +193,25 @@ class TestDailyTrips:
         day = Timestamp.from_iso("2036-01-07T00:00")
         trips = sample_daily_trips(v, day, pattern, rng)
         assert trips[0].energy_kwh == pytest.approx(0.9 * LEAF.battery_kwh)
+
+    def test_build_fleet_draws_each_day_as_sample_daily_trips(self):
+        # a span starting at noon, and adoptions inside it: the trips of the
+        # days before a vehicle joins are drawn and dropped
+        span = make_span("2036-01-01T12:00", "2037-01-01T00:00")
+        data = flat_data(span, n_households=8,
+                         curve=AdoptionCurve([(2035, 3), (2036, 8)]))
+        spec = ExperimentSpec(id="t", strategy="edf", span=span, seed=4)
+        plans = build_fleet(spec, data, RngStreams(spec.seed))
+        assert any(p.adoption.minutes > span.start.minutes for p in plans)
+        for p in plans:
+            rng = RngStreams(spec.seed).stream(f"trips/{p.vehicle.id}")
+            start, end = p.adoption.minutes, span.end.minutes
+            want = [trip for day in range(-(-start // 1440), end // 1440)
+                    for trip in sample_daily_trips(p.vehicle, Timestamp(day * 1440),
+                                                   data.driving, rng)
+                    if trip.departure.minutes >= start and trip.arrival.minutes < end]
+            assert isinstance(p.trips, Trips) and p.trips == want
+        assert sum(len(p.trips) for p in plans) > 100
 
 
 def test_vehicle_invariants():

@@ -111,6 +111,13 @@ class TestPctDifference:
         assert pct_difference(5.0, 0.0) is None
         assert pct_difference(0.0, 0.0) == 0.0
 
+    def test_non_finite_not_applicable(self):
+        inf, nan = float("inf"), float("nan")
+        for value, baseline in [(inf, 1.0), (-inf, 2.0), (nan, 1.0), (inf, 0.0),
+                                (nan, 0.0), (1.0, inf), (1.0, -inf), (1.0, nan),
+                                (inf, inf), (1e308, 1e-10)]:
+            assert pct_difference(value, baseline) is None, (value, baseline)
+
     def test_half_away_from_zero(self):
         assert round_half_away(0.005, 2) == 0.01
         assert round_half_away(-0.005, 2) == -0.01

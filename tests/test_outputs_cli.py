@@ -334,6 +334,23 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "load_factor,0.2520,0.2048,23.05" in out
 
+    @pytest.mark.parametrize("value, baseline, row", [
+        (float("inf"), 0.2048, "2036,load_factor,inf,0.2048,na"),
+        (0.252, float("inf"), "2036,load_factor,0.2520,inf,na")])
+    def test_non_finite_kpi_compares_as_na(self, tmp_path, capsys, value, baseline,
+                                           row):
+        from evsim.kpi import KpiReport
+
+        def rep(lf):
+            return KpiReport(2036, 0, 1.0, 100.0, 10.0, 0, lf, 1000.0)
+
+        write_kpi_csv(tmp_path / "a.csv", "a", [rep(value)])
+        write_kpi_csv(tmp_path / "b.csv", "b", [rep(baseline)])
+        assert main(["compare", str(tmp_path / "a.csv"),
+                     str(tmp_path / "b.csv")]) == 0
+        out = capsys.readouterr().out
+        assert row in out.splitlines() and "nan" not in out
+
     def test_non_kpi_file_exit_2(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("foo,bar\n1,2\n")
