@@ -125,7 +125,7 @@ def cmd_run(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     baseload = scn.data.baseload
     outputs.write_load_csv(out_root / "baseload_hourly.csv",
-                           LoadSeries(baseload.start, 60, baseload.matrix.sum(axis=0)))
+                           LoadSeries(baseload.start, 60, baseload.hourly_total()))
     # by physics key: the directory the pass's physics files were written to
     # first; experiments with one key have the same physics, byte for byte
     physics_dirs: dict[tuple, Path] = {}

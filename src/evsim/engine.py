@@ -32,14 +32,15 @@ import weakref
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 
 import numpy as np
 
 from . import strategies as strat
 from .columns import Columns
 from .fleet import (SOC_EPS, AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips,
-                    Vehicle, apply_trip_energy, draw_daily_trip, sample_adoptions,
+                    Vehicle, draw_daily_trip, drain_trip, sample_adoptions,
                     validate_catalog)
 from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
                    detect_overloads, hourly_max)
@@ -50,26 +51,111 @@ from .tariffs import (TARIFF_MODES, Co2IntensitySeries, DistributionTariff,
 from .timebase import MINUTES_PER_DAY, SimulationSpan, Timestamp
 
 
+# hours per block in which whole-baseload readers (equality, the hourly total,
+# the CSV writer) take it: a leap year's, so a block of 126 households is 8.8 MB
+_BLOCK_HOURS = 366 * 24
+
+
 @dataclass(frozen=True)
 class HouseholdBaseload:
-    """Hourly per-household consumption, kW (== kWh per hour)."""
+    """Hourly per-household consumption, kW (== kWh per hour), from ``start``.
+
+    Held as a (households, hours) ``matrix``, or as factors: each household's
+    ``daily`` kWh, (households, days), times the 24 diurnal ``weights``, so
+    that hour k of day d is ``daily[:, d] * weights[k]``. The factors of a
+    long span take households x days + 24 floats, where the matrix takes
+    households x hours; ``block`` builds the hours asked for. Two baseloads
+    are equal when they hold the same start, households and hourly values,
+    whatever their forms.
+    """
 
     start: Timestamp
     household_ids: tuple[int, ...]
-    matrix: np.ndarray            # shape (households, hours)
+    matrix: np.ndarray | None = None      # shape (households, hours)
+    daily: np.ndarray | None = None       # shape (households, days)
+    weights: np.ndarray | None = None     # shape (24,)
 
     def __post_init__(self):
         object.__setattr__(self, "household_ids", tuple(self.household_ids))
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
+        given = tuple(a is not None for a in (self.matrix, self.daily, self.weights))
+        if given not in ((True, False, False), (False, True, True)):
+            raise ValueError("baseload needs a matrix, or daily factors and weights")
+        for name in ("matrix", "daily", "weights"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.start.minutes % 60 != 0:
             raise ValueError("baseload must start on an hour boundary")
-        if self.matrix.shape[0] != len(self.household_ids):
+        if self.matrix is not None:
+            rows, negative = self.matrix.shape[0], (self.matrix < 0).any()
+        else:
+            if self.daily.ndim != 2 or self.weights.shape != (24,):
+                raise ValueError("baseload factors must be (households, days) and 24 weights")
+            rows, negative = len(self.daily), self._negative_product()
+        if rows != len(self.household_ids):
             raise ValueError("baseload rows must match household count")
-        if (self.matrix < 0).any():
+        if negative:
             raise ValueError("baseload must be non-negative")
 
+    def _negative_product(self) -> bool:
+        """Whether some value ``daily * weight`` is below 0, without building
+        them: a product is negative when its factors have opposite signs and
+        it does not round to -0.0. Of a row's such products, the one of
+        largest magnitude is its largest daily value times the smallest
+        weight, or its smallest daily value times the largest weight; rounding
+        keeps that order, so those two decide. fmax and fmin skip NaN, whose
+        products are not negative."""
+        if self.daily.size == 0:
+            return False
+        daily, weights = self.daily, self.weights
+        with np.errstate(all="ignore"):       # inf * 0 is NaN, not negative
+            return bool((np.fmax.reduce(daily, axis=1) * np.fmin.reduce(weights) < 0).any()
+                        or (np.fmin.reduce(daily, axis=1) * np.fmax.reduce(weights) < 0).any())
+
+    @property
+    def n_hours(self) -> int:
+        return self.matrix.shape[1] if self.matrix is not None else 24 * self.daily.shape[1]
+
+    def block(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The (households, hi - lo) loads of hours [lo, hi) counted from
+        ``start``, all of them by default. From the factors, each value is one
+        multiply, as ``np.outer`` takes, of the days the hours lie in."""
+        hi = self.n_hours if hi is None else hi
+        if self.matrix is not None:
+            return self.matrix[:, lo:hi]
+        d0, d1 = lo // 24, -(-hi // 24)
+        days = self.daily[:, d0:d1, None] * self.weights
+        return days.reshape(len(days), 24 * (d1 - d0))[:, lo - 24 * d0:hi - 24 * d0]
+
+    def blocks(self):
+        """``block(lo, hi)`` of each run of up to ``_BLOCK_HOURS`` hours, in turn."""
+        for lo in range(0, self.n_hours, _BLOCK_HOURS):
+            yield self.block(lo, min(lo + _BLOCK_HOURS, self.n_hours))
+
     def slice_hours(self, span: SimulationSpan) -> np.ndarray:
-        return self.matrix[:, hours_covering(self.start, self.matrix.shape[1], span)]
+        """The (households, hours) loads of the span (must be covered)."""
+        hours = hours_covering(self.start, self.n_hours, span)
+        return self.block(hours.start, hours.stop)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HouseholdBaseload):
+            return NotImplemented
+        return self.start == other.start and self.household_ids == other.household_ids \
+            and self.n_hours == other.n_hours \
+            and all(map(np.array_equal, self.blocks(), other.blocks()))
+
+    def hourly_total(self) -> np.ndarray:
+        """The households' summed load in each hour, block by block."""
+        return np.concatenate([_hour_sums(b, self.n_hours) for b in self.blocks()])
+
+
+def _hour_sums(block: np.ndarray, n_hours: int) -> np.ndarray:
+    """The column sums of ``block``, cut from a baseload of ``n_hours``
+    hours, as numpy sums the columns of the whole: row by row in order. numpy
+    sums a single column pairwise, so a one-hour block of a longer baseload
+    is summed here in row order."""
+    if block.shape[1] == 1 < n_hours and len(block):
+        return reduce(add, block)
+    return block.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -104,7 +190,9 @@ class ScenarioData:
         object.__setattr__(self, "household_ids", tuple(self.household_ids))
         object.__setattr__(self, "catalog", tuple(self.catalog))
         # here, as __setstate__ runs it again on copies, whose arrays are writeable
-        self.baseload.matrix.flags.writeable = False
+        for a in (self.baseload.matrix, self.baseload.daily, self.baseload.weights):
+            if a is not None:
+                a.flags.writeable = False
         validate_catalog(self.catalog)
         if self.adoption_curve.final_value > len(self.household_ids):
             raise ValueError("adoption curve exceeds household count")
@@ -419,12 +507,13 @@ class _Run:
             if kind == _ADOPT:
                 arrival = m
             else:
-                trip = r.trips[r.next_trip]
-                r.next_trip += 1
+                _, arrivals, energies = r.trips.columns
+                k = r.next_trip
+                r.next_trip = k + 1
                 soc_before = v.soc_kwh
-                apply_trip_energy(v, trip)
+                drain_trip(v, energies[k])
                 r.trip_drain_kwh += soc_before - v.soc_kwh
-                arrival = trip.arrival.minutes
+                arrival = arrivals[k]
             r.session_start = m
             r.session_kwh = 0.0
             if not v.satisfied:
@@ -624,21 +713,31 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
         raise ValueError(f"scenario has no {spec.tariff_mode!r} tariff")
 
     # hourly context arrays over the span
-    base_matrix = data.baseload.slice_hours(span)        # (households, hours)
+    first_hour = hours_covering(data.baseload.start, data.baseload.n_hours, span).start
     spot_h = data.spot.slice_hours(span)
     co2_h = data.co2.slice_hours(span)
     tariff_h = tariff.hourly_rates(span)
+    price_h = spot_h + tariff_h + data.addons_dkk_per_kwh
+
+    # the baseload one year's block at a time, before the charging pass
+    # allocates its load array; each block is dropped before the next is built
+    base_totals, bills = [], {}
+    for y, y0, y1 in span.year_bounds():
+        h0, h1 = (y0 - span.start.minutes) // 60, (y1 - span.start.minutes) // 60
+        block = data.baseload.block(first_hour + h0, first_hour + h1)
+        base_totals.append(_hour_sums(block, span.n_hours))
+        bills[y] = [block @ rates[h0:h1] for rates in (price_h, tariff_h, co2_h)]
+        del block
 
     key = (spec.physics_key, check_invariants)
     shared = plans is data._fleets.get((spec.seed, span))
     physics = data._physics.get(key) if shared else None
     if physics is None:
-        physics = _charge(spec, data.transformer, base_matrix.sum(axis=0), plans,
+        physics = _charge(spec, data.transformer, np.concatenate(base_totals), plans,
                           check_invariants)
         if shared:
             data._physics[key] = physics
-    return _price(spec, data, physics, base_matrix,
-                  spot_h + tariff_h + data.addons_dkk_per_kwh, tariff_h, co2_h)
+    return _price(spec, data, physics, bills, price_h, tariff_h, co2_h)
 
 
 def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
@@ -696,10 +795,12 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
 
 
 def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
-           base_matrix: np.ndarray, price_h: np.ndarray, tariff_h: np.ndarray,
+           bills: dict[int, list[np.ndarray]], price_h: np.ndarray, tariff_h: np.ndarray,
            co2_h: np.ndarray) -> SimulationOutput:
     """The pricing pass: each year's ledger (charging and baseload bills, CO2,
-    DSO revenue, dissatisfactions, overloads) and its KPI report."""
+    DSO revenue, dissatisfactions, overloads) and its KPI report. ``bills``
+    holds each year's baseload cost, tariff and CO2 per household, in the
+    order of ``data.household_ids``."""
     span = spec.span
     tr = data.transformer
     # a year's charged kWh per vehicle is its delivered energy: the same adds
@@ -741,13 +842,7 @@ def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
         h1 = (y1 - span.start.minutes) // 60
         led.hourly_max_load = physics.hourly_max.values[h0:h1]
 
-        prices = price_h[h0:h1]
-        tarfs = tariff_h[h0:h1]
-        co2s = co2_h[h0:h1]
-        block = base_matrix[:, h0:h1]
-        cost = block @ prices
-        tar = block @ tarfs
-        co2 = block @ co2s
+        cost, tar, co2 = bills[y]
         for row, hid in enumerate(hh_ids):
             led.baseload_cost[hid] = float(cost[row])
             led.baseload_tariff[hid] = float(tar[row])

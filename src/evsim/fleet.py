@@ -238,13 +238,18 @@ def sample_daily_trips(v: Vehicle, day_start: Timestamp, pattern: DrivingPattern
     return [] if trip is None else [Trips.element(*trip)]
 
 
-def apply_trip_energy(v: Vehicle, trip: TripEvent) -> None:
-    """Book a completed trip: drain SoC (floored at 0) and plug in at home."""
-    new_soc = v.soc_kwh - trip.energy_kwh
+def drain_trip(v: Vehicle, energy_kwh: float) -> None:
+    """Take a completed trip's energy from v's state of charge, floored at 0."""
+    new_soc = v.soc_kwh - energy_kwh
     if new_soc < 0:
         log.warning("vehicle %d ran out of charge on trip (soc %.2f, trip %.2f)",
-                    v.id, v.soc_kwh, trip.energy_kwh)
+                    v.id, v.soc_kwh, energy_kwh)
         new_soc = 0.0
     v.soc_kwh = new_soc
+
+
+def apply_trip_energy(v: Vehicle, trip: TripEvent) -> None:
+    """Book a completed trip: drain SoC (floored at 0) and plug in at home."""
+    drain_trip(v, trip.energy_kwh)
     v.plugged = True
     v.arrival = trip.arrival

@@ -134,15 +134,16 @@ def write_dissatisfactions_csv(path: Path, out: SimulationOutput) -> None:
 
 
 def write_baseload_csv(path: Path, baseload) -> None:
-    """Long-form per-household hourly baseload, matching the ingestion schema."""
+    """Long-form per-household hourly baseload, matching the ingestion schema;
+    read one block of hours at a time."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp_iso8601", "household_id", "load_kw"])
-        n_hours = baseload.matrix.shape[1]
-        for h in range(n_hours):
+        hours = chain.from_iterable(block.T.tolist() for block in baseload.blocks())
+        for h, loads in enumerate(hours):
             ts = Timestamp(baseload.start.minutes + 60 * h).isoformat()
-            for row, hid in enumerate(baseload.household_ids):
-                w.writerow([ts, hid, f"{baseload.matrix[row, h]:.6f}"])
+            for hid, kw in zip(baseload.household_ids, loads):
+                w.writerow([ts, hid, f"{kw:.6f}"])
 
 
 def write_manifest(path: Path, scenario_hash: str, spec: ExperimentSpec) -> None:

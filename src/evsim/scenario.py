@@ -26,7 +26,7 @@ from .strategies import STRATEGY_NAMES
 from .synth import (SyntheticBaseloadSpec, SyntheticCo2Spec, SyntheticPriceSpec,
                     generate_baseload, generate_co2, generate_spot)
 from .tariffs import (Co2IntensitySeries, DistributionTariff, SpotPriceSeries,
-                      TouBand)
+                      TouBand, hours_covering)
 from .timebase import SimulationSpan, Timestamp
 
 DEFAULT_CATALOG_FILE = Path(__file__).parent / "data" / "default_catalog.csv"
@@ -260,7 +260,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
 
     def dataset(section: str, read, generate):
         """The section's hourly dataset, from its CSV file or generated from its
-        synthetic spec; it must cover the span, which the engine slices."""
+        synthetic spec; it must cover the span, which the engine reads."""
         src = _get(cfg, section, "source", sp, str, default="synthetic").strip()
         has_path = cfg.has_option(section, "path")
         if src == "csv" and not has_path:
@@ -275,7 +275,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
                 series = read(_resolve(path, cfg.get(section, "path")))
             else:
                 series = generate(_section(cfg, section, sp, *_SYNTHETIC[section]))
-            series.slice_hours(span)
+            hours_covering(series.start, series.n_hours, span)
         return series
 
     baseload = dataset("baseload", lambda p: read_baseload_csv(p, household_ids),

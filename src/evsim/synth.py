@@ -36,7 +36,8 @@ def _diurnal_weights(morning: float, evening: float) -> np.ndarray:
 
 def generate_baseload(spec: SyntheticBaseloadSpec, household_ids: list[int],
                       span: SimulationSpan, streams: RngStreams) -> HouseholdBaseload:
-    """Per-household hourly load, deterministic per (seed, household id)."""
+    """Per-household hourly load, deterministic per (seed, household id): each
+    household's daily kWh times one diurnal shape, kept as those factors."""
     if span.start.minutes % (24 * 60) or span.end.minutes % (24 * 60):
         raise ValueError("synthetic baseload needs a whole-day span")
     n_days = span.n_days
@@ -46,14 +47,13 @@ def generate_baseload(spec: SyntheticBaseloadSpec, household_ids: list[int],
     weekend = np.array([((first_wd + d) % 7) >= 5 for d in range(n_days)])
     day_factor = np.where(weekend, spec.weekend_factor, 1.0)
 
-    matrix = np.empty((len(household_ids), n_days * 24))
+    daily = np.empty((len(household_ids), n_days))
     for row, hid in enumerate(household_ids):
         rng = streams.stream(f"baseload/{hid}")
         noise = np.maximum(0.0, 1.0 + rng.normal(0.0, spec.noise_std, size=n_days)) \
             if spec.noise_std > 0 else np.ones(n_days)
-        daily = spec.mean_daily_kwh * day_factor * noise
-        matrix[row] = np.outer(daily, weights).ravel()
-    return HouseholdBaseload(span.start, list(household_ids), matrix)
+        daily[row] = spec.mean_daily_kwh * day_factor * noise
+    return HouseholdBaseload(span.start, list(household_ids), daily=daily, weights=weights)
 
 
 @dataclass

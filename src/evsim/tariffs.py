@@ -38,9 +38,18 @@ class HourlySeries:
         if not np.isfinite(self.values).all():
             raise ValueError("series contains non-finite values")
 
+    @property
+    def n_hours(self) -> int:
+        return len(self.values)
+
     def slice_hours(self, span: SimulationSpan) -> np.ndarray:
         """Hourly values over the span (must be covered)."""
-        return self.values[hours_covering(self.start, len(self.values), span)]
+        return self.values[hours_covering(self.start, self.n_hours, span)]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.start == other.start and np.array_equal(self.values, other.values)
 
 
 class SpotPriceSeries(HourlySeries):

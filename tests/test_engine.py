@@ -10,18 +10,21 @@ import numpy as np
 import pytest
 
 from evsim import engine
-from evsim.engine import (ExperimentSpec, VehiclePlan, build_fleet, run_experiment,
-                          simulate)
+from evsim.engine import (ExperimentSpec, HouseholdBaseload, VehiclePlan, build_fleet,
+                          run_experiment, simulate)
 from evsim.fleet import AdoptionCurve, DrivingPattern, EvModel, TripEvent, Vehicle
 from evsim.rng import RngStreams
 from evsim.scenario import load_scenario
-from evsim.tariffs import CoverageError
+from evsim.synth import (SyntheticBaseloadSpec, SyntheticPriceSpec, generate_baseload,
+                         generate_spot)
+from evsim.tariffs import CoverageError, SpotPriceSeries
 from evsim.timebase import Timestamp
 
 from conftest import FAST, LEAF, flat_data, make_span
 from reference_engine import first_difference, simulate_ticks
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "perfbench" / "scenarios"
 
 
 def spec_for(span, strategy="round_robin", **kw):
@@ -251,7 +254,7 @@ class TestBaseloadIsolation:
         a = run_experiment(spec_for(span, "traditional", seed=4), data)
         b = run_experiment(spec_for(span, "round_robin", seed=4), data)
         # load energy = household baseload + delivered charging, in both runs
-        base_kwh = data.baseload.matrix.sum()
+        base_kwh = data.baseload.block().sum()
         for out in (a, b):
             delivered = sum(v.delivered_kwh for v in out.vehicles)
             assert out.load.values.sum() / 60 == pytest.approx(base_kwh + delivered)
@@ -384,6 +387,17 @@ class TestSharedPhysics:
             with pytest.raises(ValueError, match="read-only"):
                 d.baseload.matrix[0, 0] = 1.0
 
+    def test_factor_inputs_cannot_change_in_place(self):
+        span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
+        data = replace(flat_data(span, n_households=4, curve=AdoptionCurve([(2035, 4)])),
+                       baseload=generate_baseload(SyntheticBaseloadSpec(), [1, 2, 3, 4],
+                                                  span, RngStreams(2)))
+        for d in (data, pickle.loads(pickle.dumps(data)), copy.deepcopy(data)):
+            assert d.baseload.matrix is None and d.baseload == data.baseload
+            for factor in (d.baseload.daily, d.baseload.weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    factor[0] = 1.0
+
     def test_replaced_data_builds_its_own_fleet(self):
         span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
         data = flat_data(span, n_households=4, curve=AdoptionCurve([(2035, 4)]))
@@ -461,3 +475,118 @@ class TestSharedPhysics:
                     for name in ("traditional", "fcfs", "edf")]
         clamped = [r for r in caplog.records if "clamped" in r.getMessage()]
         assert len(outs) == 3 and len(clamped) == 1
+
+
+def synthetic_data(span, n_households=10, capacity=30.0):
+    """Scenario data whose baseload and spot price vary from hour to hour: the
+    synthetic ones of ``span``, the baseload held as daily factors."""
+    ids = list(range(1, n_households + 1))
+    streams = RngStreams(3)
+    return replace(flat_data(span, n_households=n_households, capacity=capacity,
+                             curve=AdoptionCurve([(span.start.year - 1, n_households)])),
+                   baseload=generate_baseload(SyntheticBaseloadSpec(), ids, span, streams),
+                   spot=generate_spot(SyntheticPriceSpec(), span, streams))
+
+
+def as_matrix(data):
+    """``data`` with its baseload's values held as one matrix."""
+    b = data.baseload
+    return replace(data, baseload=HouseholdBaseload(b.start, b.household_ids, b.block()))
+
+
+class TestBaseloadForms:
+    # across the 2027/2028 year boundary and the 2028 leap day
+    SPAN = make_span("2027-12-29T00:00", "2028-03-02T00:00")
+
+    @pytest.mark.parametrize("start, end", [
+        ("2027-12-29T00:00", "2028-03-02T00:00"),
+        # starts and ends inside a day, so each year's block is cut inside one
+        ("2027-12-30T05:00", "2028-03-01T17:00"),
+        # a first year of one hour: a one-column block
+        ("2027-12-31T23:00", "2028-01-01T07:00"),
+    ])
+    @pytest.mark.parametrize("strategy", ["traditional", "edf"])
+    def test_matrix_and_factor_forms_give_equal_outputs(self, start, end, strategy):
+        factors = synthetic_data(self.SPAN)
+        matrix = as_matrix(factors)
+        assert matrix.baseload.matrix is not None and factors.baseload.matrix is None
+        s = spec_for(make_span(start, end), strategy, seed=4)
+        outs = [simulate(s, d, build_fleet(s, d, RngStreams(s.seed))) for d in (factors, matrix)]
+        assert first_difference(*outs) is None
+        assert len(outs[0].reports) == 2 and outs[0].reports[0].avg_total_bill_dkk > 0
+
+    def test_one_hour_year_sums_as_the_whole_span(self):
+        # numpy sums a lone column pairwise: the engine's one-hour block of
+        # the first year must still give the per-tick loop's row-order sums
+        # (for these 16 households, that hour's pairwise sum differs)
+        data = synthetic_data(self.SPAN, n_households=16)
+        s = spec_for(make_span("2027-12-31T23:00", "2028-01-01T07:00"), "edf", seed=4)
+        out = simulate(s, data, build_fleet(s, data, RngStreams(s.seed)))
+        reference = simulate_ticks(s, data, build_fleet(s, data, RngStreams(s.seed)))
+        assert first_difference(out, reference) is None
+
+    def test_forms_of_equal_values_compare_equal(self):
+        factors = synthetic_data(self.SPAN).baseload
+        matrix = as_matrix(synthetic_data(self.SPAN)).baseload
+        assert factors == matrix and matrix == factors and factors == copy.deepcopy(factors)
+        values = factors.block().copy()
+        values[3, 100] = np.nextafter(values[3, 100], np.inf)
+        for other in (HouseholdBaseload(factors.start, factors.household_ids, values),
+                      HouseholdBaseload(Timestamp(factors.start.minutes + 60),
+                                        factors.household_ids, factors.block()),
+                      HouseholdBaseload(factors.start, factors.household_ids,
+                                        factors.block()[:, :-1])):
+            assert factors != other and other != factors
+
+    def test_equality_reads_the_factors_block_by_block(self, monkeypatch):
+        span = make_span("2027-01-01T00:00", "2030-01-01T00:00")
+        baseload = synthetic_data(span, n_households=2).baseload
+        other = copy.deepcopy(baseload)
+        widths = []
+        block = HouseholdBaseload.block
+
+        def recording(self, lo=0, hi=None):
+            out = block(self, lo, hi)
+            widths.append(out.shape[1])
+            return out
+        monkeypatch.setattr(HouseholdBaseload, "block", recording)
+        assert baseload == other
+        assert sum(widths) == 2 * span.n_hours and max(widths) <= 366 * 24
+
+    @pytest.mark.parametrize("daily, weights", [
+        ([[1.0, 2.0]], [0.5] * 24),
+        ([[-1.0, 2.0]], [0.5] * 24),
+        ([[1.0, 2.0]], [-0.5] + [0.5] * 23),
+        ([[-1.0, -2.0]], [-0.5] * 24),
+        ([[0.0, -0.0]], [-0.5] + [0.5] * 23),
+        ([[np.nan, 1.0]], [-0.5] + [0.5] * 23),
+        ([[np.nan, np.nan]], [-0.5] + [0.5] * 23),
+        ([[np.inf, 1.0]], [0.0] * 24),
+        ([[np.inf, 1.0]], [np.nan] + [-0.5] * 23),
+        ([[1e-200, 2e-200], [0.0, 0.0]], [-1e-200] + [0.5] * 23),   # rounds to -0.0
+        ([[1e-160, 2e-160]], [-1e-160] + [0.5] * 23),                 # a denormal below 0
+        ([[1.0], [2.0], [-3.0]], [0.0] * 23 + [1e-300]),
+    ])
+    def test_factors_rejected_exactly_when_their_matrix_would_be(self, daily, weights):
+        def accepted(**form):
+            try:
+                HouseholdBaseload(Timestamp(0), list(range(len(daily))), **form)
+            except ValueError as exc:
+                assert "non-negative" in str(exc)
+                return False
+            return True
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            matrix = np.stack([np.outer(row, weights).ravel() for row in daily])
+        assert accepted(daily=daily, weights=weights) == accepted(matrix=matrix)
+
+
+def test_scenario_data_compares_by_value():
+    scn = load_scenario(ROOT / "demos" / "neighborhood.ini")
+    for other in (copy.deepcopy(scn.data), pickle.loads(pickle.dumps(scn.data))):
+        assert scn.data == other
+    spot = scn.data.spot
+    values = spot.values.copy()
+    values[5] += 0.01
+    assert scn.data != replace(scn.data, spot=SpotPriceSeries(spot.start, values))
+    assert scn.data != replace(scn.data, baseload=HouseholdBaseload(
+        scn.data.baseload.start, scn.data.household_ids, scn.data.baseload.block() * 2))

@@ -97,7 +97,7 @@ def test_invariants_and_reference_equality(scenario):
     # coordinated strategies keep charging within the hour's budget
     if spec.strategy != "traditional":
         tr = data.transformer
-        base = np.repeat(data.baseload.matrix.sum(axis=0), 60 // spec.span.tick_minutes)
+        base = np.repeat(data.baseload.block().sum(axis=0), 60 // spec.span.tick_minutes)
         limit = np.maximum(tr.capacity_kw - tr.buffer_kw, base)
         assert (out.load.values <= limit + 1e-6).all()
 

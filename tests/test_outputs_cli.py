@@ -206,6 +206,12 @@ class TestCliValidate:
          "seed = -1\n", "experiment.x.seed", False),
         ("path = curve.csv\n", "path = curve.csv\n[baseload]\nmean_daily_kwh = nan\n",
          "baseload.mean_daily_kwh", False),
+        # the synthetic baseload's daily factors and diurnal weights, held
+        # apart, still reject any negative product
+        ("path = curve.csv\n", "path = curve.csv\n[baseload]\nmean_daily_kwh = -5\n",
+         "baseload", False),
+        ("path = curve.csv\n", "path = curve.csv\n[baseload]\nmorning_peak_weight = -1\n",
+         "baseload", False),
         ("path = curve.csv\n", "path = curve.csv\n[driving]\ndeparture_std_min = -5\n",
          "driving", False),
         ("path = curve.csv\n", "path = curve.csv\n[driving]\nweekend_trip_prob = 1.5\n",
@@ -224,7 +230,7 @@ class TestCliValidate:
             "tick_not_dividing_60", "buffer_not_below_capacity",
             "start_off_the_hour", "end_off_the_hour", "experiment_start_off_the_hour",
             "negative_seed", "negative_experiment_seed", "non_finite_value",
-            "negative_std", "probability_above_one", "time_of_day_out_of_range",
+            "negative_daily_kwh", "negative_diurnal_weight", "negative_std", "probability_above_one", "time_of_day_out_of_range",
             "minute_above_59", "negative_minute", "id_parent_of_out", "id_out_itself",
             "id_dot", "id_absolute_path", "id_with_backslash", "id_of_the_baseload_file"])
     def test_invalid_value_names_its_section_or_key(self, tmp_path, capsys, old, new,
@@ -316,7 +322,7 @@ class TestGenSynthetic:
         path2.write_text(ini)
         sc1 = load_scenario(scenario_path)
         sc2 = load_scenario(path2)
-        assert np.allclose(sc1.data.baseload.matrix, sc2.data.baseload.matrix)
+        assert np.allclose(sc1.data.baseload.block(), sc2.data.baseload.block())
         assert np.allclose(sc1.data.spot.values, sc2.data.spot.values)
 
 

@@ -54,7 +54,7 @@ class TestLoadScenario:
         assert isinstance(sc, Scenario)
         assert sc.seed == 11
         assert sc.data.transformer.capacity_kw == 400
-        assert sc.data.baseload.matrix.shape == (4, 31 * 24)
+        assert sc.data.baseload.block().shape == (4, 31 * 24)
         assert len(sc.data.spot.values) == 31 * 24
         # default experiment matrix: one per strategy, traditional baseline
         assert [e.id for e in sc.experiments] == \
@@ -78,8 +78,8 @@ class TestLoadScenario:
         sc = load_scenario(write_scenario(tmp_path))
         assert sc.data.driving == DrivingPattern()
         streams = RngStreams(sc.seed)
-        assert np.array_equal(sc.data.baseload.matrix, generate_baseload(
-            SyntheticBaseloadSpec(), list(sc.data.household_ids), sc.span, streams).matrix)
+        assert np.array_equal(sc.data.baseload.block(), generate_baseload(
+            SyntheticBaseloadSpec(), list(sc.data.household_ids), sc.span, streams).block())
         assert np.array_equal(sc.data.spot.values,
                               generate_spot(SyntheticPriceSpec(), sc.span, streams).values)
         assert np.array_equal(sc.data.co2.values,
@@ -207,8 +207,8 @@ class TestCsvReaders:
                      "2036-01-01T00:00,1,0.5\n2036-01-01T00:00,2,0.7\n"
                      "2036-01-01T01:00,1,0.6\n2036-01-01T01:00,2,0.8\n")
         bl = read_baseload_csv(p, [1, 2])
-        assert bl.matrix.shape == (2, 2)
-        assert bl.matrix[1, 1] == 0.8
+        assert bl.block().shape == (2, 2)
+        assert bl.block()[1, 1] == 0.8
 
     def test_baseload_unknown_household(self, tmp_path):
         p = tmp_path / "base.csv"

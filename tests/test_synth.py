@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ class TestBaseload:
     def test_annual_energy_near_target(self):
         spec = SyntheticBaseloadSpec(mean_daily_kwh=10.0)
         bl = generate_baseload(spec, [1, 2, 3], YEAR, RngStreams(1))
-        per_hh = bl.matrix.sum(axis=1)
+        per_hh = bl.block().sum(axis=1)
         # 366 days in 2036, weekends scaled by 1.1
         target = 10.0 * 366
         assert np.all(per_hh > target * 0.95)
@@ -27,7 +29,7 @@ class TestBaseload:
         spec = SyntheticBaseloadSpec(noise_std=0.0)
         span = make_span("2036-01-04T00:00", "2036-01-11T00:00")  # Fri..Fri
         bl = generate_baseload(spec, [1], span, RngStreams(0))
-        days = bl.matrix[0].reshape(7, 24)
+        days = bl.block()[0].reshape(7, 24)
         # 2036-01-04 is a Friday; Mon..Fri shapes identical
         assert np.array_equal(days[0], days[3])
         assert not np.array_equal(days[0], days[1])     # Saturday scaled
@@ -36,14 +38,14 @@ class TestBaseload:
         spec = SyntheticBaseloadSpec(noise_std=0.0, weekend_factor=2.0)
         span = make_span("2036-01-04T00:00", "2036-01-06T00:00")  # Fri, Sat
         bl = generate_baseload(spec, [1], span, RngStreams(0))
-        fri, sat = bl.matrix[0][:24], bl.matrix[0][24:]
+        fri, sat = bl.block()[0][:24], bl.block()[0][24:]
         assert sat.sum() == pytest.approx(2.0 * fri.sum())
 
     def test_evening_peak_dominates(self):
         spec = SyntheticBaseloadSpec(noise_std=0.0)
         span = make_span("2036-01-04T00:00", "2036-01-05T00:00")
         bl = generate_baseload(spec, [1], span, RngStreams(0))
-        day = bl.matrix[0]
+        day = bl.block()[0]
         assert int(day.argmax()) == 18
         assert day[18] > day[8] > day[3]
 
@@ -52,8 +54,22 @@ class TestBaseload:
         span = make_span("2036-01-04T00:00", "2036-01-11T00:00")
         a = generate_baseload(spec, [1, 2], span, RngStreams(5))
         b = generate_baseload(spec, [1, 2], span, RngStreams(5))
-        assert np.array_equal(a.matrix, b.matrix)
-        assert not np.array_equal(a.matrix[0], a.matrix[1])
+        assert np.array_equal(a.block(), b.block())
+        assert not np.array_equal(a.block()[0], a.block()[1])
+
+    def test_twenty_years_hold_one_factor_per_household_day(self):
+        span = make_span("2020-01-01T00:00", "2040-01-01T00:00")
+        tracemalloc.start()
+        bl = generate_baseload(SyntheticBaseloadSpec(), list(range(1, 127)), span,
+                               RngStreams(0))
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert bl.matrix is None and bl.n_hours == span.n_hours
+        assert bl.daily.shape == (126, span.n_days) and bl.weights.shape == (24,)
+        factors = bl.daily.nbytes + bl.weights.nbytes
+        assert factors == (126 * span.n_days + 24) * 8
+        # the factors are 7.4 MB; the hourly matrix would be 177 MB
+        assert held < factors + 2 ** 20
 
     def test_partial_day_rejected(self):
         span = make_span("2036-01-04T00:00", "2036-01-04T06:00")

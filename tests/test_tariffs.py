@@ -68,6 +68,16 @@ def test_out_of_coverage_raises():
         spot.slice_hours(SimulationSpan(T0, at(25 * 60)))
 
 
+def test_series_compare_by_value():
+    spot = SpotPriceSeries(T0, np.arange(24.0))
+    assert spot == SpotPriceSeries(T0, np.arange(24.0))
+    changed = np.arange(24.0)
+    changed[7] = -1.0
+    for other in (SpotPriceSeries(T0, changed), SpotPriceSeries(at(60), np.arange(24.0)),
+                  SpotPriceSeries(T0, np.arange(23.0)), Co2IntensitySeries(T0, np.arange(24.0))):
+        assert spot != other and other != spot
+
+
 def test_hour_constancy():
     # an hour's rate does not depend on where the span starts
     tariff = tou_peak_17_20()
