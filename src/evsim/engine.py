@@ -12,7 +12,8 @@ budget) changed since its last call (every boundary for a dispatcher with
 ``every_boundary`` set), and at the earliest tick on which a charging
 vehicle may reach its target.
 Between two stops the grants and the hour's baseload are constant: the load
-array is filled by one slice, and each charging vehicle's state of charge,
+takes at most two runs of equal value (the quiet ticks and the last tick),
+and each charging vehicle's state of charge,
 hour and session energy take the same sequence of float adds as on a
 per-tick loop. The output therefore equals that loop's bit for bit;
 ``tests/reference_engine.py`` keeps the per-tick loop as the oracle.
@@ -115,21 +116,34 @@ class HouseholdBaseload:
     def n_hours(self) -> int:
         return self.matrix.shape[1] if self.matrix is not None else 24 * self.daily.shape[1]
 
-    def block(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def block(self, lo: int = 0, hi: int | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
         """The (households, hi - lo) loads of hours [lo, hi) counted from
         ``start``, all of them by default. From the factors, each value is one
-        multiply, as ``np.outer`` takes, of the days the hours lie in."""
+        multiply, as ``np.outer`` takes, of the days the hours lie in, made in
+        ``out`` if given: a (households, days, 24) buffer with room for them."""
         hi = self.n_hours if hi is None else hi
         if self.matrix is not None:
             return self.matrix[:, lo:hi]
         d0, d1 = lo // 24, -(-hi // 24)
-        days = self.daily[:, d0:d1, None] * self.weights
+        days = np.multiply(self.daily[:, d0:d1, None], self.weights,
+                           out=None if out is None else out[:, :d1 - d0])
         return days.reshape(len(days), 24 * (d1 - d0))[:, lo - 24 * d0:hi - 24 * d0]
 
-    def blocks(self):
-        """``block(lo, hi)`` of each run of up to ``_BLOCK_HOURS`` hours, in turn."""
-        for lo in range(0, self.n_hours, _BLOCK_HOURS):
-            yield self.block(lo, min(lo + _BLOCK_HOURS, self.n_hours))
+    def blocks(self, bounds=None):
+        """``block(lo, hi)`` of each (lo, hi) in ``bounds``, by default of each
+        run of up to ``_BLOCK_HOURS`` hours, in turn. From the factors, all are
+        made in one buffer sized for the longest: a block is valid until the
+        next is taken."""
+        if bounds is None:
+            bounds = [(lo, min(lo + _BLOCK_HOURS, self.n_hours))
+                      for lo in range(0, self.n_hours, _BLOCK_HOURS)]
+        buffer = None
+        if self.matrix is None:
+            days = max((-(-hi // 24) - lo // 24 for lo, hi in bounds), default=0)
+            buffer = np.empty((len(self.daily), days, 24))
+        for lo, hi in bounds:
+            yield self.block(lo, hi, buffer)
 
     def slice_hours(self, span: SimulationSpan) -> np.ndarray:
         """The (households, hours) loads of the span (must be covered)."""
@@ -152,9 +166,9 @@ def _hour_sums(block: np.ndarray, n_hours: int) -> np.ndarray:
     """The column sums of ``block``, cut from a baseload of ``n_hours``
     hours, as numpy sums the columns of the whole: row by row in order. numpy
     sums a single column pairwise, so a one-hour block of a longer baseload
-    is summed here in row order."""
+    is summed here in row order. The sums never share memory with ``block``."""
     if block.shape[1] == 1 < n_hours and len(block):
-        return reduce(add, block)
+        return reduce(add, block[1:], block[0].copy())
     return block.sum(axis=0)
 
 
@@ -193,6 +207,9 @@ class ScenarioData:
         for a in (self.baseload.matrix, self.baseload.daily, self.baseload.weights):
             if a is not None:
                 a.flags.writeable = False
+        # the pricing pass bills baseload row k to household_ids[k]
+        if self.baseload.household_ids != self.household_ids:
+            raise ValueError("baseload household ids differ from the scenario's")
         validate_catalog(self.catalog)
         if self.adoption_curve.final_value > len(self.household_ids):
             raise ValueError("adoption curve exceeds household count")
@@ -480,6 +497,9 @@ class _Run:
         self.booked_kwh = array("d")
         self.sessions = Sessions()
         self.dissatisfactions: list[tuple[Timestamp, int]] = []
+        # the load as runs: the tick each starts on and its kW
+        self.load_starts = array("q")
+        self.load_kw = array("d")
 
     def apply_events(self, m: int) -> None:
         """Phase 1: the adoptions, departures and arrivals due before m + dt; an
@@ -600,11 +620,12 @@ class _Run:
                     ticks = math.ceil(n)
         return i + ticks
 
-    def charge(self, i: int, j: int, load: np.ndarray, base_kw: float) -> None:
+    def charge(self, i: int, j: int, base_kw: float) -> None:
         """Phases 4 and 5 for the span [i, j): each granted vehicle takes its
         grant's energy on every tick, added one tick at a time so the float
         sums are those of a per-tick loop; only the last tick can reach a
-        target and release the grant."""
+        target and release the grant. The span's load is a run on its quiet
+        ticks and one on its last."""
         dt = self.dt
         quiet = j - i - 1
         quiet_sum = last_sum = 0.0
@@ -645,14 +666,23 @@ class _Run:
             self.inputs_changed = True
 
         if quiet:
-            load[i:j - 1] = base_kw + quiet_sum * 60.0 / dt
-        load[j - 1] = base_kw + last_sum * 60.0 / dt
+            self._load_run(i, base_kw + quiet_sum * 60.0 / dt)
+        self._load_run(j - 1, base_kw + last_sum * 60.0 / dt)
 
         if self.check_invariants:
             # the state of charge only rises within a span: its end bounds it
             for r in self.records.values():
                 v = r.vehicle
                 assert -SOC_EPS <= v.soc_kwh <= v.model.battery_kwh + SOC_EPS
+
+    def _load_run(self, i: int, kw: float) -> None:
+        """The load is kw from tick i on: a new run, unless the last run holds
+        kw's bit pattern already (as a NaN, unequal to itself, may: then
+        ``LoadSeries.from_runs`` joins the two)."""
+        kws = self.load_kw
+        if not kws or kws[-1] != kw or math.copysign(1.0, kws[-1]) != math.copysign(1.0, kw):
+            self.load_starts.append(i)
+            kws.append(kw)
 
     def book_hour(self, h: int, year: int) -> None:
         """Add the closed hour h's charging to each vehicle's delivered energy,
@@ -719,15 +749,16 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     tariff_h = tariff.hourly_rates(span)
     price_h = spot_h + tariff_h + data.addons_dkk_per_kwh
 
-    # the baseload one year's block at a time, before the charging pass
-    # allocates its load array; each block is dropped before the next is built
+    # the baseload one year's block at a time, all in one buffer, which is
+    # dropped before the charging pass
+    years = [(y, (y0 - span.start.minutes) // 60, (y1 - span.start.minutes) // 60)
+             for y, y0, y1 in span.year_bounds()]
+    blocks = data.baseload.blocks([(first_hour + h0, first_hour + h1) for _, h0, h1 in years])
     base_totals, bills = [], {}
-    for y, y0, y1 in span.year_bounds():
-        h0, h1 = (y0 - span.start.minutes) // 60, (y1 - span.start.minutes) // 60
-        block = data.baseload.block(first_hour + h0, first_hour + h1)
+    for (y, h0, h1), block in zip(years, blocks):
         base_totals.append(_hour_sums(block, span.n_hours))
         bills[y] = [block @ rates[h0:h1] for rates in (price_h, tariff_h, co2_h)]
-        del block
+    del block, blocks
 
     key = (spec.physics_key, check_invariants)
     shared = plans is data._fleets.get((spec.seed, span))
@@ -758,7 +789,6 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
     initial_soc = {p.vehicle.id: p.vehicle.soc_kwh for p in plans}
     run = _Run(spec, plans, check_invariants)
 
-    load = np.empty(n_ticks)
     per_hour = 60 // dt
     i = 0
     while i < n_ticks:
@@ -769,15 +799,16 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
         if m % interval == 0:
             run.dispatch_due(budget_h[h])
         j = run.next_stop(i, (h + 1) * per_hour, budget_h[h])
-        run.charge(i, j, load, base_h[h])
+        run.charge(i, j, base_h[h])
         if j % per_hour == 0 and run.hour_records:
             run.book_hour(h, int(year_of_hour[h]))
         i = j
     run.close_sessions(span.end.minutes)
 
-    # outputs priced from this pass share the load array
-    load.flags.writeable = False
-    load_series = LoadSeries(span.start, dt, load)
+    # outputs priced from this pass share the load series
+    load_series = LoadSeries.from_runs(span.start, dt, n_ticks,
+                                       np.frombuffer(run.load_starts, dtype=np.int64),
+                                       np.frombuffer(run.load_kw))
 
     summaries = [VehicleSummary(
         vehicle_id=vid, household_id=r.vehicle.household_id, model=r.vehicle.model.name,
@@ -838,9 +869,7 @@ def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
             over_hours.update(range(first, last + 1))
         led.overload_hours = len(over_hours)
         all_events.extend(evts)
-        h0 = (y0 - span.start.minutes) // 60
-        h1 = (y1 - span.start.minutes) // 60
-        led.hourly_max_load = physics.hourly_max.values[h0:h1]
+        led.hourly_max_load = physics.hourly_max.slice_minutes(y0, y1).values
 
         cost, tar, co2 = bills[y]
         for row, hid in enumerate(hh_ids):

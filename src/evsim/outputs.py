@@ -72,11 +72,23 @@ def _write_records(path: Path, header: list[str], row_format: str, records: list
 
 
 def write_load_csv(path: Path, series: LoadSeries, column: str = "load_kw") -> None:
-    first, res, values = series.start.minutes, series.resolution_minutes, series.values
+    """One row per tick, written a block of rows at a time; each run of equal
+    load has its value formatted once, then joined to its rows' stamps."""
+    first, res, n = series.start.minutes, series.resolution_minutes, series.n_ticks
+    starts, values = series.run_starts, series.run_values
+    last_run, tail = -1, ""      # the last run formatted: its index and text
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["timestamp_iso8601", column])
-        _write_rows(fh, "%s,%.6f\r\n", len(values), lambda lo, hi: (
-            _stamps(first + res * np.arange(lo, hi)), values[lo:hi].tolist()))
+        for lo in range(0, n, _ROWS_PER_WRITE):
+            hi = min(lo + _ROWS_PER_WRITE, n)
+            k0, k1 = int(series.run_of(lo)), int(series.run_of(hi - 1)) + 1
+            tails = [tail] if k0 == last_run else []
+            tails += [f",{v:.6f}\r\n" for v in values[k0 + len(tails):k1].tolist()]
+            last_run, tail = k1 - 1, tails[-1]
+            stamps = _stamps(first + res * np.arange(lo, hi))
+            cuts = [0, *(starts[k0 + 1:k1] - lo).tolist(), hi - lo]
+            fh.write("".join(t.join(stamps[a:b]) + t
+                             for a, b, t in zip(cuts, cuts[1:], tails)))
 
 
 def write_kpi_csv(path: Path, experiment_id: str, reports: list[KpiReport]) -> None:
@@ -194,8 +206,9 @@ def _worst_day(out: SimulationOutput) -> int:
         peak_event = max(out.overload_events, key=lambda e: e.peak_excess_kw)
         minute = peak_event.start.minutes
     else:
-        idx = int(np.argmax(out.load.values))
-        minute = out.load.minute_of(idx)
+        # the first tick of the first run that holds the largest load
+        load = out.load
+        minute = load.minute_of(int(load.run_starts[np.argmax(load.run_values)]))
     return minute - minute % MINUTES_PER_DAY
 
 

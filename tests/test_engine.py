@@ -106,8 +106,8 @@ class TestCompletionHorizon:
         spans = []
         charge = engine._Run.charge
 
-        def recorded(run, i, j, load, base_kw):
-            charge(run, i, j, load, base_kw)
+        def recorded(run, i, j, base_kw):
+            charge(run, i, j, base_kw)
             spans.append((i, j, [r.vid for r in run.grants]))
         monkeypatch.setattr(engine._Run, "charge", recorded)
         out = simulate(spec_for(two_day_span, "traditional"),
@@ -545,8 +545,8 @@ class TestBaseloadForms:
         widths = []
         block = HouseholdBaseload.block
 
-        def recording(self, lo=0, hi=None):
-            out = block(self, lo, hi)
+        def recording(self, lo=0, hi=None, buffer=None):
+            out = block(self, lo, hi, buffer)
             widths.append(out.shape[1])
             return out
         monkeypatch.setattr(HouseholdBaseload, "block", recording)
@@ -578,6 +578,17 @@ class TestBaseloadForms:
         with np.errstate(invalid="ignore", over="ignore", under="ignore"):
             matrix = np.stack([np.outer(row, weights).ravel() for row in daily])
         assert accepted(daily=daily, weights=weights) == accepted(matrix=matrix)
+
+
+def test_scenario_data_rejects_a_baseload_of_other_households():
+    # the pricing pass bills baseload rows by position, so reversed labels
+    # would bill each household another's load
+    scn = load_scenario(ROOT / "demos" / "neighborhood.ini")
+    base = scn.data.baseload
+    for ids in (base.household_ids[::-1], base.household_ids[:-1] + (999,)):
+        other = HouseholdBaseload(base.start, ids, daily=base.daily, weights=base.weights)
+        with pytest.raises(ValueError, match="household ids"):
+            replace(scn.data, baseload=other)
 
 
 def test_scenario_data_compares_by_value():

@@ -1,4 +1,6 @@
 import csv
+import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,8 @@ from evsim.svgplot import _polyline, bar_chart_svg, day_zoom_svg, load_profile_s
 from evsim.timebase import Timestamp
 
 from test_scenario import CATALOG, write_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SHORT_INI = """\
 [scenario]
@@ -244,6 +248,19 @@ class TestCliValidate:
         assert main(["validate", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "validation error" in err and f"[{where}]" in err
+
+    def test_overflowing_synthetic_baseload_rejected(self, tmp_path, capsys):
+        # every key is a finite real, but 1.5e308 kWh on weekend days times the
+        # households' noise passes the largest float
+        demo = ROOT / "demos"
+        shutil.copy(demo / "tou_tariff.csv", tmp_path)
+        ini = (demo / "neighborhood.ini").read_text().replace(
+            "span_end = 2039-04-01T00:00", "span_end = 2039-01-08T00:00")
+        path = tmp_path / "overflow.ini"
+        path.write_text(ini + "\n[baseload]\nmean_daily_kwh = 1e308\nweekend_factor = 1.5\n")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and "[baseload]" in err and "finite" in err
 
     def test_short_csv_row_names_its_line(self, tmp_path, capsys):
         catalog = CATALOG.replace("small,40,3.7,0.6", "small,40")
