@@ -19,11 +19,12 @@ per-tick loop. The output therefore equals that loop's bit for bit;
 ``tests/reference_engine.py`` keeps the per-tick loop as the oracle.
 
 A run is two passes. The charging-physics pass (events, dispatch, charging,
-the load, sessions and each vehicle's energy per hour) does not depend on
-the tariff, which only prices the energy; the pricing pass turns it into
-ledgers, overloads and KPI reports. ``run_experiment`` builds each (seed,
-span) fleet once on one ``ScenarioData``, and its experiments on that fleet
-that differ only in their tariff share one physics pass.
+the load, sessions and each vehicle's energy per hour) works in ticks and
+hours and does not depend on the tariff, which only prices the energy; the
+pricing pass puts it into calendar years, as ledgers, overloads and KPI
+reports. ``run_experiment`` builds each (seed, span) fleet once on one
+``ScenarioData``, and its experiments on that fleet that differ only in
+their tariff share one physics pass.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .fleet import (SOC_EPS, AdoptionCurve, DrivingPattern, EvModel, TripEvent, 
                     validate_catalog)
 from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
                    detect_overloads, hourly_max)
-from .kpi import KpiReport, YearLedger, assemble_report
+from .kpi import OVERLOAD_UNITS, KpiReport, YearLedger, assemble_report
 from .rng import RngStreams
 from .tariffs import (TARIFF_MODES, Co2IntensitySeries, DistributionTariff,
                       SpotPriceSeries, hours_covering)
@@ -213,6 +214,8 @@ class ScenarioData:
         validate_catalog(self.catalog)
         if self.adoption_curve.final_value > len(self.household_ids):
             raise ValueError("adoption curve exceeds household count")
+        if self.overload_unit not in OVERLOAD_UNITS:
+            raise ValueError(f"unknown overload unit {self.overload_unit!r}")
 
     def __getstate__(self):
         # copies and pickles start without the fleets and passes held weakly
@@ -317,8 +320,8 @@ class SimulationOutput:
     """One experiment's results.
 
     Outputs priced from one charging-physics pass share its load series and
-    its session, dissatisfaction, vehicle and delivered-energy lists and dicts
-    themselves: treat them as read-only.
+    its session, dissatisfaction and vehicle lists themselves: treat them as
+    read-only. Each gets its own ``delivered_by_year``.
     """
 
     spec: ExperimentSpec
@@ -489,10 +492,9 @@ class _Run:
         self.requests: set[int] = set()   # plugged in, below target
         # the records charged in the open hour, in the order of their first charge
         self.hour_records: list[ChargingRecord] = []
-        self.delivered_by_year: dict[int, dict[int, float]] = {y: {} for y in span.years()}
-        # each closed hour's charging, for the pricing pass: (hour, year, end of
-        # its entries), and per entry the vehicle and its kWh
-        self.booked: list[tuple[int, int, int]] = []
+        # each closed hour's charging, for the pricing pass: (hour, end of its
+        # entries), in hour order, and per entry the vehicle and its kWh
+        self.booked: list[tuple[int, int]] = []
         self.booked_vids = array("q")
         self.booked_kwh = array("d")
         self.sessions = Sessions()
@@ -684,19 +686,17 @@ class _Run:
             self.load_starts.append(i)
             kws.append(kw)
 
-    def book_hour(self, h: int, year: int) -> None:
+    def book_hour(self, h: int) -> None:
         """Add the closed hour h's charging to each vehicle's delivered energy,
         and record it, in the hour's order of vehicles, for the pricing pass."""
-        dby = self.delivered_by_year[year]
         vids, kwhs = self.booked_vids, self.booked_kwh
         for r in self.hour_records:
             vid, kwh = r.vid, r.hour_kwh
-            dby[vid] = dby.get(vid, 0.0) + kwh
             r.delivered_kwh += kwh
             vids.append(vid)
             kwhs.append(kwh)
             r.hour_kwh = 0.0
-        self.booked.append((h, year, len(vids)))
+        self.booked.append((h, len(vids)))
         self.hour_records.clear()
 
     def close_sessions(self, end_minute: int) -> None:
@@ -717,9 +717,7 @@ class _Physics:
     sessions: Sessions
     dissatisfactions: list[tuple[Timestamp, int]]
     vehicles: list[VehicleSummary]
-    delivered_by_year: dict[int, dict[int, float]]
-    ev_households: dict[int, list[int]]      # year -> EV owners by its end
-    booked: list[tuple[int, int, int]]       # see _Run.book_hour
+    booked: list[tuple[int, int]]            # see _Run.book_hour
     booked_vids: array
     booked_kwh: array
 
@@ -768,7 +766,7 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
                           check_invariants)
         if shared:
             data._physics[key] = physics
-    return _price(spec, data, physics, bills, price_h, tariff_h, co2_h)
+    return _price(spec, data, physics, years, bills, price_h, tariff_h, co2_h)
 
 
 def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
@@ -782,10 +780,6 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
     budget_h = available_capacity(tr, base_total_h).tolist()
 
     start_min = span.start.minutes
-    year_of_hour = np.empty(span.n_hours, dtype=int)
-    for y, y0, y1 in span.year_bounds():
-        year_of_hour[(y0 - start_min) // 60:(y1 - start_min) // 60] = y
-
     initial_soc = {p.vehicle.id: p.vehicle.soc_kwh for p in plans}
     run = _Run(spec, plans, check_invariants)
 
@@ -801,7 +795,7 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
         j = run.next_stop(i, (h + 1) * per_hour, budget_h[h])
         run.charge(i, j, base_h[h])
         if j % per_hour == 0 and run.hour_records:
-            run.book_hour(h, int(year_of_hour[h]))
+            run.book_hour(h)
         i = j
     run.close_sessions(span.end.minutes)
 
@@ -818,48 +812,44 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
 
     return _Physics(
         fleet=plans, load=load_series, hourly_max=hourly_max(load_series),
-        sessions=run.sessions, dissatisfactions=run.dissatisfactions,
-        vehicles=summaries, delivered_by_year=run.delivered_by_year,
-        ev_households={y: sorted(p.vehicle.id for p in plans if p.adoption.minutes < y1)
-                       for y, _, y1 in span.year_bounds()},
+        sessions=run.sessions, dissatisfactions=run.dissatisfactions, vehicles=summaries,
         booked=run.booked, booked_vids=run.booked_vids, booked_kwh=run.booked_kwh)
 
 
 def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
-           bills: dict[int, list[np.ndarray]], price_h: np.ndarray, tariff_h: np.ndarray,
-           co2_h: np.ndarray) -> SimulationOutput:
+           years: list[tuple[int, int, int]], bills: dict[int, list[np.ndarray]],
+           price_h: np.ndarray, tariff_h: np.ndarray, co2_h: np.ndarray) -> SimulationOutput:
     """The pricing pass: each year's ledger (charging and baseload bills, CO2,
-    DSO revenue, dissatisfactions, overloads) and its KPI report. ``bills``
-    holds each year's baseload cost, tariff and CO2 per household, in the
-    order of ``data.household_ids``."""
-    span = spec.span
-    tr = data.transformer
-    # a year's charged kWh per vehicle is its delivered energy: the same adds
-    # in the same order
-    ledgers = {y: YearLedger(year=y, charging_kwh=physics.delivered_by_year[y])
-               for y in span.years()}
-    for t, _ in physics.dissatisfactions:
-        ledgers[t.year].dissatisfaction_count += 1
+    DSO revenue, dissatisfactions, overloads, EV owners) and its KPI report.
+    ``years`` holds each calendar year of the span with its first and end hour,
+    counted from the span start. ``bills`` holds each year's baseload cost,
+    tariff and CO2 per household, in the order of ``data.household_ids``."""
+    start_min = spec.span.start.minutes
+    booked, vids, kwhs = physics.booked, physics.booked_vids, physics.booked_kwh
+    reports, all_events, delivered_by_year = [], [], {}
+    k = entry = 0           # the year's first booked hour, and that hour's first entry
+    for y, h0, h1 in years:
+        y0, y1 = start_min + 60 * h0, start_min + 60 * h1
+        led = YearLedger(year=y, dissatisfaction_count=sum(
+            y0 <= t.minutes < y1 for t, _ in physics.dissatisfactions))
+        delivered_by_year[y] = led.charging_kwh
 
-    # each closed hour's charging at that hour's prices; the ledgers' dict
-    # order, which the sums in assemble_report follow, is the booking order
-    start = 0
-    for h, year, end in physics.booked:
-        led = ledgers[year]
-        price, tariff, co2 = price_h[h], tariff_h[h], co2_h[h]
-        for vid, kwh in zip(physics.booked_vids[start:end],
-                            physics.booked_kwh[start:end]):
-            led.charging_cost[vid] = led.charging_cost.get(vid, 0.0) + kwh * price
-            led.charging_tariff[vid] = led.charging_tariff.get(vid, 0.0) + kwh * tariff
-            led.charging_co2[vid] = led.charging_co2.get(vid, 0.0) + kwh * co2
-        start = end
+        # each closed hour's charging at its prices. The charged kWh take the
+        # adds of the vehicles' delivered energy, in its order; the ledger's
+        # dict order, which assemble_report's sums follow, is the booking order
+        year_end = bisect_left(booked, (h1,), k)
+        for h, end in booked[k:year_end]:
+            price, tariff, co2 = price_h[h], tariff_h[h], co2_h[h]
+            for vid, kwh in zip(vids[entry:end], kwhs[entry:end]):
+                led.charging_kwh[vid] = led.charging_kwh.get(vid, 0.0) + kwh
+                led.charging_cost[vid] = led.charging_cost.get(vid, 0.0) + kwh * price
+                led.charging_tariff[vid] = led.charging_tariff.get(vid, 0.0) + kwh * tariff
+                led.charging_co2[vid] = led.charging_co2.get(vid, 0.0) + kwh * co2
+            entry = end
+        k = year_end
 
-    # per-year post-processing: overloads, hourly maxima, baseload billing
-    all_events: list[OverloadEvent] = []
-    hh_ids = data.household_ids
-    for y, y0, y1 in span.year_bounds():
-        led = ledgers[y]
-        evts = detect_overloads(physics.load.slice_minutes(y0, y1), tr)
+        # overloads, hourly maxima, baseload billing and the EV owners by its end
+        evts = detect_overloads(physics.load.slice_minutes(y0, y1), data.transformer)
         led.overload_events = evts
         led.overload_minutes = sum(e.duration_minutes for e in evts)
         over_hours: set[int] = set()
@@ -872,16 +862,16 @@ def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
         led.hourly_max_load = physics.hourly_max.slice_minutes(y0, y1).values
 
         cost, tar, co2 = bills[y]
-        for row, hid in enumerate(hh_ids):
+        for row, hid in enumerate(data.household_ids):
             led.baseload_cost[hid] = float(cost[row])
             led.baseload_tariff[hid] = float(tar[row])
             led.baseload_co2[hid] = float(co2[row])
-        led.ev_households = physics.ev_households[y]
-
-    reports = [assemble_report(ledgers[y], data.overload_unit) for y in span.years()]
+        led.ev_households = sorted(p.vehicle.id for p in physics.fleet
+                                   if p.adoption.minutes < y1)
+        reports.append(assemble_report(led, data.overload_unit))
 
     return SimulationOutput(
         spec=spec, load=physics.load, hourly_max=physics.hourly_max,
         overload_events=all_events, reports=reports, sessions=physics.sessions,
         dissatisfactions=physics.dissatisfactions, vehicles=physics.vehicles,
-        delivered_by_year=physics.delivered_by_year, _physics=physics)
+        delivered_by_year=delivered_by_year, _physics=physics)

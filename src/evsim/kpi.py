@@ -104,6 +104,14 @@ class YearLedger:
     dissatisfaction_count: int = 0
 
 
+# the overload KPI of each unit a scenario may count in, from a year's ledger
+OVERLOAD_UNITS = {
+    "hours": lambda ledger: ledger.overload_hours,
+    "events": lambda ledger: len(ledger.overload_events),
+    "minutes": lambda ledger: ledger.overload_minutes,
+}
+
+
 def assemble_report(ledger: YearLedger, overload_unit: str = "hours") -> KpiReport:
     """Fold one year's ledger into the seven headline indicators.
 
@@ -112,13 +120,7 @@ def assemble_report(ledger: YearLedger, overload_unit: str = "hours") -> KpiRepo
     metrics as not-applicable (None), and a year without any load its load
     factor.
     """
-    if overload_unit == "hours":
-        overloads = ledger.overload_hours
-    elif overload_unit == "events":
-        overloads = len(ledger.overload_events)
-    elif overload_unit == "minutes":
-        overloads = ledger.overload_minutes
-    else:
+    if overload_unit not in OVERLOAD_UNITS:
         raise ValueError(f"unknown overload unit {overload_unit!r}")
 
     total_kwh = sum(ledger.charging_kwh.values())
@@ -148,7 +150,7 @@ def assemble_report(ledger: YearLedger, overload_unit: str = "hours") -> KpiRepo
 
     return KpiReport(
         year=ledger.year,
-        overload_count=overloads,
+        overload_count=OVERLOAD_UNITS[overload_unit](ledger),
         avg_charging_cost_dkk_per_kwh=avg_cost,
         avg_total_bill_dkk=avg_bill,
         avg_total_co2_kg=avg_co2,

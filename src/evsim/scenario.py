@@ -21,6 +21,7 @@ import numpy as np
 from .engine import ExperimentSpec, HouseholdBaseload, ScenarioData
 from .fleet import AdoptionCurve, DrivingPattern, EvModel, validate_catalog
 from .grid import Transformer
+from .kpi import OVERLOAD_UNITS
 from .rng import RngStreams, parse_seed
 from .strategies import STRATEGY_NAMES
 from .synth import (SyntheticBaseloadSpec, SyntheticCo2Spec, SyntheticPriceSpec,
@@ -312,9 +313,9 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     driving = _section(cfg, "driving", sp, DrivingPattern, _DRIVING_KEYS)
 
     overload_unit = _get(cfg, "kpi", "overload_unit", sp, str, default="hours").strip()
-    if overload_unit not in ("hours", "events", "minutes"):
-        raise ScenarioError(sp, "kpi.overload_unit",
-                            f"must be hours, events or minutes, got {overload_unit!r}")
+    if overload_unit not in OVERLOAD_UNITS:
+        raise ScenarioError(sp, "kpi.overload_unit", "must be one of "
+                            f"{', '.join(OVERLOAD_UNITS)}, got {overload_unit!r}")
 
     data = ScenarioData(
         household_ids=household_ids, transformer=transformer, baseload=baseload,
@@ -357,14 +358,15 @@ def _parse_experiments(cfg, path: str, default_span: SimulationSpan, seed: int,
         span = default_span
         if cfg.has_option(section, "span_start") or cfg.has_option(section, "span_end"):
             span = _parse_span(cfg, section, path, default_span.tick_minutes)
-        interval = _get(cfg, section, "decision_interval_min", path, int, default=0)
+        interval = _get(cfg, section, "decision_interval_min", path, int) \
+            if cfg.has_option(section, "decision_interval_min") else None
         tariff_mode = _get(cfg, section, "tariff_mode", path, default="fixed").strip()
         exp_seed = _get(cfg, section, "seed", path, parse_seed, default=seed)
         baseline = _get(cfg, section, "baseline", path, default="").strip() or None
         with _rejected_as(path, section):
             specs.append(ExperimentSpec(
                 id=exp_id, strategy=strategy, span=span, tariff_mode=tariff_mode,
-                seed=exp_seed, decision_interval_min=interval or None,
+                seed=exp_seed, decision_interval_min=interval,
                 baseline_id=baseline))
         if span.start.minutes < default_span.start.minutes or \
                 span.end.minutes > default_span.end.minutes:

@@ -17,7 +17,7 @@ from evsim.rng import RngStreams
 from evsim.scenario import load_scenario
 from evsim.synth import (SyntheticBaseloadSpec, SyntheticPriceSpec, generate_baseload,
                          generate_spot)
-from evsim.tariffs import CoverageError, SpotPriceSeries
+from evsim.tariffs import CoverageError, DistributionTariff, SpotPriceSeries, TouBand
 from evsim.timebase import Timestamp
 
 from conftest import FAST, LEAF, flat_data, make_span
@@ -464,6 +464,25 @@ class TestSharedPhysics:
         assert sum(len(p.trips) for p in data._fleets[(3, span)]) > 0
         assert records_alive() == before
 
+    def test_tariff_pair_prices_its_pass_alike(self, count_physics):
+        # a time-of-use tariff at the fixed rate, across a year boundary: the
+        # pair's outputs are equal, though each pricing pass builds its own
+        # delivered_by_year
+        span = make_span("2036-12-30T00:00", "2037-01-02T00:00")
+        data = flat_data(span, n_households=4, capacity=30.0,
+                         curve=AdoptionCurve([(2035, 4)]))
+        flat_tou = DistributionTariff("time_of_use", bands=[TouBand("all", 0, 24, 0.3)])
+        data = replace(data, tariffs={**data.tariffs, "time_of_use": flat_tou})
+        fixed, tou = (run_experiment(spec_for(span, "edf", seed=2, tariff_mode=mode), data)
+                      for mode in ("fixed", "time_of_use"))
+        assert len(count_physics) == 1
+        assert fixed.sessions is tou.sessions and fixed.vehicles is tou.vehicles
+        assert fixed.delivered_by_year is not tou.delivered_by_year
+        assert list(fixed.delivered_by_year) == [2036, 2037]
+        assert all(fixed.delivered_by_year.values())
+        assert fixed.delivered_by_year == tou.delivered_by_year
+        assert fixed.reports == tou.reports
+
     def test_trip_clamp_warned_once_per_run(self, caplog):
         # seed 1 draws exactly one trip above the 10 kWh battery
         span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
@@ -524,6 +543,38 @@ class TestBaseloadForms:
         out = simulate(s, data, build_fleet(s, data, RngStreams(s.seed)))
         reference = simulate_ticks(s, data, build_fleet(s, data, RngStreams(s.seed)))
         assert first_difference(out, reference) is None
+
+    @pytest.mark.parametrize("strategy", ["traditional", "edf"])
+    def test_charging_across_new_year_lands_in_both_years(self, strategy):
+        # vehicle 1 charges from 23:00 on 31 December into the new year;
+        # vehicle 2 is full before midnight
+        data = synthetic_data(self.SPAN, n_households=2)
+        s = spec_for(make_span("2027-12-31T20:00", "2028-01-01T04:00"), strategy, seed=4)
+
+        def plans():
+            return [plan(1, LEAF, 10.0, Timestamp.from_iso("2027-12-31T23:00"), []),
+                    plan(2, FAST, 50.0, Timestamp.from_iso("2027-12-31T20:00"), [])]
+        out = simulate(s, data, plans())
+        reference = simulate_ticks(s, data, plans())
+        assert first_difference(out, reference) is None
+        by_year = out.delivered_by_year
+        assert [list(d) for d in by_year.values()] == \
+            [list(d) for d in reference.delivered_by_year.values()] == [[2, 1], [1]]
+        assert by_year[2027][1] > 0 and by_year[2028][1] > 0
+        assert by_year[2027][1] + by_year[2028][1] == pytest.approx(out.vehicles[0].delivered_kwh)
+
+    def test_first_year_without_charging_keeps_its_year(self):
+        data = synthetic_data(self.SPAN, n_households=2)
+        s = spec_for(make_span("2027-12-31T00:00", "2028-01-02T00:00"), "edf", seed=4)
+
+        def plans():
+            return [plan(1, LEAF, 10.0, Timestamp.from_iso("2028-01-01T06:00"), [])]
+        out = simulate(s, data, plans())
+        assert first_difference(out, simulate_ticks(s, data, plans())) is None
+        assert list(out.delivered_by_year) == [2027, 2028]
+        assert out.delivered_by_year[2027] == {} and out.delivered_by_year[2028][1] > 0
+        first = out.reports[0]
+        assert first.avg_charging_cost_dkk_per_kwh is None and first.avg_total_bill_dkk is None
 
     def test_forms_of_equal_values_compare_equal(self):
         factors = synthetic_data(self.SPAN).baseload
@@ -589,6 +640,13 @@ def test_scenario_data_rejects_a_baseload_of_other_households():
         other = HouseholdBaseload(base.start, ids, daily=base.daily, weights=base.weights)
         with pytest.raises(ValueError, match="household ids"):
             replace(scn.data, baseload=other)
+
+
+def test_scenario_data_rejects_an_unknown_overload_unit():
+    # at construction, not in the pricing pass after the whole charging pass
+    scn = load_scenario(ROOT / "demos" / "neighborhood.ini")
+    with pytest.raises(ValueError, match="overload unit 'days'"):
+        replace(scn.data, overload_unit="days")
 
 
 def test_scenario_data_compares_by_value():

@@ -229,6 +229,11 @@ class TestCliValidate:
         *(("path = curve.csv\n", f"path = curve.csv\n[experiment.{exp_id}]\nstrategy = edf\n",
            f"experiment.{exp_id}", False)
           for exp_id in ("..", "", ".", "/some/dir", "a\\b", "baseload_hourly.csv")),
+        # 0 is no interval, not the strategy's default
+        ("path = curve.csv\n", "path = curve.csv\n[experiment.x]\nstrategy = edf\n"
+         "decision_interval_min = 0\n", "experiment.x", False),
+        ("path = curve.csv\n", "path = curve.csv\n[kpi]\noverload_unit = days\n",
+         "kpi.overload_unit", False),
     ], ids=["end_before_start", "part_day_synthetic_baseload", "empty_experiment_span",
             "start_not_a_date", "start_with_utc_offset", "end_with_seconds",
             "tick_not_dividing_60", "buffer_not_below_capacity",
@@ -236,7 +241,8 @@ class TestCliValidate:
             "negative_seed", "negative_experiment_seed", "non_finite_value",
             "negative_daily_kwh", "negative_diurnal_weight", "negative_std", "probability_above_one", "time_of_day_out_of_range",
             "minute_above_59", "negative_minute", "id_parent_of_out", "id_out_itself",
-            "id_dot", "id_absolute_path", "id_with_backslash", "id_of_the_baseload_file"])
+            "id_dot", "id_absolute_path", "id_with_backslash", "id_of_the_baseload_file",
+            "zero_decision_interval", "unknown_overload_unit"])
     def test_invalid_value_names_its_section_or_key(self, tmp_path, capsys, old, new,
                                                     where, csv_baseload):
         ini = SHORT_INI.replace(old, new)

@@ -232,7 +232,7 @@ def scenario_files(draw):
                                                     st.just("flat")))),
                 "decision_interval_min": draw(optional(mostly(
                     st.sampled_from([1, 2, 5, 10, 15, 20, 30, 60]),
-                    st.sampled_from([45, 7, -5])))),
+                    st.sampled_from([45, 7, -5, 0])))),
                 "seed": draw(optional(mostly(st.integers(0, 10**6), st.just(-3)))),
                 "baseline": draw(optional(mostly(st.sampled_from(ids), st.just("nobody"))))}
         if draw(st.booleans()):
