@@ -11,7 +11,7 @@ from pathlib import Path
 
 from evsim import (AdoptionCurve, DistributionTariff, DrivingPattern,
                    ExperimentSpec, RngStreams, ScenarioData, SimulationSpan,
-                   Timestamp, Transformer, run_experiment)
+                   Timestamp, TouBand, Transformer, run_experiment)
 from evsim.scenario import DEFAULT_CATALOG_FILE, read_catalog_csv
 from evsim.svgplot import day_zoom_svg
 from evsim.synth import (SyntheticBaseloadSpec, SyntheticCo2Spec,
@@ -28,7 +28,7 @@ data = ScenarioData(
     baseload=generate_baseload(SyntheticBaseloadSpec(), households, span, streams),
     spot=generate_spot(SyntheticPriceSpec(), span, streams),
     co2=generate_co2(SyntheticCo2Spec(), span, streams),
-    tariffs={"fixed": DistributionTariff("fixed", fixed_dkk_per_kwh=0.30)},
+    tariffs={"fixed": DistributionTariff([TouBand("all", 0, 24, 0.30)])},
     catalog=read_catalog_csv(DEFAULT_CATALOG_FILE),
     adoption_curve=AdoptionCurve([(2038, 126)]),
     driving=DrivingPattern(),

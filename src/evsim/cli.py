@@ -26,6 +26,13 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="evsim",
                                 description="EV home-charging grid simulator")
@@ -36,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--experiment", action="append", default=None,
                      metavar="ID", help="run only these experiment ids")
     run.add_argument("--out", default="out", metavar="DIR")
-    run.add_argument("--parallel", type=int, default=1, metavar="N")
+    run.add_argument("--parallel", type=_positive_int, default=1, metavar="N",
+                     help="worker processes, at most one per physics pass")
 
     val = sub.add_parser("validate", help="validate a scenario file")
     val.add_argument("scenario")
@@ -78,13 +86,6 @@ def _run_specs(specs, data) -> dict[str, SimulationOutput | Exception]:
     return ran
 
 
-def _run_group(scenario_path: str, exp_ids: list[str]):
-    """A --parallel task: experiments that share one charging-physics pass,
-    run on one load of the scenario."""
-    scn = _load(scenario_path)
-    return _run_specs([scn.experiment(e) for e in exp_ids], scn.data)
-
-
 def cmd_run(args) -> int:
     scn = _load(args.scenario)
     specs = scn.experiments
@@ -100,21 +101,23 @@ def cmd_run(args) -> int:
             needed |= {s.baseline_id for s in specs if s.id in needed and s.baseline_id}
         specs = [s for s in specs if s.id in needed]
 
-    if args.parallel > 1:
+    # one --parallel task per charging-physics pass, run on the loaded data
+    groups: dict[tuple, list] = {}
+    for s in specs:
+        groups.setdefault(s.physics_key, []).append(s)
+    workers = min(args.parallel, len(groups))
+    if workers > 1:
         # imported here: the serial path, and every other command, starts no pool
         from concurrent.futures import ProcessPoolExecutor
-        groups: dict[tuple, list[str]] = {}
-        for s in specs:
-            groups.setdefault(s.physics_key, []).append(s.id)
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            futures = [(ids, pool.submit(_run_group, args.scenario, ids))
-                       for ids in groups.values()]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [(group, pool.submit(_run_specs, group, scn.data))
+                       for group in groups.values()]
         ran: dict[str, SimulationOutput | Exception] = {}
-        for ids, fut in futures:
+        for group, fut in futures:
             try:
                 ran.update(fut.result())
             except Exception as exc:   # the task itself failed
-                ran.update(dict.fromkeys(ids, exc))
+                ran.update(dict.fromkeys((s.id for s in group), exc))
     else:
         ran = _run_specs(specs, scn.data)
     results = {s.id: ran[s.id] for s in specs

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from operator import eq
+from operator import index
 
 
 class Columns(Sequence):
@@ -13,9 +13,9 @@ class Columns(Sequence):
     A subclass names one array typecode per field (``typecodes``), how to read
     a record's field values (``values_of``) and how to build a record from
     them (``element``). Indexing and iteration build the records on demand,
-    so a long sequence holds 8 bytes per field and record. Instances compare
-    equal to another instance or a list with equal records, and pickle as
-    their arrays.
+    so a long sequence holds 8 bytes per field and record. It takes int
+    indices only, compares equal only to an instance of its own type with
+    equal records, and pickles as its arrays.
     """
 
     __slots__ = ("columns",)
@@ -44,19 +44,17 @@ class Columns(Sequence):
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __getitem__(self, k):
-        values = [column[k] for column in self.columns]
-        return type(self)(*values) if isinstance(k, slice) else self.element(*values)
+    def __getitem__(self, k: int):
+        k = index(k)
+        return self.element(*[column[k] for column in self.columns])
 
     def __iter__(self):
         return map(self.element, *self.columns)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, type(self)):
-            return self.columns == other.columns
-        if isinstance(other, list):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.columns == other.columns
 
     __hash__ = None
 

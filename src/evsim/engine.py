@@ -41,9 +41,8 @@ import numpy as np
 
 from . import strategies as strat
 from .columns import Columns
-from .fleet import (SOC_EPS, AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips,
-                    Vehicle, draw_daily_trip, drain_trip, sample_adoptions,
-                    validate_catalog)
+from .fleet import (SOC_EPS, AdoptionCurve, DrivingPattern, EvModel, Trips, Vehicle,
+                    draw_daily_trip, drain_trip, sample_adoptions, validate_catalog)
 from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
                    detect_overloads, hourly_max)
 from .kpi import OVERLOAD_UNITS, KpiReport, YearLedger, assemble_report
@@ -271,12 +270,12 @@ class ExperimentSpec:
 
 @dataclass
 class VehiclePlan:
-    """One vehicle, when it joins the fleet, and its trips in arrival order:
-    ``Trips`` from ``build_fleet``, or any list of ``TripEvent``."""
+    """One vehicle, when it joins the fleet, and its trips in arrival order
+    (``Trips.of`` builds them from ``TripEvent`` records)."""
 
     vehicle: Vehicle
     adoption: Timestamp
-    trips: Trips | list[TripEvent]
+    trips: Trips
 
 
 @dataclass(slots=True)
@@ -438,7 +437,10 @@ def _event_keys(plans: list[VehiclePlan], n_ids: int) -> array:
         if vid < 0:
             raise ValueError(f"vehicle id {vid} is negative")
         keys.append((p.adoption.minutes * _KINDS + _ADOPT) * n_ids + vid)
-        departures, arrivals, _ = Trips.of(p.trips).columns
+        if not isinstance(p.trips, Trips):
+            raise TypeError(f"vehicle {vid}: trips must be Trips, "
+                            f"not {type(p.trips).__name__}")
+        departures, arrivals, _ = p.trips.columns
         if list(arrivals) != sorted(arrivals):   # _Run.apply_events takes them in turn
             raise ValueError(f"vehicle {vid}: trips not in arrival order")
         for departure, arrival in zip(departures, arrivals):
@@ -466,8 +468,6 @@ class _Run:
         self.end = span.end.minutes
         self.check_invariants = check_invariants
 
-        # trips given as a list are converted to columns once, here
-        plans = [replace(p, trips=Trips.of(p.trips)) for p in plans]
         # the run changes copies of the vehicles, so the plans stay as they
         # were; built anew, as copy.copy's instances take about 20% longer on
         # the charging loop's attribute accesses

@@ -231,13 +231,6 @@ def draw_daily_trip(v: Vehicle, day_start: Timestamp, pattern: DrivingPattern,
     return base + dep, base + arr, energy
 
 
-def sample_daily_trips(v: Vehicle, day_start: Timestamp, pattern: DrivingPattern,
-                       rng: np.random.Generator) -> list[TripEvent]:
-    """Zero or one home-away-home trip for the given calendar day."""
-    trip = draw_daily_trip(v, day_start, pattern, rng)
-    return [] if trip is None else [Trips.element(*trip)]
-
-
 def drain_trip(v: Vehicle, energy_kwh: float) -> None:
     """Take a completed trip's energy from v's state of charge, floored at 0."""
     new_soc = v.soc_kwh - energy_kwh

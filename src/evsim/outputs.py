@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ExperimentSpec, Sessions, SimulationOutput
+from .engine import ExperimentSpec, SimulationOutput
 from .grid import LoadSeries
 from .kpi import ComparisonRow, KpiReport, compare_reports
 from .svgplot import bar_chart_svg, day_zoom_svg, load_profile_svg
@@ -130,7 +130,7 @@ def write_overloads_csv(path: Path, out: SimulationOutput) -> None:
 
 
 def write_sessions_csv(path: Path, out: SimulationOutput) -> None:
-    vids, plug_ins, unplugs, kwhs = Sessions.of(out.sessions).columns
+    vids, plug_ins, unplugs, kwhs = out.sessions.columns
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["vehicle_id", "plug_in_iso8601", "unplug_iso8601",
                                  "delivered_kwh"])

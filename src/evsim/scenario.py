@@ -292,10 +292,10 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     tariffs: dict[str, DistributionTariff] = {}
     fixed_rate = _get(cfg, "tariff", "fixed_dkk_per_kwh", sp, _real, default=0.30)
     with _rejected_as(sp, "tariff"):
-        tariffs["fixed"] = DistributionTariff("fixed", fixed_dkk_per_kwh=fixed_rate)
+        tariffs["fixed"] = DistributionTariff([TouBand("all", 0, 24, fixed_rate)])
         if cfg.has_option("tariff", "tou_path"):
             bands = read_tou_tariff_csv(_resolve(path, cfg.get("tariff", "tou_path")))
-            tariffs["time_of_use"] = DistributionTariff("time_of_use", bands=bands)
+            tariffs["time_of_use"] = DistributionTariff(bands)
     addons = _get(cfg, "tariff", "addons_dkk_per_kwh", sp, _real, default=0.0)
 
     catalog_path = _resolve(path, cfg.get("catalog", "path")) \

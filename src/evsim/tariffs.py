@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,35 +82,26 @@ SUMMER_MONTHS = (4, 5, 6, 7, 8, 9)
 
 @dataclass
 class DistributionTariff:
-    """Distribution grid tariff: a flat rate or hour-of-day (and season) bands."""
+    """Distribution grid tariff: hour-of-day bands for the whole year (season
+    "all") or for summer and winter. A flat rate is one band of 24 hours."""
 
-    mode: str                               # one of TARIFF_MODES
-    fixed_dkk_per_kwh: float = 0.0
-    bands: list[TouBand] = field(default_factory=list)
+    bands: list[TouBand]
 
     def __post_init__(self):
-        if self.mode not in TARIFF_MODES:
-            raise ValueError(f"unknown tariff mode {self.mode!r}")
-        if self.mode == "fixed":
-            if self.fixed_dkk_per_kwh < 0:
-                raise ValueError("fixed tariff must be non-negative")
-            return
         if not self.bands:
-            raise ValueError("time-of-use tariff needs at least one band")
+            raise ValueError("tariff needs at least one band")
         seasons = {b.season for b in self.bands}
-        if seasons == {"all"}:
-            check = ["all"]
-        elif seasons == {"summer", "winter"}:
-            check = ["summer", "winter"]
-        else:
+        if seasons not in ({"all"}, {"summer", "winter"}):
             raise ValueError("bands must use season 'all' or both 'summer' and 'winter'")
-        for season in check:
+        for season in sorted(seasons):
             covered = [0] * 24
             for b in self.bands:
                 if b.season != season:
                     continue
                 if not (0 <= b.start_hour < b.end_hour <= 24):
                     raise ValueError(f"bad band hours {b.start_hour}..{b.end_hour}")
+                if not math.isfinite(b.dkk_per_kwh):
+                    raise ValueError(f"tariff rate {b.dkk_per_kwh} is not finite")
                 if b.dkk_per_kwh < 0:
                     raise ValueError("tariff rates must be non-negative")
                 for h in range(b.start_hour, b.end_hour):
@@ -122,8 +114,6 @@ class DistributionTariff:
     def hourly_rates(self, span: SimulationSpan) -> np.ndarray:
         """The rate of each hour of the span: a (winter, summer) x hour-of-day
         table looked up by each hour's month and hour of day."""
-        if self.mode == "fixed":
-            return np.full(span.n_hours, self.fixed_dkk_per_kwh)
         table = np.full((2, 24), np.nan)              # rows: winter, summer
         for b in self.bands:
             rows = [0, 1] if b.season == "all" else [int(b.season == "summer")]

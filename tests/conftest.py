@@ -4,7 +4,7 @@ import pytest
 from evsim.engine import HouseholdBaseload, ScenarioData
 from evsim.fleet import AdoptionCurve, DrivingPattern, EvModel
 from evsim.grid import Transformer
-from evsim.tariffs import Co2IntensitySeries, DistributionTariff, SpotPriceSeries
+from evsim.tariffs import Co2IntensitySeries, DistributionTariff, SpotPriceSeries, TouBand
 from evsim.timebase import SimulationSpan, Timestamp
 
 LEAF = EvModel("leaf-class", battery_kwh=40.0, max_rate_kw=3.7, market_share=0.5)
@@ -30,7 +30,7 @@ def flat_data(span, n_households=2, base_kw=0.5, capacity=400.0, buffer_kw=0.0,
         baseload=baseload,
         spot=SpotPriceSeries(span.start, np.full(n_hours, spot)),
         co2=Co2IntensitySeries(span.start, np.full(n_hours, co2)),
-        tariffs={"fixed": DistributionTariff("fixed", fixed_dkk_per_kwh=tariff)},
+        tariffs={"fixed": DistributionTariff([TouBand("all", 0, 24, tariff)])},
         catalog=catalog or [LEAF, FAST],
         adoption_curve=curve or AdoptionCurve([(span.start.year - 1, n_households)]),
         driving=driving or DrivingPattern(),

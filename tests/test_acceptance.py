@@ -13,7 +13,7 @@ import pytest
 
 from evsim.engine import (ExperimentSpec, ScenarioData, VehiclePlan, build_fleet,
                           run_experiment, simulate)
-from evsim.fleet import AdoptionCurve, DrivingPattern, EvModel, TripEvent, Vehicle
+from evsim.fleet import AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips, Vehicle
 from evsim.grid import LoadSeries, Transformer, detect_overloads, hourly_max
 from evsim.kpi import pct_difference
 from evsim.rng import RngStreams
@@ -25,7 +25,7 @@ from evsim.strategies import (STRATEGY_NAMES, ChargeRequest, FcfsState,
 from evsim.synth import (SyntheticBaseloadSpec, SyntheticCo2Spec,
                          SyntheticPriceSpec, generate_baseload, generate_co2,
                          generate_spot)
-from evsim.tariffs import DistributionTariff
+from evsim.tariffs import DistributionTariff, TouBand
 from evsim.timebase import SimulationSpan, Timestamp
 
 from conftest import flat_data, make_span
@@ -47,7 +47,7 @@ def _year_data(n_households=126, capacity=400.0, seed=42):
         baseload=generate_baseload(SyntheticBaseloadSpec(), ids, span, streams),
         spot=generate_spot(SyntheticPriceSpec(), span, streams),
         co2=generate_co2(SyntheticCo2Spec(), span, streams),
-        tariffs={"fixed": DistributionTariff("fixed", fixed_dkk_per_kwh=0.30)},
+        tariffs={"fixed": DistributionTariff([TouBand("all", 0, 24, 0.30)])},
         catalog=read_catalog_csv(DEFAULT_CATALOG_FILE),
         adoption_curve=AdoptionCurve([(2035, n_households)]),
         driving=DrivingPattern(),
@@ -145,7 +145,7 @@ def test_criterion_3_round_robin_fairness():
         trips = [TripEvent(Timestamp(span.start.minutes + 8 * 60),
                            Timestamp(span.start.minutes + arr), 5.0)]
         out = simulate(ExperimentSpec(id="rr", strategy="round_robin", span=span),
-                       data, [VehiclePlan(v, span.start, trips)])
+                       data, [VehiclePlan(v, span.start, Trips.of(trips))])
         assert out.load.values[arr:16 * 60 + 15].max() == 0.0
         assert out.load.values[16 * 60 + 15] == pytest.approx(11.0)
         ok = True
@@ -291,9 +291,9 @@ def test_criterion_7_dissatisfaction_mechanism():
             data = flat_data(span, n_households=2, base_kw=0.5,
                              catalog=[slow, fast])
             plans = [VehiclePlan(Vehicle(id=1, household_id=1, model=slow,
-                                         soc_kwh=40.0), span.start, trips()),
+                                         soc_kwh=40.0), span.start, Trips.of(trips())),
                      VehiclePlan(Vehicle(id=2, household_id=2, model=fast,
-                                         soc_kwh=40.0), span.start, trips())]
+                                         soc_kwh=40.0), span.start, Trips.of(trips()))]
             out = simulate(ExperimentSpec(id=name, strategy=name, span=span),
                            data, plans)
             dissatisfied = {vid for _, vid in out.dissatisfactions}

@@ -12,7 +12,7 @@ import pytest
 from evsim import engine
 from evsim.engine import (ExperimentSpec, HouseholdBaseload, VehiclePlan, build_fleet,
                           run_experiment, simulate)
-from evsim.fleet import AdoptionCurve, DrivingPattern, EvModel, TripEvent, Vehicle
+from evsim.fleet import AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips, Vehicle
 from evsim.rng import RngStreams
 from evsim.scenario import load_scenario
 from evsim.synth import (SyntheticBaseloadSpec, SyntheticPriceSpec, generate_baseload,
@@ -35,7 +35,7 @@ def plan(vid, model, soc, adoption, trips, target=None):
     v = Vehicle(id=vid, household_id=vid, model=model, soc_kwh=soc)
     if target is not None:
         v.desired_target_kwh = target
-    return VehiclePlan(v, adoption, trips)
+    return VehiclePlan(v, adoption, Trips.of(trips))
 
 
 def minute(span, offset):
@@ -228,6 +228,16 @@ class TestInputHandling:
         trips = [TripEvent(minute(span, a - 60), minute(span, a), 1.0) for a in arrivals]
         with pytest.raises(ValueError, match=match):
             simulate(spec_for(span, "edf"), data, [plan(vid, LEAF, 0.0, span.start, trips)])
+
+    @pytest.mark.parametrize("n_trips", [0, 1])
+    def test_trips_given_as_a_list_rejected(self, two_day_span, n_trips):
+        span = two_day_span
+        data = flat_data(span, n_households=2, base_kw=0.0)
+        trips = [TripEvent(minute(span, 8 * 60), minute(span, 16 * 60), 5.0)][:n_trips]
+        vehicle = Vehicle(id=2, household_id=2, model=LEAF, soc_kwh=0.0)
+        plans = [plan(1, LEAF, 0.0, span.start, []), VehiclePlan(vehicle, span.start, trips)]
+        with pytest.raises(TypeError, match="vehicle 2: trips must be Trips, not list"):
+            simulate(spec_for(span, "edf"), data, plans)
 
     def test_repeated_vehicle_id_rejected(self, two_day_span):
         span = two_day_span
@@ -471,7 +481,7 @@ class TestSharedPhysics:
         span = make_span("2036-12-30T00:00", "2037-01-02T00:00")
         data = flat_data(span, n_households=4, capacity=30.0,
                          curve=AdoptionCurve([(2035, 4)]))
-        flat_tou = DistributionTariff("time_of_use", bands=[TouBand("all", 0, 24, 0.3)])
+        flat_tou = DistributionTariff([TouBand("all", 0, 24, 0.3)])
         data = replace(data, tariffs={**data.tariffs, "time_of_use": flat_tou})
         fixed, tou = (run_experiment(spec_for(span, "edf", seed=2, tariff_mode=mode), data)
                       for mode in ("fixed", "time_of_use"))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evsim.engine import ExperimentSpec, VehiclePlan, build_fleet, simulate
-from evsim.fleet import DrivingPattern, EvModel, Vehicle
+from evsim.fleet import DrivingPattern, EvModel, Trips, Vehicle
 from evsim.rng import RngStreams
 from evsim.strategies import STRATEGY_NAMES
 from evsim.timebase import Timestamp
@@ -60,7 +60,8 @@ def fleet(spec, data, tweaks):
         p.vehicle.desired_target_kwh = target_frac * battery
         if adopt_at is not None:
             p.adoption = Timestamp(spec.span.start.minutes + adopt_at)
-            p.trips = [t for t in p.trips if t.departure.minutes > p.adoption.minutes]
+            p.trips = Trips.of(t for t in p.trips
+                               if t.departure.minutes > p.adoption.minutes)
     return plans
 
 
@@ -113,7 +114,7 @@ def test_tiny_grant_finishes_on_the_reference_tick(tick):
 
     def plans():
         v = Vehicle(id=1, household_id=1, model=LEAF, soc_kwh=LEAF.battery_kwh - 2e-6)
-        return [VehiclePlan(v, span.start, [])]
+        return [VehiclePlan(v, span.start, Trips())]
 
     out = simulate(spec, data, plans(), check_invariants=True)
     assert first_difference(out, simulate_ticks(spec, data, plans())) is None

@@ -5,8 +5,8 @@ from scipy import stats
 from evsim import strategies
 from evsim.engine import ExperimentSpec, VehiclePlan, build_fleet, simulate
 from evsim.fleet import (AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips,
-                         Vehicle, apply_trip_energy, sample_adoptions,
-                         sample_daily_trips, validate_catalog)
+                         Vehicle, apply_trip_energy, draw_daily_trip,
+                         sample_adoptions, validate_catalog)
 from evsim.rng import RngStreams
 from evsim.timebase import Timestamp
 
@@ -27,7 +27,7 @@ def charge_window(model, soc, minutes, check_invariants=False):
     span = make_span()
     departure = Timestamp(span.start.minutes + minutes)
     trips = [TripEvent(departure, Timestamp(departure.minutes + 60), 0.0)]
-    plans = [VehiclePlan(make_vehicle(model, soc), span.start, trips)]
+    plans = [VehiclePlan(make_vehicle(model, soc), span.start, Trips.of(trips))]
     return simulate(ExperimentSpec("t", "traditional", span),
                     flat_data(span, n_households=1, base_kw=0.5), plans,
                     check_invariants=check_invariants)
@@ -161,7 +161,7 @@ class TestDailyTrips:
         pattern = DrivingPattern(weekday_trip_prob=0.0, weekend_trip_prob=0.0)
         v = make_vehicle()
         day = Timestamp.from_iso("2036-01-07T00:00")
-        assert sample_daily_trips(v, day, pattern, RngStreams(3).stream("t")) == []
+        assert draw_daily_trip(v, day, pattern, RngStreams(3).stream("t")) is None
 
     def test_departure_mean(self):
         pattern = DrivingPattern(departure_mean_min=450, departure_std_min=60)
@@ -170,8 +170,8 @@ class TestDailyTrips:
         day = Timestamp.from_iso("2036-01-07T00:00")   # a Monday
         deps = []
         for _ in range(10_000):
-            trips = sample_daily_trips(v, day, pattern, rng)
-            deps.append(trips[0].departure.minutes % (24 * 60))
+            departure, _, _ = draw_daily_trip(v, day, pattern, rng)
+            deps.append(departure % (24 * 60))
         assert np.mean(deps) == pytest.approx(450, abs=2)
 
     def test_arrival_after_departure(self):
@@ -182,19 +182,19 @@ class TestDailyTrips:
         v = make_vehicle()
         day = Timestamp.from_iso("2036-01-07T00:00")
         for _ in range(2000):
-            for trip in sample_daily_trips(v, day, pattern, rng):
-                assert trip.arrival.minutes > trip.departure.minutes
-                assert trip.departure.minutes // 1440 == trip.arrival.minutes // 1440
+            departure, arrival, _ = draw_daily_trip(v, day, pattern, rng)
+            assert arrival > departure
+            assert departure // 1440 == arrival // 1440
 
     def test_energy_clamped_to_battery(self):
         pattern = DrivingPattern(trip_energy_mean_kwh=100, trip_energy_std_kwh=0)
         rng = RngStreams(13).stream("trips")
         v = make_vehicle()
         day = Timestamp.from_iso("2036-01-07T00:00")
-        trips = sample_daily_trips(v, day, pattern, rng)
-        assert trips[0].energy_kwh == pytest.approx(0.9 * LEAF.battery_kwh)
+        _, _, energy = draw_daily_trip(v, day, pattern, rng)
+        assert energy == pytest.approx(0.9 * LEAF.battery_kwh)
 
-    def test_build_fleet_draws_each_day_as_sample_daily_trips(self):
+    def test_build_fleet_draws_each_day_as_draw_daily_trip(self):
         # a span starting at noon, and adoptions inside it: the trips of the
         # days before a vehicle joins are drawn and dropped
         span = make_span("2036-01-01T12:00", "2037-01-01T00:00")
@@ -206,11 +206,11 @@ class TestDailyTrips:
         for p in plans:
             rng = RngStreams(spec.seed).stream(f"trips/{p.vehicle.id}")
             start, end = p.adoption.minutes, span.end.minutes
-            want = [trip for day in range(-(-start // 1440), end // 1440)
-                    for trip in sample_daily_trips(p.vehicle, Timestamp(day * 1440),
-                                                   data.driving, rng)
-                    if trip.departure.minutes >= start and trip.arrival.minutes < end]
-            assert isinstance(p.trips, Trips) and p.trips == want
+            draws = [draw_daily_trip(p.vehicle, Timestamp(day * 1440), data.driving, rng)
+                     for day in range(-(-start // 1440), end // 1440)]
+            want = [trip for trip in draws
+                    if trip is not None and trip[0] >= start and trip[1] < end]
+            assert isinstance(p.trips, Trips) and list(zip(*p.trips.columns)) == want
         assert sum(len(p.trips) for p in plans) > 100
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evsim.engine import ExperimentSpec, VehiclePlan, simulate
-from evsim.fleet import Vehicle
+from evsim.fleet import Trips, Vehicle
 from evsim.grid import (LoadSeries, Transformer, available_capacity,
                         detect_overloads, hourly_max)
 from evsim.outputs import _worst_day, write_all, write_load_csv
@@ -27,7 +27,7 @@ def simulated_load(base_kw_by_household, vehicles=()):
     data = flat_data(span, n_households=len(base_kw_by_household),
                      base_kw=np.asarray(base_kw_by_household)[:, None])
     plans = [VehiclePlan(Vehicle(id=i + 1, household_id=i + 1, model=model,
-                                 soc_kwh=soc), span.start, [])
+                                 soc_kwh=soc), span.start, Trips())
              for i, (model, soc) in enumerate(vehicles)]
     return simulate(ExperimentSpec("t", "traditional", span), data, plans).load.values
 
@@ -309,7 +309,7 @@ def test_engine_and_writers_expand_no_minute_series(tmp_path, monkeypatch):
     span = make_span("2036-01-01T00:00", "2036-01-03T00:00")
     data = flat_data(span, n_households=3, capacity=4.0)
     plans = [VehiclePlan(Vehicle(id=i, household_id=i, model=FAST, soc_kwh=10.0),
-                         span.start, []) for i in (1, 2)]
+                         span.start, Trips()) for i in (1, 2)]
     out = simulate(ExperimentSpec("t", "traditional", span), data, plans)
     base = simulate(ExperimentSpec("b", "edf", span), data, plans)
     assert out.overload_events

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evsim.engine import ExperimentSpec, VehiclePlan, simulate
-from evsim.fleet import Vehicle
+from evsim.fleet import Trips, Vehicle
 from evsim.kpi import (KpiReport, UndefinedKpiError, YearLedger, assemble_report,
                        compare_reports, load_factor, pct_difference,
                        round_half_away)
@@ -36,7 +36,7 @@ def charge_from(hour, data, tariff_mode="fixed"):
     span = make_span()
     vehicle = Vehicle(id=1, household_id=1, model=LEAF,
                       soc_kwh=LEAF.battery_kwh - 3.7)
-    plan = VehiclePlan(vehicle, Timestamp(span.start.minutes + hour * 60), [])
+    plan = VehiclePlan(vehicle, Timestamp(span.start.minutes + hour * 60), Trips())
     spec = ExperimentSpec("t", "traditional", span, tariff_mode=tariff_mode)
     return simulate(spec, data, [plan]).reports[0]
 
@@ -92,7 +92,7 @@ class TestDsoRevenue:
 
     def test_peak_to_offpeak_shift_lowers_revenue(self):
         data = flat_data(make_span(), n_households=1, base_kw=0.5)
-        data.tariffs["time_of_use"] = DistributionTariff("time_of_use", bands=[
+        data.tariffs["time_of_use"] = DistributionTariff([
             TouBand("all", 0, 17, 0.2), TouBand("all", 17, 20, 1.0),
             TouBand("all", 20, 24, 0.2)])
         peaky = charge_from(17, data, "time_of_use").dso_revenue_dkk

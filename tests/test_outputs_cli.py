@@ -1,14 +1,17 @@
+import concurrent.futures
 import csv
+import pickle
 import shutil
+from concurrent.futures import Future
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from evsim import outputs
+from evsim import cli, outputs
 from evsim.cli import main
-from evsim.engine import ChargeSession, run_experiment
+from evsim.engine import ChargeSession, Sessions, run_experiment
 from evsim.grid import LoadSeries, OverloadEvent
 from evsim.outputs import (read_kpi_csv, write_all, write_dissatisfactions_csv,
                            write_kpi_csv, write_load_csv, write_overloads_csv,
@@ -133,6 +136,59 @@ class TestCliRun:
         serial = tree(a)
         assert len(serial) == 1 + 4 * 9 + 2 * 2
         assert tree(b) == serial
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_parallel_below_one_is_a_usage_error(self, scenario_path, tmp_path, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(scenario_path), "--out", str(tmp_path / "o"), "--parallel", n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--parallel" in err and "must be at least 1" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_parallel_workers_share_one_load_and_one_worker_per_pass(
+            self, tou_scenario_path, tmp_path, monkeypatch):
+        # an in-process stand-in for the pool: it pickles each task and result
+        # as a worker process would, and starts no process
+        pools, loads = [], []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fn, args = pickle.loads(pickle.dumps((fn, args)))
+                done = Future()
+                done.set_result(pickle.loads(pickle.dumps(fn(*args))))
+                return done
+
+        load = cli.load_scenario
+
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return load(*args, **kwargs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli, "load_scenario", counted)
+        serial = tmp_path / "serial"
+        assert main(["run", str(tou_scenario_path), "--out", str(serial)]) == 0
+        assert pools == [] and len(loads) == 1
+        for n in ("2", "64"):
+            out = tmp_path / n
+            assert main(["run", str(tou_scenario_path), "--out", str(out),
+                         "--parallel", n]) == 0
+            assert tree(out) == tree(serial)
+        # two physics passes (traditional and edf), so two workers at most
+        assert pools == [2, 2] and len(loads) == 3
+        # one pass needs no pool
+        assert main(["run", str(tou_scenario_path), "--out", str(tmp_path / "one"),
+                     "--parallel", "4", "--experiment", "trad_tou"]) == 0
+        assert pools == [2, 2] and len(loads) == 4
 
     def test_physics_files_formatted_once_per_pass(self, tou_scenario_path,
                                                    tmp_path, monkeypatch):
@@ -461,7 +517,8 @@ class TestBatchedRowWriters:
         plug, unplug = self.stamps(n, 1), self.stamps(n, 2)
         sessions = [ChargeSession(vid, a, b, kwh) for vid, a, b, kwh
                     in zip(range(1000, 1000 + n), plug, unplug, self.floats(n, 3))]
-        write_sessions_csv(tmp_path / "fast.csv", SimpleNamespace(sessions=sessions))
+        write_sessions_csv(tmp_path / "fast.csv",
+                           SimpleNamespace(sessions=Sessions.of(sessions)))
         want = _row_by_row(
             tmp_path / "rows.csv",
             ["vehicle_id", "plug_in_iso8601", "unplug_iso8601", "delivered_kwh"],

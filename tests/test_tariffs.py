@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evsim.engine import ExperimentSpec, VehiclePlan, simulate
-from evsim.fleet import Vehicle
+from evsim.fleet import Trips, Vehicle
 from evsim.tariffs import (Co2IntensitySeries, CoverageError, DistributionTariff,
                            SpotPriceSeries, TouBand)
 from evsim.timebase import SimulationSpan, Timestamp
@@ -21,11 +21,11 @@ def at(minutes: int) -> Timestamp:
 
 
 def fixed(rate=0.30):
-    return DistributionTariff("fixed", fixed_dkk_per_kwh=rate)
+    return DistributionTariff([TouBand("all", 0, 24, rate)])
 
 
 def tou_peak_17_20(peak=1.0, offpeak=0.2):
-    return DistributionTariff("time_of_use", bands=[
+    return DistributionTariff([
         TouBand("all", 0, 17, offpeak),
         TouBand("all", 17, 20, peak),
         TouBand("all", 20, 24, offpeak)])
@@ -39,7 +39,7 @@ def charging_report(kwh, **prices):
                       soc_kwh=LEAF.battery_kwh - kwh)
     data = flat_data(span, n_households=1, base_kw=0.0, **prices)
     out = simulate(ExperimentSpec("t", "traditional", span), data,
-                   [VehiclePlan(vehicle, span.start, [])])
+                   [VehiclePlan(vehicle, span.start, Trips())])
     return out.reports[0]
 
 
@@ -106,10 +106,30 @@ def test_cost_linearity(a, b):
 
 def test_tou_partition_enforced():
     with pytest.raises(ValueError):
-        DistributionTariff("time_of_use", bands=[TouBand("all", 0, 12, 0.2)])
+        DistributionTariff([TouBand("all", 0, 12, 0.2)])
     with pytest.raises(ValueError):
-        DistributionTariff("time_of_use", bands=[
+        DistributionTariff([
             TouBand("all", 0, 13, 0.2), TouBand("all", 12, 24, 0.3)])   # overlap
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), -0.1])
+def test_band_rate_must_be_finite_and_non_negative(rate):
+    with pytest.raises(ValueError):
+        DistributionTariff([TouBand("all", 0, 24, rate)])
+    with pytest.raises(ValueError):
+        DistributionTariff([TouBand("summer", 0, 24, 0.2),
+                            TouBand("winter", 0, 17, 0.2), TouBand("winter", 17, 24, rate)])
+
+
+def test_one_band_rates_equal_a_flat_array():
+    # a fixed rate is one 24-hour band: each hour's rate is that float, bit for
+    # bit, on both sides of a year boundary and in both seasons
+    span = SimulationSpan(Timestamp.from_iso("2036-12-30T05:00"),
+                          Timestamp.from_iso("2037-07-02T00:00"))
+    for rate in (0.3, 0.1 + 0.2, 0.0, 1 / 3):
+        rates = fixed(rate).hourly_rates(span)
+        want = np.full(span.n_hours, rate)
+        assert rates.dtype == want.dtype and rates.tobytes() == want.tobytes()
 
 
 def oracle_rates(tariff, span):
@@ -125,7 +145,7 @@ def oracle_rates(tariff, span):
 
 
 def test_seasonal_bands():
-    tariff = DistributionTariff("time_of_use", bands=[
+    tariff = DistributionTariff([
         TouBand("summer", 0, 17, 0.2), TouBand("summer", 17, 20, 0.8),
         TouBand("summer", 20, 24, 0.25),
         TouBand("winter", 0, 17, 0.3), TouBand("winter", 17, 20, 1.2),
