@@ -1,7 +1,8 @@
 """Command-line entry point: run, validate, gen-synthetic, compare.
 
 Exit codes: 0 ok, 1 validation error, 2 runtime error.
-EVSIM_SEED overrides the scenario seed.
+EVSIM_SEED overrides the scenario seed. EVSIM_LOG sets the logging level by
+name, in any case (default WARNING).
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ def cmd_run(args) -> int:
             needed |= {s.baseline_id for s in specs if s.id in needed and s.baseline_id}
         specs = [s for s in specs if s.id in needed]
 
+    out_root = Path(args.out)
+    out_root.mkdir(parents=True, exist_ok=True)
     # one --parallel task per charging-physics pass, run on the loaded data
     groups: dict[tuple, list] = {}
     for s in specs:
@@ -124,8 +127,6 @@ def cmd_run(args) -> int:
                if isinstance(ran[s.id], SimulationOutput)}
     failures = {s.id: ran[s.id] for s in specs if s.id not in results}
 
-    out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     baseload = scn.data.baseload
     outputs.write_load_csv(out_root / "baseload_hourly.csv",
                            LoadSeries(baseload.start, 60, baseload.hourly_total()))
@@ -188,12 +189,15 @@ def cmd_compare(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("EVSIM_LOG", "WARNING"))
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"run": cmd_run, "validate": cmd_validate,
                 "gen-synthetic": cmd_gen_synthetic, "compare": cmd_compare}
     try:
+        level = os.environ.get("EVSIM_LOG", "WARNING")     # a level's name, in any case
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ScenarioError("EVSIM_LOG", "env", f"unknown logging level {level!r}")
+        logging.basicConfig(level=level.upper())
         return handlers[args.command](args)
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import strategies as strat
 from .columns import Columns
-from .fleet import (SOC_EPS, AdoptionCurve, DrivingPattern, EvModel, Trips, Vehicle,
+from .fleet import (AdoptionCurve, DrivingPattern, EvModel, Trips, Vehicle,
                     draw_daily_trip, drain_trip, sample_adoptions, validate_catalog)
 from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
                    detect_overloads, hourly_max)
@@ -144,11 +144,6 @@ class HouseholdBaseload:
             buffer = np.empty((len(self.daily), days, 24))
         for lo, hi in bounds:
             yield self.block(lo, hi, buffer)
-
-    def slice_hours(self, span: SimulationSpan) -> np.ndarray:
-        """The (households, hours) loads of the span (must be covered)."""
-        hours = hours_covering(self.start, self.n_hours, span)
-        return self.block(hours.start, hours.stop)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HouseholdBaseload):
@@ -458,15 +453,13 @@ class _Run:
     can bring a vehicle to its target.
     """
 
-    def __init__(self, spec: ExperimentSpec, plans: list[VehiclePlan],
-                 check_invariants: bool):
+    def __init__(self, spec: ExperimentSpec, plans: list[VehiclePlan]):
         span = spec.span
         self.dt = span.tick_minutes
         self.start = span.start.minutes
         self.n_ticks = span.n_ticks
         self.interval = spec.interval
         self.end = span.end.minutes
-        self.check_invariants = check_invariants
 
         # the run changes copies of the vehicles, so the plans stay as they
         # were; built anew, as copy.copy's instances take about 20% longer on
@@ -563,18 +556,10 @@ class _Run:
         would repeat the grants of its last call, which are still held."""
         if not self._dispatch_pending(budget):
             return
-        self.grants = grants = self.dispatcher.grants(budget)
+        self.grants = self.dispatcher.grants(budget)
         self.inputs_changed = False
         self.last_budget = budget
         self.horizon = -1
-        if self.check_invariants:
-            # charge, book_hour and _ungrant rely on the id order
-            assert all(a.vid < b.vid for a, b in zip(grants, grants[1:]))
-            for r in grants:
-                assert r.vid in self.requests and r is self.records[r.vid]
-                assert 0.0 <= r.grant <= r.vehicle.model.max_rate_kw + strat.CAPACITY_EPS
-            if self.dispatcher.within_budget:
-                assert sum(r.grant for r in grants) <= budget + strat.CAPACITY_EPS
 
     def next_stop(self, i: int, hour_end: int, budget: float) -> int:
         """The tick after tick i at which the next span starts: the tick of
@@ -671,12 +656,6 @@ class _Run:
             self._load_run(i, base_kw + quiet_sum * 60.0 / dt)
         self._load_run(j - 1, base_kw + last_sum * 60.0 / dt)
 
-        if self.check_invariants:
-            # the state of charge only rises within a span: its end bounds it
-            for r in self.records.values():
-                v = r.vehicle
-                assert -SOC_EPS <= v.soc_kwh <= v.model.battery_kwh + SOC_EPS
-
     def _load_run(self, i: int, kw: float) -> None:
         """The load is kw from tick i on: a new run, unless the last run holds
         kw's bit pattern already (as a NaN, unequal to itself, may: then
@@ -723,17 +702,15 @@ class _Physics:
 
 
 def simulate(spec: ExperimentSpec, data: ScenarioData,
-             plans: list[VehiclePlan],
-             check_invariants: bool = False) -> SimulationOutput:
+             plans: list[VehiclePlan]) -> SimulationOutput:
     """Run one experiment on a prepared fleet: its charging physics, priced
     at ``spec.tariff_mode``. ``plans`` is left as it was found.
 
     If ``plans`` is the fleet ``run_experiment`` built on ``data`` for this
-    seed and span, the physics pass of an earlier call with the same strategy,
-    decision interval and ``check_invariants`` is reused while an output of it
-    is alive: the tariff changes no dispatch decision, and neither the fleet
-    nor ``data``'s physics inputs can have changed. Any other fleet gets a
-    pass of its own.
+    seed and span, the physics pass of an earlier call with the same strategy
+    and decision interval is reused while an output of it is alive: the
+    tariff changes no dispatch decision, and neither the fleet nor ``data``'s
+    physics inputs can have changed. Any other fleet gets a pass of its own.
     """
     span = spec.span
     tariff = data.tariffs.get(spec.tariff_mode)
@@ -758,19 +735,17 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
         bills[y] = [block @ rates[h0:h1] for rates in (price_h, tariff_h, co2_h)]
     del block, blocks
 
-    key = (spec.physics_key, check_invariants)
     shared = plans is data._fleets.get((spec.seed, span))
-    physics = data._physics.get(key) if shared else None
+    physics = data._physics.get(spec.physics_key) if shared else None
     if physics is None:
-        physics = _charge(spec, data.transformer, np.concatenate(base_totals), plans,
-                          check_invariants)
+        physics = _charge(spec, data.transformer, np.concatenate(base_totals), plans)
         if shared:
-            data._physics[key] = physics
+            data._physics[spec.physics_key] = physics
     return _price(spec, data, physics, years, bills, price_h, tariff_h, co2_h)
 
 
 def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
-            plans: list[VehiclePlan], check_invariants: bool) -> _Physics:
+            plans: list[VehiclePlan]) -> _Physics:
     """The charging-physics pass: the deterministic core loop over the span."""
     span = spec.span
     dt = span.tick_minutes
@@ -781,7 +756,7 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
 
     start_min = span.start.minutes
     initial_soc = {p.vehicle.id: p.vehicle.soc_kwh for p in plans}
-    run = _Run(spec, plans, check_invariants)
+    run = _Run(spec, plans)
 
     per_hour = 60 // dt
     i = 0
@@ -824,6 +799,12 @@ def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
     ``years`` holds each calendar year of the span with its first and end hour,
     counted from the span start. ``bills`` holds each year's baseload cost,
     tariff and CO2 per household, in the order of ``data.household_ids``."""
+    # a vehicle's charging is billed to the household of its id
+    households = set(data.household_ids)
+    for v in (p.vehicle for p in physics.fleet):
+        if v.household_id != v.id or v.id not in households:
+            raise ValueError(f"vehicle {v.id}: household {v.household_id} must be "
+                             f"the scenario's household of the vehicle's id")
     start_min = spec.span.start.minutes
     booked, vids, kwhs = physics.booked, physics.booked_vids, physics.booked_kwh
     reports, all_events, delivered_by_year = [], [], {}

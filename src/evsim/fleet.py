@@ -44,9 +44,6 @@ class Vehicle:
     household_id: int
     model: EvModel
     soc_kwh: float
-    plugged: bool = False
-    arrival: Timestamp | None = None
-    planned_departure: Timestamp | None = None
     desired_target_kwh: float = 0.0
 
     def __post_init__(self):
@@ -56,10 +53,6 @@ class Vehicle:
             raise ValueError("state of charge out of battery bounds")
         if self.desired_target_kwh > self.model.battery_kwh + SOC_EPS:
             raise ValueError("target above battery capacity")
-
-    @property
-    def remaining_kwh(self) -> float:
-        return max(0.0, self.desired_target_kwh - self.soc_kwh)
 
     @property
     def satisfied(self) -> bool:
@@ -239,10 +232,3 @@ def drain_trip(v: Vehicle, energy_kwh: float) -> None:
                     v.id, v.soc_kwh, energy_kwh)
         new_soc = 0.0
     v.soc_kwh = new_soc
-
-
-def apply_trip_energy(v: Vehicle, trip: TripEvent) -> None:
-    """Book a completed trip: drain SoC (floored at 0) and plug in at home."""
-    drain_trip(v, trip.energy_kwh)
-    v.plugged = True
-    v.arrival = trip.arrival

@@ -219,8 +219,6 @@ class Dispatcher:
 
     # minutes between decision boundaries when the experiment sets none
     default_interval_min = 1
-    # whether the grants of one call add up to at most its budget
-    within_budget = True
     # whether a call with the requests and budget of the last one may grant
     # otherwise or change the dispatcher's state; if not, the engine skips it
     every_boundary = False
@@ -229,8 +227,6 @@ class Dispatcher:
 class TraditionalDispatcher(Dispatcher):
     """``dispatch_traditional`` kept up to date: the requesters in id order,
     each granted its rate from its arrival on."""
-
-    within_budget = False     # plug in and charge: capacity ignored
 
     def __init__(self):
         self.records: list = []

@@ -5,31 +5,41 @@ physics, recording) on every tick of the span and calls the dispatcher on
 every decision boundary. The engine advances from event to event instead;
 its output must equal this loop's exactly, field by field.
 
+``invariants_checked()`` checks the engine's invariants while it runs: each
+new grant list is in vehicle-id order, grants only requesting vehicles at
+most their rate and, for a coordinated strategy, at most the budget; every
+state of charge stays within its battery.
+
     PYTHONPATH=src python tests/reference_engine.py SCENARIO.ini
 
 runs every experiment of a scenario through ``run_experiment`` in file order,
 as ``evsim run`` does (so experiments share fleets and physics passes), and
 the per-tick loop on a freshly built fleet; it prints the first field that
-differs, and exits 1 on any difference.
+differs, and exits 1 on any difference. The engine runs under
+``invariants_checked()``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 
+from evsim import engine
 from evsim import strategies as strat
 from evsim.engine import (ChargeSession, ExperimentSpec, ScenarioData,
                           SimulationOutput, VehiclePlan, VehicleSummary,
                           build_fleet, run_experiment)
-from evsim.fleet import SOC_EPS, TripEvent, Vehicle, apply_trip_energy
+from evsim.fleet import SOC_EPS, TripEvent, Vehicle, drain_trip
 from evsim.grid import (LoadSeries, OverloadEvent, available_capacity,
                         detect_overloads, hourly_max)
 from evsim.kpi import YearLedger, assemble_report
 from evsim.rng import RngStreams
 from evsim.scenario import load_scenario
+from evsim.tariffs import hours_covering
 from evsim.timebase import Timestamp, year_start_minutes
 
 # event kinds, processed in this order within one tick
@@ -53,10 +63,41 @@ def _dispatcher(spec: ExperimentSpec):
     raise AssertionError(name)
 
 
+@contextmanager
+def invariants_checked():
+    """Within the block, every engine run asserts its invariants: after each
+    call of ``_Run.dispatch_due`` that takes new grants, and after each span
+    ``_Run.charge`` takes."""
+    dispatch_due, charge = engine._Run.dispatch_due, engine._Run.charge
+
+    def checked_dispatch_due(self, budget: float) -> None:
+        new = self._dispatch_pending(budget)
+        dispatch_due(self, budget)
+        if new:
+            grants = self.grants
+            # charge, book_hour and _ungrant rely on the id order
+            assert all(a.vid < b.vid for a, b in zip(grants, grants[1:]))
+            for r in grants:
+                assert r.vid in self.requests and r is self.records[r.vid]
+                assert 0.0 <= r.grant <= r.vehicle.model.max_rate_kw + strat.CAPACITY_EPS
+            # traditional charging plugs in and charges: capacity ignored
+            if not isinstance(self.dispatcher, strat.TraditionalDispatcher):
+                assert sum(r.grant for r in grants) <= budget + strat.CAPACITY_EPS
+
+    def checked_charge(self, i: int, j: int, base_kw: float) -> None:
+        charge(self, i, j, base_kw)
+        # the state of charge only rises within a span: its end bounds it
+        for r in self.records.values():
+            v = r.vehicle
+            assert -SOC_EPS <= v.soc_kwh <= v.model.battery_kwh + SOC_EPS
+
+    with patch.object(engine._Run, "dispatch_due", checked_dispatch_due), \
+            patch.object(engine._Run, "charge", checked_charge):
+        yield
+
 
 def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
-                   plans: list[VehiclePlan],
-                   check_invariants: bool = False) -> SimulationOutput:
+                   plans: list[VehiclePlan]) -> SimulationOutput:
     """The per-tick loop: every phase runs on every tick of the span."""
     span = spec.span
     dt = span.tick_minutes
@@ -70,7 +111,8 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
         raise ValueError(f"scenario has no {spec.tariff_mode!r} tariff")
 
     # hourly context arrays over the span
-    base_matrix = data.baseload.slice_hours(span)        # (households, hours)
+    hours = hours_covering(data.baseload.start, data.baseload.n_hours, span)
+    base_matrix = data.baseload.block(hours.start, hours.stop)   # (households, hours)
     spot_h = data.spot.slice_hours(span)
     co2_h = data.co2.slice_hours(span)
     tariff_h = tariff.hourly_rates(span)
@@ -89,6 +131,9 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
         raise ValueError("span must start and end on hour boundaries")
 
     vehicles: dict[int, Vehicle] = {p.vehicle.id: p.vehicle for p in plans}
+    plugged: set[int] = set()
+    arrival: dict[int, Timestamp] = {}
+    planned_departure: dict[int, Timestamp] = {}
     adoption_of = {p.vehicle.id: p.adoption for p in plans}
     initial_soc = {vid: v.soc_kwh for vid, v in vehicles.items()}
     first_departure = {p.vehicle.id: (p.trips[0].departure.minutes if p.trips
@@ -136,8 +181,8 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
     def refresh_request(vid: int, v: Vehicle) -> None:
         req_cache[vid] = strat.ChargeRequest(
             vehicle_id=vid, max_rate_kw=v.model.max_rate_kw,
-            remaining_kwh=v.remaining_kwh, arrival=v.arrival,
-            planned_departure=v.planned_departure)
+            remaining_kwh=max(0.0, v.desired_target_kwh - v.soc_kwh),
+            arrival=arrival[vid], planned_departure=planned_departure[vid])
 
     per_hour = 60 // dt
     ev_ptr = 0
@@ -154,28 +199,30 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
             ev_ptr += 1
             v = vehicles[vid]
             if kind == _ADOPT:
-                v.plugged = True
-                v.arrival = Timestamp(m)
-                v.planned_departure = Timestamp(first_departure[vid])
+                plugged.add(vid)
+                arrival[vid] = Timestamp(m)
+                planned_departure[vid] = Timestamp(first_departure[vid])
                 open_session(vid, m)
                 if not v.satisfied:
                     refresh_request(vid, v)
                     requesting.add(vid)
             elif kind == _DEPART:
-                if v.plugged:
+                if vid in plugged:
                     if not v.satisfied:
                         ledgers[Timestamp(m).year].dissatisfaction_count += 1
                         dissatisfactions.append((Timestamp(m), vid))
                     close_session(vid, m)
-                v.plugged = False
+                plugged.discard(vid)
                 grants.pop(vid, None)
                 requesting.discard(vid)
                 req_cache.pop(vid, None)
             else:   # _ARRIVE
                 soc_before = v.soc_kwh
-                apply_trip_energy(v, payload)
+                drain_trip(v, payload.energy_kwh)
                 trip_drain[vid] += soc_before - v.soc_kwh
-                v.planned_departure = Timestamp(next_departure[(vid, payload.arrival.minutes)])
+                plugged.add(vid)
+                arrival[vid] = payload.arrival
+                planned_departure[vid] = Timestamp(next_departure[(vid, payload.arrival.minutes)])
                 open_session(vid, m)
                 if not v.satisfied:
                     refresh_request(vid, v)
@@ -189,11 +236,6 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
             budget = budget_h[h]
             reqs = [req_cache[vid] for vid in sorted(requesting)]
             grants = dict(dispatch(reqs, budget))
-            if check_invariants:
-                for vid, g in grants.items():
-                    assert 0.0 <= g <= vehicles[vid].model.max_rate_kw + strat.CAPACITY_EPS
-                if spec.strategy != "traditional":
-                    assert sum(grants.values()) <= budget + strat.CAPACITY_EPS
 
         # phase 4: charging physics for one tick; fixed id order keeps the
         # float sum independent of the dispatcher's dict ordering
@@ -222,10 +264,6 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
 
         # phase 5: load recording (average power over the tick)
         load[i] = base_now + delivered_sum * 60.0 / dt
-
-        if check_invariants:
-            for v in vehicles.values():
-                assert -SOC_EPS <= v.soc_kwh <= v.model.battery_kwh + SOC_EPS
 
         # hour closed: book the hour's charging at this hour's prices
         if (i + 1) % per_hour == 0 and hour_kwh:
@@ -330,7 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     kept = []       # alive outputs let later experiments share fleet and physics
     for spec in scn.experiments:
         # the path of `evsim run`, against the tick loop on a fleet of its own
-        kept.append(run_experiment(spec, scn.data))
+        with invariants_checked():
+            kept.append(run_experiment(spec, scn.data))
         fresh = build_fleet(spec, scn.data, RngStreams(spec.seed))
         diff = first_difference(kept[-1], simulate_ticks(spec, scn.data, fresh))
         print(f"{spec.id}: {'identical' if diff is None else 'DIFFERS: ' + diff}")

@@ -29,6 +29,7 @@ from evsim.tariffs import DistributionTariff, TouBand
 from evsim.timebase import SimulationSpan, Timestamp
 
 from conftest import flat_data, make_span
+from reference_engine import invariants_checked
 
 
 def _verdict(num: int, desc: str, passed: bool) -> None:
@@ -342,7 +343,8 @@ def test_criterion_9_conservation_and_determinism():
             spec = ExperimentSpec(id="c9", strategy="round_robin", span=span,
                                   seed=seed)
             plans = build_fleet(spec, data, RngStreams(seed))
-            out = simulate(spec, data, plans, check_invariants=True)
+            with invariants_checked():
+                out = simulate(spec, data, plans)
             for v in out.vehicles:
                 balance = v.delivered_kwh - v.trip_drain_kwh \
                     - (v.final_soc_kwh - v.initial_soc_kwh)

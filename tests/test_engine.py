@@ -21,7 +21,7 @@ from evsim.tariffs import CoverageError, DistributionTariff, SpotPriceSeries, To
 from evsim.timebase import Timestamp
 
 from conftest import FAST, LEAF, flat_data, make_span
-from reference_engine import first_difference, simulate_ticks
+from reference_engine import first_difference, invariants_checked, simulate_ticks
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "perfbench" / "scenarios"
@@ -152,7 +152,8 @@ class TestHoldLast:
             return [plan(vid, FAST, 0.0, span.start, trips if vid == 2 else [])
                     for vid in (1, 2, 3)]
 
-        out = simulate(spec, data, plans(), check_invariants=True)
+        with invariants_checked():
+            out = simulate(spec, data, plans())
         assert first_difference(out, simulate_ticks(spec, data, plans())) is None
 
 
@@ -189,7 +190,8 @@ class TestConservationAndBounds:
         from evsim.rng import RngStreams
         s = spec_for(span, strategy, seed=3)
         plans = build_fleet(s, data, RngStreams(s.seed))
-        out = simulate(s, data, plans, check_invariants=True)
+        with invariants_checked():
+            out = simulate(s, data, plans)
         for v in out.vehicles:
             balance = v.delivered_kwh - v.trip_drain_kwh \
                 - (v.final_soc_kwh - v.initial_soc_kwh)
@@ -246,6 +248,18 @@ class TestInputHandling:
         plans = [plan(1, LEAF, 0.0, span.start, trips), plan(1, FAST, 0.0, span.start, [])]
         with pytest.raises(ValueError, match="vehicle id 1 is in more than one plan"):
             simulate(spec_for(span, "edf"), data, plans)
+
+    @pytest.mark.parametrize("vid, household", [(7, 2), (2, 99)],
+                             ids=["id_not_its_household", "household_not_in_scenario"])
+    def test_vehicle_billed_to_another_household_rejected(self, two_day_span, vid,
+                                                          household):
+        # the charging bills go by vehicle id, the baseload bills by household
+        span = two_day_span
+        data = flat_data(span, n_households=2)
+        v = Vehicle(id=vid, household_id=household, model=LEAF, soc_kwh=0.0)
+        with pytest.raises(ValueError, match=f"vehicle {vid}: household {household} "):
+            simulate(spec_for(span, "traditional"), data,
+                     [VehiclePlan(v, span.start, Trips())])
 
     def test_unknown_strategy_rejected(self, two_day_span):
         with pytest.raises(ValueError, match="valid"):
@@ -326,7 +340,8 @@ class TestSharedPhysics:
         s = spec_for(span, "edf", seed=3)
         plans = build_fleet(s, data, RngStreams(s.seed))
         before = copy.deepcopy(plans)
-        out = simulate(s, data, plans, check_invariants=True)
+        with invariants_checked():
+            out = simulate(s, data, plans)
         assert out.sessions and plans == before
 
     def test_demo_matrix_in_reverse_shares_physics(self, tmp_path, count_physics):

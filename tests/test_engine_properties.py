@@ -2,6 +2,7 @@
 engine's invariants hold, and its output equals the per-tick reference loop's
 exactly (``tests/reference_engine.py``)."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,14 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evsim import strategies
 from evsim.engine import ExperimentSpec, VehiclePlan, build_fleet, simulate
-from evsim.fleet import DrivingPattern, EvModel, Trips, Vehicle
+from evsim.fleet import DrivingPattern, EvModel, TripEvent, Trips, Vehicle
 from evsim.rng import RngStreams
 from evsim.strategies import STRATEGY_NAMES
 from evsim.timebase import Timestamp
 
 from conftest import LEAF, flat_data, make_span
-from reference_engine import first_difference, main, simulate_ticks
+from reference_engine import first_difference, invariants_checked, main, simulate_ticks
 from test_outputs_cli import SHORT_INI
 from test_scenario import write_scenario
 
@@ -66,7 +68,7 @@ def fleet(spec, data, tweaks):
 
 
 # EDF admits both vehicles at once and vehicle 2 departs first: a grant list in
-# deadline order, not id order, fails check_invariants
+# deadline order, not id order, fails invariants_checked
 _SPAN = make_span("2036-01-01T00:00", "2036-01-03T00:00")
 EDF_DEADLINES_OUT_OF_ID_ORDER = (
     ExperimentSpec(id="p", strategy="edf", span=_SPAN, seed=1, decision_interval_min=1),
@@ -78,7 +80,8 @@ EDF_DEADLINES_OUT_OF_ID_ORDER = (
 @settings(max_examples=60, deadline=None)
 def test_invariants_and_reference_equality(scenario):
     spec, data, tweaks = scenario
-    out = simulate(spec, data, fleet(spec, data, tweaks), check_invariants=True)
+    with invariants_checked():
+        out = simulate(spec, data, fleet(spec, data, tweaks))
 
     reference = simulate_ticks(spec, data, fleet(spec, data, tweaks))
     assert first_difference(out, reference) is None
@@ -116,9 +119,44 @@ def test_tiny_grant_finishes_on_the_reference_tick(tick):
         v = Vehicle(id=1, household_id=1, model=LEAF, soc_kwh=LEAF.battery_kwh - 2e-6)
         return [VehiclePlan(v, span.start, Trips())]
 
-    out = simulate(spec, data, plans(), check_invariants=True)
+    with invariants_checked():
+        out = simulate(spec, data, plans())
     assert first_difference(out, simulate_ticks(spec, data, plans())) is None
     assert out.vehicles[0].final_soc_kwh == pytest.approx(LEAF.battery_kwh, abs=1e-12)
+
+
+@pytest.mark.parametrize("broken", ["grants_out_of_id_order", "grants_above_budget",
+                                    "grant_to_a_vehicle_not_requesting",
+                                    "soc_above_battery"])
+def test_invariants_checked_fires(monkeypatch, broken):
+    # two LEAF-class vehicles (3.7 kW each) behind 5 kW: one fits the budget
+    span = make_span()
+    data = flat_data(span, n_households=2, base_kw=0.0, capacity=5.0)
+    strategy, soc, trips = "traditional", 20.0, Trips()
+    if broken == "grants_out_of_id_order":
+        grants = strategies.TraditionalDispatcher.grants
+        monkeypatch.setattr(strategies.TraditionalDispatcher, "grants",
+                            lambda self, budget: grants(self, budget)[::-1])
+    elif broken == "grants_above_budget":
+        # EDF admitting as if the budget were unlimited
+        monkeypatch.setattr(strategies.EdfDispatcher, "grants", lambda self, budget:
+                            strategies._admit((e[3] for e in self.order), math.inf))
+        strategy = "edf"
+    elif broken == "grant_to_a_vehicle_not_requesting":
+        # a vehicle at its target on the first tick stays among the requesters
+        monkeypatch.setattr(strategies.TraditionalDispatcher, "leave",
+                            lambda self, vid: None)
+        soc = LEAF.battery_kwh - 0.01
+    else:
+        # a full battery back from a trip of negative energy
+        soc = LEAF.battery_kwh
+        trips = Trips.of([TripEvent(Timestamp(span.start.minutes + 60),
+                                    Timestamp(span.start.minutes + 120), -5.0)])
+    plans = [VehiclePlan(Vehicle(id=vid, household_id=vid, model=LEAF, soc_kwh=soc),
+                         span.start, trips) for vid in (1, 2)]
+    spec = ExperimentSpec(id="t", strategy=strategy, span=span)
+    with pytest.raises(AssertionError), invariants_checked():
+        simulate(spec, data, plans)
 
 
 @pytest.mark.parametrize("tick", [1, 15])

@@ -5,12 +5,13 @@ from scipy import stats
 from evsim import strategies
 from evsim.engine import ExperimentSpec, VehiclePlan, build_fleet, simulate
 from evsim.fleet import (AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips,
-                         Vehicle, apply_trip_energy, draw_daily_trip,
-                         sample_adoptions, validate_catalog)
+                         Vehicle, draw_daily_trip, drain_trip, sample_adoptions,
+                         validate_catalog)
 from evsim.rng import RngStreams
 from evsim.timebase import Timestamp
 
 from conftest import FAST, LEAF, flat_data, make_span
+from reference_engine import invariants_checked
 
 
 def make_vehicle(model=LEAF, soc=20.0, target=None):
@@ -20,7 +21,7 @@ def make_vehicle(model=LEAF, soc=20.0, target=None):
     return v
 
 
-def charge_window(model, soc, minutes, check_invariants=False):
+def charge_window(model, soc, minutes):
     """Simulate one vehicle plugged in at the span start that leaves after
     `minutes`, on an unconstrained transformer under traditional charging,
     next to a constant 0.5 kW household baseload."""
@@ -29,8 +30,7 @@ def charge_window(model, soc, minutes, check_invariants=False):
     trips = [TripEvent(departure, Timestamp(departure.minutes + 60), 0.0)]
     plans = [VehiclePlan(make_vehicle(model, soc), span.start, Trips.of(trips))]
     return simulate(ExperimentSpec("t", "traditional", span),
-                    flat_data(span, n_households=1, base_kw=0.5), plans,
-                    check_invariants=check_invariants)
+                    flat_data(span, n_households=1, base_kw=0.5), plans)
 
 
 class TestCatalog:
@@ -69,28 +69,26 @@ class TestChargeStep:
                 r.grant = 2 * r.rate
             return self.records.copy()
         monkeypatch.setattr(strategies.TraditionalDispatcher, "grants", doubled)
-        with pytest.raises(AssertionError):
-            charge_window(LEAF, 20.0, 60, check_invariants=True)
+        with pytest.raises(AssertionError), invariants_checked():
+            charge_window(LEAF, 20.0, 60)
 
 
 class TestTripEnergy:
     def test_drain(self):
         v = make_vehicle(soc=30.0)
-        trip = TripEvent(Timestamp(0), Timestamp(600), 8.0)
-        apply_trip_energy(v, trip)
+        drain_trip(v, 8.0)
         assert v.soc_kwh == pytest.approx(22.0)
-        assert v.plugged
 
     def test_floor_at_zero(self, caplog):
         v = make_vehicle(soc=5.0)
         with caplog.at_level("WARNING"):
-            apply_trip_energy(v, TripEvent(Timestamp(0), Timestamp(600), 8.0))
+            drain_trip(v, 8.0)
         assert v.soc_kwh == 0.0
         assert "ran out of charge" in caplog.text
 
     def test_zero_energy_identity(self):
         v = make_vehicle(soc=30.0)
-        apply_trip_energy(v, TripEvent(Timestamp(0), Timestamp(600), 0.0))
+        drain_trip(v, 0.0)
         assert v.soc_kwh == 30.0
 
 
@@ -219,4 +217,3 @@ def test_vehicle_invariants():
         Vehicle(id=1, household_id=1, model=LEAF, soc_kwh=41.0)
     v = Vehicle(id=1, household_id=1, model=LEAF, soc_kwh=10.0)
     assert v.desired_target_kwh == LEAF.battery_kwh
-    assert v.remaining_kwh == pytest.approx(30.0)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import logging
 import pickle
 import shutil
 from concurrent.futures import Future
@@ -118,6 +119,19 @@ class TestCliRun:
         rc = main(["run", str(scenario_path), "--out", str(tmp_path / "o"),
                    "--experiment", "nope"])
         assert rc == 1
+
+    def test_out_that_is_a_file_fails_before_any_experiment(self, scenario_path,
+                                                           tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_experiment(*args)
+        monkeypatch.setattr(cli, "run_experiment", counted)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", str(scenario_path), "--out", str(taken)]) == 2
+        assert calls == []
 
     def test_manifest_records_provenance(self, scenario_path, tmp_path):
         out = tmp_path / "out"
@@ -385,6 +399,21 @@ class TestSeedEnv:
     def test_bad_env_seed_exit_1(self, scenario_path, monkeypatch):
         monkeypatch.setenv("EVSIM_SEED", "banana")
         assert main(["validate", str(scenario_path)]) == 1
+
+
+class TestLogEnv:
+    def test_level_name_in_any_case(self, scenario_path, monkeypatch):
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+        monkeypatch.setenv("EVSIM_LOG", "debug")
+        assert main(["validate", str(scenario_path)]) == 0
+        assert levels == ["DEBUG"]
+
+    def test_unknown_level_is_validation_error(self, scenario_path, monkeypatch, capsys):
+        monkeypatch.setenv("EVSIM_LOG", "bogus")
+        assert main(["validate", str(scenario_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "validation error: EVSIM_LOG: [env] unknown logging level 'bogus'\n"
 
 
 class TestGenSynthetic:

@@ -1,7 +1,7 @@
 """Random scenario files written from the real key set, with small CSVs where a
 key names one: ``evsim validate`` accepts or rejects each (exit 0 or 1, never
 2), and every accepted scenario, cut to two days, runs each experiment under
-``check_invariants`` and equals the per-tick reference loop exactly.
+``invariants_checked()`` and equals the per-tick reference loop exactly.
 
 Most values are drawn from their valid range; each key is occasionally given
 a value that load_scenario must reject, each CSV file a row of the wrong
@@ -25,7 +25,7 @@ from evsim.strategies import STRATEGY_NAMES
 from evsim.tariffs import TARIFF_MODES
 from evsim.timebase import SimulationSpan, Timestamp
 
-from reference_engine import first_difference, simulate_ticks
+from reference_engine import first_difference, invariants_checked, simulate_ticks
 
 CUT_MINUTES = 2 * 24 * 60
 ISO = "%Y-%m-%dT%H:%M"
@@ -271,8 +271,9 @@ def check_scenario(files):
             return
         scn = load_scenario(path)
         for spec in map(cut, scn.experiments):
-            out = simulate(spec, scn.data, build_fleet(spec, scn.data, RngStreams(spec.seed)),
-                           check_invariants=True)
+            with invariants_checked():
+                out = simulate(spec, scn.data,
+                               build_fleet(spec, scn.data, RngStreams(spec.seed)))
             reference = simulate_ticks(spec, scn.data,
                                        build_fleet(spec, scn.data, RngStreams(spec.seed)))
             assert first_difference(out, reference) is None
