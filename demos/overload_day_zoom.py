@@ -23,7 +23,6 @@ span = SimulationSpan(Timestamp.from_iso("2039-01-01T00:00"),
 households = list(range(1, 127))
 streams = RngStreams(7)
 data = ScenarioData(
-    household_ids=households,
     transformer=Transformer(capacity_kw=400.0),
     baseload=generate_baseload(SyntheticBaseloadSpec(), households, span, streams),
     spot=generate_spot(SyntheticPriceSpec(), span, streams),

@@ -29,7 +29,6 @@ households = list(range(1, 127))
 # all synthetic inputs come from one seed, so the comparison is apples to apples
 streams = RngStreams(2039)
 data = ScenarioData(
-    household_ids=households,
     transformer=Transformer(capacity_kw=400.0),
     baseload=generate_baseload(SyntheticBaseloadSpec(), households, span, streams),
     spot=generate_spot(SyntheticPriceSpec(), span, streams),

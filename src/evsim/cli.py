@@ -16,7 +16,7 @@ from pathlib import Path
 from . import outputs
 from .engine import SimulationOutput, run_experiment
 from .grid import LoadSeries
-from .kpi import pct_difference
+from .kpi import KPI_METRICS, pct_difference
 from .rng import parse_seed
 from .scenario import Scenario, ScenarioError, load_scenario
 
@@ -179,7 +179,7 @@ def cmd_compare(args) -> int:
         rb = by_year_b.get(ra["year"])
         if rb is None:
             continue
-        for m in outputs.KPI_HEADER[2:]:
+        for m, _, _ in KPI_METRICS:
             try:
                 pct = pct_difference(float(ra[m]), float(rb[m]))
             except ValueError:

@@ -33,7 +33,7 @@ import math
 import weakref
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, attrgetter
 
@@ -42,7 +42,8 @@ import numpy as np
 from . import strategies as strat
 from .columns import Columns
 from .fleet import (AdoptionCurve, DrivingPattern, EvModel, Trips, Vehicle,
-                    draw_daily_trip, drain_trip, sample_adoptions, validate_catalog)
+                    draw_daily_trip, drain_trip, sample_adoptions, satisfied,
+                    validate_catalog)
 from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
                    detect_overloads, hourly_max)
 from .kpi import OVERLOAD_UNITS, KpiReport, YearLedger, assemble_report
@@ -87,14 +88,20 @@ class HouseholdBaseload:
         if self.start.minutes % 60 != 0:
             raise ValueError("baseload must start on an hour boundary")
         if self.matrix is not None:
-            rows, negative = self.matrix.shape[0], (self.matrix < 0).any()
+            rows, largest = len(self.matrix), np.abs(self.matrix).max(initial=0.0)
         else:
             if self.daily.ndim != 2 or self.weights.shape != (24,):
                 raise ValueError("baseload factors must be (households, days) and 24 weights")
-            rows, negative = len(self.daily), self._negative_product()
+            # no value exceeds the largest daily magnitude times the largest
+            # weight magnitude, which is not finite when any factor is not
+            rows = len(self.daily)
+            with np.errstate(over="ignore", invalid="ignore"):
+                largest = np.abs(self.daily).max(initial=0.0) * np.abs(self.weights).max()
         if rows != len(self.household_ids):
             raise ValueError("baseload rows must match household count")
-        if negative:
+        if not np.isfinite(largest):       # NaN too, which max passes on
+            raise ValueError("baseload values must be finite")
+        if (self.matrix < 0).any() if self.matrix is not None else self._negative_product():
             raise ValueError("baseload must be non-negative")
 
     def _negative_product(self) -> bool:
@@ -103,14 +110,12 @@ class HouseholdBaseload:
         it does not round to -0.0. Of a row's such products, the one of
         largest magnitude is its largest daily value times the smallest
         weight, or its smallest daily value times the largest weight; rounding
-        keeps that order, so those two decide. fmax and fmin skip NaN, whose
-        products are not negative."""
+        keeps that order, so those two decide. The products are finite."""
         if self.daily.size == 0:
             return False
         daily, weights = self.daily, self.weights
-        with np.errstate(all="ignore"):       # inf * 0 is NaN, not negative
-            return bool((np.fmax.reduce(daily, axis=1) * np.fmin.reduce(weights) < 0).any()
-                        or (np.fmin.reduce(daily, axis=1) * np.fmax.reduce(weights) < 0).any())
+        return bool((daily.max(axis=1) * weights.min() < 0).any()
+                    or (daily.min(axis=1) * weights.max() < 0).any())
 
     @property
     def n_hours(self) -> int:
@@ -177,7 +182,6 @@ class ScenarioData:
     and the fleet it used alive; nothing else does.
     """
 
-    household_ids: tuple[int, ...]
     transformer: Transformer
     baseload: HouseholdBaseload
     spot: SpotPriceSeries
@@ -196,20 +200,21 @@ class ScenarioData:
         compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "household_ids", tuple(self.household_ids))
         object.__setattr__(self, "catalog", tuple(self.catalog))
         # here, as __setstate__ runs it again on copies, whose arrays are writeable
         for a in (self.baseload.matrix, self.baseload.daily, self.baseload.weights):
             if a is not None:
                 a.flags.writeable = False
-        # the pricing pass bills baseload row k to household_ids[k]
-        if self.baseload.household_ids != self.household_ids:
-            raise ValueError("baseload household ids differ from the scenario's")
         validate_catalog(self.catalog)
         if self.adoption_curve.final_value > len(self.household_ids):
             raise ValueError("adoption curve exceeds household count")
         if self.overload_unit not in OVERLOAD_UNITS:
             raise ValueError(f"unknown overload unit {self.overload_unit!r}")
+
+    @property
+    def household_ids(self) -> tuple[int, ...]:
+        """The households, in the order of the baseload's rows."""
+        return self.baseload.household_ids
 
     def __getstate__(self):
         # copies and pickles start without the fleets and passes held weakly
@@ -301,7 +306,6 @@ class Sessions(Columns):
 @dataclass
 class VehicleSummary:
     vehicle_id: int
-    household_id: int
     model: str
     initial_soc_kwh: float
     final_soc_kwh: float
@@ -337,8 +341,9 @@ class SimulationOutput:
 
 
 class ChargingRecord:
-    """One vehicle's charging state in a run: its ``Vehicle``, its rate, its
-    current grant, the energy of its open hour and session, and its next trip.
+    """One vehicle's charging state in a run: its ``Vehicle`` (as the run found
+    it), its rate, state of charge and target, its current grant, the energy of
+    its open hour and session, and its next trip.
 
     The dispatcher objects of ``strategies.DISPATCHERS`` take records in
     ``arrive`` and set the ``grant`` of the records they return from
@@ -347,14 +352,16 @@ class ChargingRecord:
     leaves and returns within an hour keeps adding to the same hour.
     """
 
-    __slots__ = ("vehicle", "vid", "rate", "grant", "hour_kwh", "session_kwh",
-                 "session_start", "delivered_kwh", "trip_drain_kwh", "trips",
-                 "next_trip")
+    __slots__ = ("vehicle", "vid", "rate", "soc_kwh", "target_kwh", "grant",
+                 "hour_kwh", "session_kwh", "session_start", "delivered_kwh",
+                 "trip_drain_kwh", "trips", "next_trip")
 
     def __init__(self, vehicle: Vehicle, trips: Trips = ()):
         self.vehicle = vehicle
         self.vid = vehicle.id
         self.rate = vehicle.model.max_rate_kw
+        self.soc_kwh = vehicle.soc_kwh
+        self.target_kwh = vehicle.desired_target_kwh
         self.grant = 0.0
         self.hour_kwh = 0.0            # 0.0 until it charges in the open hour
         self.session_kwh = 0.0
@@ -386,8 +393,7 @@ def build_fleet(spec: ExperimentSpec, data: ScenarioData,
     for ev in sorted(adoptions, key=lambda e: e.household_id):
         if ev.at.minutes >= span.end.minutes:
             continue
-        vehicle = Vehicle(id=ev.household_id, household_id=ev.household_id,
-                          model=ev.model, soc_kwh=ev.model.battery_kwh)
+        vehicle = Vehicle(id=ev.household_id, model=ev.model, soc_kwh=ev.model.battery_kwh)
         start = max(ev.at.minutes, span.start.minutes)
         rng = streams.stream(f"trips/{ev.household_id}")
         trips = Trips()
@@ -425,7 +431,9 @@ def run_experiment(spec: ExperimentSpec, data: ScenarioData) -> SimulationOutput
 def _event_keys(plans: list[VehiclePlan], n_ids: int) -> array:
     """The fleet plan's adoptions, departures and arrivals as integer keys
     ``(minute * _KINDS + kind) * n_ids + vehicle id``, sorted: the processing
-    order, by minute, then kind, then vehicle id. ``n_ids`` exceeds every id."""
+    order, by minute, then kind, then vehicle id. ``n_ids`` exceeds every id.
+    ``_Run.apply_events`` ends a vehicle's trips in turn, one per arrival, so
+    each must depart after the one before arrives."""
     keys = array("q")
     for p in plans:
         vid = p.vehicle.id
@@ -435,10 +443,15 @@ def _event_keys(plans: list[VehiclePlan], n_ids: int) -> array:
         if not isinstance(p.trips, Trips):
             raise TypeError(f"vehicle {vid}: trips must be Trips, "
                             f"not {type(p.trips).__name__}")
-        departures, arrivals, _ = p.trips.columns
-        if list(arrivals) != sorted(arrivals):   # _Run.apply_events takes them in turn
-            raise ValueError(f"vehicle {vid}: trips not in arrival order")
-        for departure, arrival in zip(departures, arrivals):
+        earliest = p.adoption.minutes       # the first minute the next trip may depart
+        for k, (departure, arrival, energy) in enumerate(zip(*p.trips.columns)):
+            if not (earliest <= departure < arrival and 0.0 <= energy < math.inf):
+                raise ValueError(
+                    f"vehicle {vid}: trip {k} (minutes {departure} to {arrival}, {energy} "
+                    f"kWh) must depart at or after minute {earliest}, arrive after it "
+                    f"departs and take a finite, non-negative energy: trips go one at "
+                    f"a time, in arrival order, from the adoption on")
+            earliest = arrival + 1
             keys.append((departure * _KINDS + _DEPART) * n_ids + vid)
             keys.append((arrival * _KINDS + _ARRIVE) * n_ids + vid)
     return array("q", np.sort(np.frombuffer(keys, dtype=np.int64)).tobytes())
@@ -461,15 +474,12 @@ class _Run:
         self.interval = spec.interval
         self.end = span.end.minutes
 
-        # the run changes copies of the vehicles, so the plans stay as they
-        # were; built anew, as copy.copy's instances take about 20% longer on
-        # the charging loop's attribute accesses
         self.records: dict[int, ChargingRecord] = {}
         for p in plans:
             vid = p.vehicle.id
             if vid in self.records:
                 raise ValueError(f"vehicle id {vid} is in more than one plan")
-            self.records[vid] = ChargingRecord(replace(p.vehicle), p.trips)
+            self.records[vid] = ChargingRecord(p.vehicle, p.trips)
         self.n_ids = max(self.records, default=0) + 1
         self.events = _event_keys(plans, self.n_ids)
         self.ev_ptr = 0
@@ -506,10 +516,9 @@ class _Run:
             kind = minute_kind % _KINDS
             self.ev_ptr += 1
             r = records[vid]
-            v = r.vehicle
             if kind == _DEPART:
                 if r.session_start is not None:
-                    if not v.satisfied:
+                    if not satisfied(r.soc_kwh, r.target_kwh):
                         self.dissatisfactions.append((Timestamp(m), vid))
                     self.sessions.add(vid, r.session_start, m, r.session_kwh)
                     r.session_start = None
@@ -525,13 +534,13 @@ class _Run:
                 _, arrivals, energies = r.trips.columns
                 k = r.next_trip
                 r.next_trip = k + 1
-                soc_before = v.soc_kwh
-                drain_trip(v, energies[k])
-                r.trip_drain_kwh += soc_before - v.soc_kwh
+                soc_before = r.soc_kwh
+                r.soc_kwh = drain_trip(vid, soc_before, energies[k])
+                r.trip_drain_kwh += soc_before - r.soc_kwh
                 arrival = arrivals[k]
             r.session_start = m
             r.session_kwh = 0.0
-            if not v.satisfied:
+            if not satisfied(r.soc_kwh, r.target_kwh):
                 departures = r.trips.columns[0]
                 departure = departures[r.next_trip] \
                     if r.next_trip < len(departures) else self.end
@@ -597,9 +606,8 @@ class _Run:
         for r in self.grants:
             d = r.grant * dt / 60.0
             if d > 0.0:
-                v = r.vehicle
-                target = v.desired_target_kwh
-                n = ((target - v.soc_kwh) * shrink - d * grow) \
+                target = r.target_kwh
+                n = ((target - r.soc_kwh) * shrink - d * grow) \
                     / (d + _ROUNDING_SLACK * (target + d))
                 if n < ticks:
                     if n <= 0.0:
@@ -622,24 +630,23 @@ class _Run:
         # dispatcher's order; a record joins hour_records on its first charge
         # of the hour, while its hour_kwh is still 0.0
         for r in self.grants:
-            v = r.vehicle
             d = r.grant * dt / 60.0
             if quiet and d > 0.0:
                 if r.hour_kwh == 0.0:
                     hour_records.append(r)
-                soc, hour, session = v.soc_kwh, r.hour_kwh, r.session_kwh
+                soc, hour, session = r.soc_kwh, r.hour_kwh, r.session_kwh
                 for _ in range(quiet):
                     soc += d
                     hour += d
                     session += d
-                v.soc_kwh, r.hour_kwh, r.session_kwh = soc, hour, session
+                r.soc_kwh, r.hour_kwh, r.session_kwh = soc, hour, session
                 quiet_sum += d
-            headroom = v.desired_target_kwh - v.soc_kwh
+            headroom = r.target_kwh - r.soc_kwh
             if d >= headroom:
                 d = headroom
                 released.append(r)
             if d > 0.0:
-                v.soc_kwh += d
+                r.soc_kwh += d
                 last_sum += d
                 if r.hour_kwh == 0.0:
                     hour_records.append(r)
@@ -755,7 +762,6 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
     budget_h = available_capacity(tr, base_total_h).tolist()
 
     start_min = span.start.minutes
-    initial_soc = {p.vehicle.id: p.vehicle.soc_kwh for p in plans}
     run = _Run(spec, plans)
 
     per_hour = 60 // dt
@@ -780,8 +786,8 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
                                        np.frombuffer(run.load_kw))
 
     summaries = [VehicleSummary(
-        vehicle_id=vid, household_id=r.vehicle.household_id, model=r.vehicle.model.name,
-        initial_soc_kwh=initial_soc[vid], final_soc_kwh=r.vehicle.soc_kwh,
+        vehicle_id=vid, model=r.vehicle.model.name,
+        initial_soc_kwh=r.vehicle.soc_kwh, final_soc_kwh=r.soc_kwh,
         delivered_kwh=r.delivered_kwh, trip_drain_kwh=r.trip_drain_kwh)
         for vid, r in sorted(run.records.items())]
 
@@ -801,10 +807,10 @@ def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
     tariff and CO2 per household, in the order of ``data.household_ids``."""
     # a vehicle's charging is billed to the household of its id
     households = set(data.household_ids)
-    for v in (p.vehicle for p in physics.fleet):
-        if v.household_id != v.id or v.id not in households:
-            raise ValueError(f"vehicle {v.id}: household {v.household_id} must be "
-                             f"the scenario's household of the vehicle's id")
+    for p in physics.fleet:
+        if p.vehicle.id not in households:
+            raise ValueError(f"vehicle {p.vehicle.id}: household {p.vehicle.id} "
+                             f"is not one of the scenario's")
     start_min = spec.span.start.minutes
     booked, vids, kwhs = physics.booked, physics.booked_vids, physics.booked_kwh
     reports, all_events, delivered_by_year = [], [], {}
@@ -832,13 +838,6 @@ def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
         # overloads, hourly maxima, baseload billing and the EV owners by its end
         evts = detect_overloads(physics.load.slice_minutes(y0, y1), data.transformer)
         led.overload_events = evts
-        led.overload_minutes = sum(e.duration_minutes for e in evts)
-        over_hours: set[int] = set()
-        for e in evts:
-            first = e.start.minutes // 60
-            last = (e.start.minutes + e.duration_minutes - 1) // 60
-            over_hours.update(range(first, last + 1))
-        led.overload_hours = len(over_hours)
         all_events.extend(evts)
         led.hourly_max_load = physics.hourly_max.slice_minutes(y0, y1).values
 

@@ -1,4 +1,4 @@
-"""EV catalog, per-vehicle state, stochastic adoption and daily driving."""
+"""EV catalog, vehicles and their charge rules, stochastic adoption and daily driving."""
 
 from __future__ import annotations
 
@@ -36,27 +36,28 @@ def validate_catalog(models: list[EvModel]) -> None:
         raise ValueError(f"market shares sum to {total}, expected 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vehicle:
-    """One EV and its charging-relevant state."""
+    """One EV as a run starts it. Its id is its household's: each household
+    owns at most one EV, and its charging is billed to that household."""
 
     id: int
-    household_id: int
     model: EvModel
     soc_kwh: float
-    desired_target_kwh: float = 0.0
+    desired_target_kwh: float = 0.0    # 0.0: a full battery
 
     def __post_init__(self):
         if self.desired_target_kwh == 0.0:
-            self.desired_target_kwh = self.model.battery_kwh
+            object.__setattr__(self, "desired_target_kwh", self.model.battery_kwh)
         if not (0 <= self.soc_kwh <= self.model.battery_kwh + SOC_EPS):
             raise ValueError("state of charge out of battery bounds")
         if self.desired_target_kwh > self.model.battery_kwh + SOC_EPS:
             raise ValueError("target above battery capacity")
 
-    @property
-    def satisfied(self) -> bool:
-        return self.soc_kwh >= self.desired_target_kwh - SOC_EPS
+
+def satisfied(soc_kwh: float, target_kwh: float) -> bool:
+    """Whether a state of charge meets its target, within SOC_EPS."""
+    return soc_kwh >= target_kwh - SOC_EPS
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,11 +225,11 @@ def draw_daily_trip(v: Vehicle, day_start: Timestamp, pattern: DrivingPattern,
     return base + dep, base + arr, energy
 
 
-def drain_trip(v: Vehicle, energy_kwh: float) -> None:
-    """Take a completed trip's energy from v's state of charge, floored at 0."""
-    new_soc = v.soc_kwh - energy_kwh
+def drain_trip(vehicle_id: int, soc_kwh: float, energy_kwh: float) -> float:
+    """The state of charge after a completed trip takes its energy, floored at 0."""
+    new_soc = soc_kwh - energy_kwh
     if new_soc < 0:
         log.warning("vehicle %d ran out of charge on trip (soc %.2f, trip %.2f)",
-                    v.id, v.soc_kwh, energy_kwh)
+                    vehicle_id, soc_kwh, energy_kwh)
         new_soc = 0.0
-    v.soc_kwh = new_soc
+    return new_soc

@@ -63,9 +63,18 @@ def load_factor(values) -> float:
     return float(values.mean()) / peak
 
 
-_METRICS = ("overload_count", "avg_charging_cost_dkk_per_kwh", "avg_total_bill_dkk",
-            "avg_total_co2_kg", "dissatisfaction_count", "load_factor",
-            "dso_revenue_dkk")
+# the seven headline metrics, in the order of kpi.csv and comparison.csv, each
+# as its kpi.csv column, its KpiReport field (comparison.csv's metric name) and
+# the decimals kpi.csv gives it (None: a count, written as it is)
+KPI_METRICS = (
+    ("overload_count", "overload_count", None),
+    ("avg_charging_cost", "avg_charging_cost_dkk_per_kwh", 4),
+    ("avg_total_bill", "avg_total_bill_dkk", 2),
+    ("avg_total_co2", "avg_total_co2_kg", 4),
+    ("dissatisfaction", "dissatisfaction_count", None),
+    ("load_factor", "load_factor", 4),
+    ("dso_revenue", "dso_revenue_dkk", 2),
+)
 
 
 def compare_reports(a: KpiReport, b: KpiReport) -> list[ComparisonRow]:
@@ -73,7 +82,7 @@ def compare_reports(a: KpiReport, b: KpiReport) -> list[ComparisonRow]:
     if a.year != b.year:
         raise ValueError(f"comparing different years: {a.year} vs {b.year}")
     rows = []
-    for name in _METRICS:
+    for _, name, _ in KPI_METRICS:
         va, vb = getattr(a, name), getattr(b, name)
         if va is None or vb is None:
             rows.append(ComparisonRow(name, va, vb, None))
@@ -90,8 +99,6 @@ class YearLedger:
     year: int
     hourly_max_load: np.ndarray = field(default_factory=lambda: np.empty(0))
     overload_events: list[OverloadEvent] = field(default_factory=list)
-    overload_minutes: int = 0
-    overload_hours: int = 0
     # per-household totals for the year, keyed by household id
     baseload_cost: dict[int, float] = field(default_factory=dict)
     baseload_tariff: dict[int, float] = field(default_factory=dict)
@@ -104,11 +111,13 @@ class YearLedger:
     dissatisfaction_count: int = 0
 
 
-# the overload KPI of each unit a scenario may count in, from a year's ledger
+# the overload KPI of each unit a scenario may count in, from a year's events;
+# hours are the clock hours in which some event has a minute
 OVERLOAD_UNITS = {
-    "hours": lambda ledger: ledger.overload_hours,
-    "events": lambda ledger: len(ledger.overload_events),
-    "minutes": lambda ledger: ledger.overload_minutes,
+    "hours": lambda events: len({h for e in events for h in range(
+        e.start.minutes // 60, (e.start.minutes + e.duration_minutes - 1) // 60 + 1)}),
+    "events": len,
+    "minutes": lambda events: sum(e.duration_minutes for e in events),
 }
 
 
@@ -150,7 +159,7 @@ def assemble_report(ledger: YearLedger, overload_unit: str = "hours") -> KpiRepo
 
     return KpiReport(
         year=ledger.year,
-        overload_count=OVERLOAD_UNITS[overload_unit](ledger),
+        overload_count=OVERLOAD_UNITS[overload_unit](ledger.overload_events),
         avg_charging_cost_dkk_per_kwh=avg_cost,
         avg_total_bill_dkk=avg_bill,
         avg_total_co2_kg=avg_co2,

@@ -12,13 +12,11 @@ import numpy as np
 
 from .engine import ExperimentSpec, SimulationOutput
 from .grid import LoadSeries
-from .kpi import ComparisonRow, KpiReport, compare_reports
+from .kpi import KPI_METRICS, ComparisonRow, KpiReport, compare_reports
 from .svgplot import bar_chart_svg, day_zoom_svg, load_profile_svg
 from .timebase import EPOCH, MINUTES_PER_DAY, Timestamp
 
-KPI_HEADER = ["experiment_id", "year", "overload_count", "avg_charging_cost",
-              "avg_total_bill", "avg_total_co2", "dissatisfaction",
-              "load_factor", "dso_revenue"]
+KPI_HEADER = ["experiment_id", "year", *(column for column, _, _ in KPI_METRICS)]
 
 # the files a charging-physics pass determines alone: the same bytes for every
 # experiment priced from that pass
@@ -96,13 +94,9 @@ def write_kpi_csv(path: Path, experiment_id: str, reports: list[KpiReport]) -> N
         w = csv.writer(fh)
         w.writerow(KPI_HEADER)
         for r in reports:
-            w.writerow([experiment_id, r.year, r.overload_count,
-                        _fmt(r.avg_charging_cost_dkk_per_kwh, 4),
-                        _fmt(r.avg_total_bill_dkk, 2),
-                        _fmt(r.avg_total_co2_kg, 4),
-                        r.dissatisfaction_count,
-                        _fmt(r.load_factor, 4),
-                        _fmt(r.dso_revenue_dkk, 2)])
+            w.writerow([experiment_id, r.year, *(
+                getattr(r, name) if decimals is None else _fmt(getattr(r, name), decimals)
+                for _, name, decimals in KPI_METRICS)])
 
 
 def read_kpi_csv(path: Path) -> list[dict]:

@@ -318,8 +318,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
                             f"{', '.join(OVERLOAD_UNITS)}, got {overload_unit!r}")
 
     data = ScenarioData(
-        household_ids=household_ids, transformer=transformer, baseload=baseload,
-        spot=spot, co2=co2, tariffs=tariffs, catalog=catalog,
+        transformer=transformer, baseload=baseload, spot=spot, co2=co2, tariffs=tariffs, catalog=catalog,
         adoption_curve=curve, driving=driving, addons_dkk_per_kwh=addons,
         overload_unit=overload_unit)
 

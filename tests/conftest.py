@@ -25,7 +25,6 @@ def flat_data(span, n_households=2, base_kw=0.5, capacity=400.0, buffer_kw=0.0,
     baseload = HouseholdBaseload(span.start, ids,
                                  np.full((n_households, n_hours), base_kw))
     return ScenarioData(
-        household_ids=ids,
         transformer=Transformer(capacity, buffer_kw),
         baseload=baseload,
         spot=SpotPriceSeries(span.start, np.full(n_hours, spot)),

@@ -33,7 +33,7 @@ from evsim import strategies as strat
 from evsim.engine import (ChargeSession, ExperimentSpec, ScenarioData,
                           SimulationOutput, VehiclePlan, VehicleSummary,
                           build_fleet, run_experiment)
-from evsim.fleet import SOC_EPS, TripEvent, Vehicle, drain_trip
+from evsim.fleet import SOC_EPS, TripEvent, Vehicle, drain_trip, satisfied
 from evsim.grid import (LoadSeries, OverloadEvent, available_capacity,
                         detect_overloads, hourly_max)
 from evsim.kpi import YearLedger, assemble_report
@@ -88,8 +88,7 @@ def invariants_checked():
         charge(self, i, j, base_kw)
         # the state of charge only rises within a span: its end bounds it
         for r in self.records.values():
-            v = r.vehicle
-            assert -SOC_EPS <= v.soc_kwh <= v.model.battery_kwh + SOC_EPS
+            assert -SOC_EPS <= r.soc_kwh <= r.vehicle.model.battery_kwh + SOC_EPS
 
     with patch.object(engine._Run, "dispatch_due", checked_dispatch_due), \
             patch.object(engine._Run, "charge", checked_charge):
@@ -131,11 +130,11 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
         raise ValueError("span must start and end on hour boundaries")
 
     vehicles: dict[int, Vehicle] = {p.vehicle.id: p.vehicle for p in plans}
+    soc: dict[int, float] = {vid: v.soc_kwh for vid, v in vehicles.items()}
     plugged: set[int] = set()
     arrival: dict[int, Timestamp] = {}
     planned_departure: dict[int, Timestamp] = {}
     adoption_of = {p.vehicle.id: p.adoption for p in plans}
-    initial_soc = {vid: v.soc_kwh for vid, v in vehicles.items()}
     first_departure = {p.vehicle.id: (p.trips[0].departure.minutes if p.trips
                                       else span.end.minutes) for p in plans}
 
@@ -181,7 +180,7 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
     def refresh_request(vid: int, v: Vehicle) -> None:
         req_cache[vid] = strat.ChargeRequest(
             vehicle_id=vid, max_rate_kw=v.model.max_rate_kw,
-            remaining_kwh=max(0.0, v.desired_target_kwh - v.soc_kwh),
+            remaining_kwh=max(0.0, v.desired_target_kwh - soc[vid]),
             arrival=arrival[vid], planned_departure=planned_departure[vid])
 
     per_hour = 60 // dt
@@ -203,12 +202,12 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
                 arrival[vid] = Timestamp(m)
                 planned_departure[vid] = Timestamp(first_departure[vid])
                 open_session(vid, m)
-                if not v.satisfied:
+                if not satisfied(soc[vid], v.desired_target_kwh):
                     refresh_request(vid, v)
                     requesting.add(vid)
             elif kind == _DEPART:
                 if vid in plugged:
-                    if not v.satisfied:
+                    if not satisfied(soc[vid], v.desired_target_kwh):
                         ledgers[Timestamp(m).year].dissatisfaction_count += 1
                         dissatisfactions.append((Timestamp(m), vid))
                     close_session(vid, m)
@@ -217,14 +216,14 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
                 requesting.discard(vid)
                 req_cache.pop(vid, None)
             else:   # _ARRIVE
-                soc_before = v.soc_kwh
-                drain_trip(v, payload.energy_kwh)
-                trip_drain[vid] += soc_before - v.soc_kwh
+                soc_before = soc[vid]
+                soc[vid] = drain_trip(vid, soc_before, payload.energy_kwh)
+                trip_drain[vid] += soc_before - soc[vid]
                 plugged.add(vid)
                 arrival[vid] = payload.arrival
                 planned_departure[vid] = Timestamp(next_departure[(vid, payload.arrival.minutes)])
                 open_session(vid, m)
-                if not v.satisfied:
+                if not satisfied(soc[vid], v.desired_target_kwh):
                     refresh_request(vid, v)
                     requesting.add(vid)
 
@@ -245,7 +244,7 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
             g = grants[vid]
             v = vehicles[vid]
             delivered = g * dt / 60.0
-            headroom = v.desired_target_kwh - v.soc_kwh
+            headroom = v.desired_target_kwh - soc[vid]
             if delivered >= headroom:
                 delivered = headroom
                 if released is None:
@@ -254,7 +253,7 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
                     released.append(vid)
                 requesting.discard(vid)
             if delivered > 0.0:
-                v.soc_kwh += delivered
+                soc[vid] += delivered
                 delivered_sum += delivered
                 hour_kwh[vid] = hour_kwh.get(vid, 0.0) + delivered
                 session_kwh[vid] += delivered
@@ -296,13 +295,6 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
         led = ledgers[y]
         evts = detect_overloads(load_series.slice_minutes(y0, y1), tr)
         led.overload_events = evts
-        led.overload_minutes = sum(e.duration_minutes for e in evts)
-        over_hours: set[int] = set()
-        for e in evts:
-            first = e.start.minutes // 60
-            last = (e.start.minutes + e.duration_minutes - 1) // 60
-            over_hours.update(range(first, last + 1))
-        led.overload_hours = len(over_hours)
         all_events.extend(evts)
         h0 = (y0 - span.start.minutes) // 60
         h1 = (y1 - span.start.minutes) // 60
@@ -325,9 +317,8 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
     reports = [assemble_report(ledgers[y], data.overload_unit) for y in span.years()]
 
     summaries = [VehicleSummary(
-        vehicle_id=vid, household_id=vehicles[vid].household_id,
-        model=vehicles[vid].model.name,
-        initial_soc_kwh=initial_soc[vid], final_soc_kwh=vehicles[vid].soc_kwh,
+        vehicle_id=vid, model=vehicles[vid].model.name,
+        initial_soc_kwh=vehicles[vid].soc_kwh, final_soc_kwh=soc[vid],
         delivered_kwh=delivered_total_v[vid], trip_drain_kwh=trip_drain[vid])
         for vid in sorted(vehicles)]
 

@@ -43,7 +43,6 @@ def _year_data(n_households=126, capacity=400.0, seed=42):
     ids = list(range(1, n_households + 1))
     streams = RngStreams(seed)
     data = ScenarioData(
-        household_ids=ids,
         transformer=Transformer(capacity, 0.0),
         baseload=generate_baseload(SyntheticBaseloadSpec(), ids, span, streams),
         spot=generate_spot(SyntheticPriceSpec(), span, streams),
@@ -141,7 +140,7 @@ def test_criterion_3_round_robin_fairness():
         span = make_span()
         data = flat_data(span, n_households=1, base_kw=0.0)
         arr = 16 * 60 + 7              # arrives 16:07, boundary at 16:15
-        v = Vehicle(id=1, household_id=1, model=EvModel("t", 60.0, 11.0, 1.0),
+        v = Vehicle(id=1, model=EvModel("t", 60.0, 11.0, 1.0),
                     soc_kwh=60.0)
         trips = [TripEvent(Timestamp(span.start.minutes + 8 * 60),
                            Timestamp(span.start.minutes + arr), 5.0)]
@@ -291,9 +290,9 @@ def test_criterion_7_dissatisfaction_mechanism():
         for name in STRATEGY_NAMES:
             data = flat_data(span, n_households=2, base_kw=0.5,
                              catalog=[slow, fast])
-            plans = [VehiclePlan(Vehicle(id=1, household_id=1, model=slow,
+            plans = [VehiclePlan(Vehicle(id=1, model=slow,
                                          soc_kwh=40.0), span.start, Trips.of(trips())),
-                     VehiclePlan(Vehicle(id=2, household_id=2, model=fast,
+                     VehiclePlan(Vehicle(id=2, model=fast,
                                          soc_kwh=40.0), span.start, Trips.of(trips()))]
             out = simulate(ExperimentSpec(id=name, strategy=name, span=span),
                            data, plans)

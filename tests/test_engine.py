@@ -2,6 +2,7 @@ import copy
 import gc
 import logging
 import pickle
+import re
 import shutil
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -31,10 +32,8 @@ def spec_for(span, strategy="round_robin", **kw):
     return ExperimentSpec(id="t", strategy=strategy, span=span, **kw)
 
 
-def plan(vid, model, soc, adoption, trips, target=None):
-    v = Vehicle(id=vid, household_id=vid, model=model, soc_kwh=soc)
-    if target is not None:
-        v.desired_target_kwh = target
+def plan(vid, model, soc, adoption, trips, target=0.0):
+    v = Vehicle(id=vid, model=model, soc_kwh=soc, desired_target_kwh=target)
     return VehiclePlan(v, adoption, Trips.of(trips))
 
 
@@ -83,8 +82,8 @@ class TestPhaseOrder:
         def trip(dep, arr):
             return TripEvent(minute(span, dep), minute(span, arr), 1.0)
         plans = [plan(9, LEAF, 0.0, minute(span, t), [trip(t, t + 5), trip(t + 9, t + 20)]),
-                 plan(2, LEAF, 0.0, minute(span, t), [trip(t + 5, t + 9)]),
-                 plan(4, LEAF, 0.0, minute(span, 0), [trip(t - 9, t), trip(t, t + 5)])]
+                 plan(2, LEAF, 0.0, minute(span, t), [trip(t, t + 9)]),
+                 plan(4, LEAF, 0.0, minute(span, 0), [trip(t - 9, t), trip(t + 1, t + 5)])]
         keys = engine._event_keys(plans, 10)
         want = sorted([(p.adoption.minutes, engine._ADOPT, p.vehicle.id) for p in plans]
                       + [(tr.departure.minutes, engine._DEPART, p.vehicle.id)
@@ -231,12 +230,33 @@ class TestInputHandling:
         with pytest.raises(ValueError, match=match):
             simulate(spec_for(span, "edf"), data, [plan(vid, LEAF, 0.0, span.start, trips)])
 
+    @pytest.mark.parametrize("trips", [
+        [(480, 960, -5.0)], [(480, 960, 1.0), (1900, 2000, float("nan"))],
+        [(480, 960, float("inf"))], [(960, 480, 1.0)], [(480, 480, 1.0)],
+        [(100, 960, 1.0)], [(480, 960, 1.0), (900, 1000, 1.0)],
+        [(480, 960, 1.0), (960, 1000, 1.0)],
+    ], ids=["negative_energy", "nan_energy", "infinite_energy", "reversed",
+            "no_duration", "before_adoption", "overlapping", "departs_as_the_last_arrives"])
+    def test_trips_the_engine_cannot_take_rejected(self, two_day_span, trips):
+        # a trip of -5 kWh once left a 40 kWh battery at 45 kWh, and one of
+        # nan kWh its state of charge at nan
+        span = two_day_span
+        data = flat_data(span, n_households=2, base_kw=0.0)
+        events = [TripEvent(minute(span, d), minute(span, a), e) for d, a, e in trips]
+        plans = [plan(1, LEAF, 0.0, span.start, []),
+                 plan(2, LEAF, LEAF.battery_kwh, minute(span, 120), events)]
+        d, a, e = trips[-1]
+        want = f"vehicle 2: trip {len(trips) - 1} (minutes {span.start.minutes + d} " \
+            f"to {span.start.minutes + a}, {e} kWh) must depart at or after minute"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            simulate(spec_for(span, "edf"), data, plans)
+
     @pytest.mark.parametrize("n_trips", [0, 1])
     def test_trips_given_as_a_list_rejected(self, two_day_span, n_trips):
         span = two_day_span
         data = flat_data(span, n_households=2, base_kw=0.0)
         trips = [TripEvent(minute(span, 8 * 60), minute(span, 16 * 60), 5.0)][:n_trips]
-        vehicle = Vehicle(id=2, household_id=2, model=LEAF, soc_kwh=0.0)
+        vehicle = Vehicle(id=2, model=LEAF, soc_kwh=0.0)
         plans = [plan(1, LEAF, 0.0, span.start, []), VehiclePlan(vehicle, span.start, trips)]
         with pytest.raises(TypeError, match="vehicle 2: trips must be Trips, not list"):
             simulate(spec_for(span, "edf"), data, plans)
@@ -249,15 +269,14 @@ class TestInputHandling:
         with pytest.raises(ValueError, match="vehicle id 1 is in more than one plan"):
             simulate(spec_for(span, "edf"), data, plans)
 
-    @pytest.mark.parametrize("vid, household", [(7, 2), (2, 99)],
-                             ids=["id_not_its_household", "household_not_in_scenario"])
-    def test_vehicle_billed_to_another_household_rejected(self, two_day_span, vid,
-                                                          household):
-        # the charging bills go by vehicle id, the baseload bills by household
+    @pytest.mark.parametrize("vid", [0, 99],
+                             ids=["id_below_the_households", "household_not_in_scenario"])
+    def test_vehicle_billed_to_another_household_rejected(self, two_day_span, vid):
+        # a vehicle's charging is billed to the household of its id
         span = two_day_span
         data = flat_data(span, n_households=2)
-        v = Vehicle(id=vid, household_id=household, model=LEAF, soc_kwh=0.0)
-        with pytest.raises(ValueError, match=f"vehicle {vid}: household {household} "):
+        v = Vehicle(id=vid, model=LEAF, soc_kwh=0.0)
+        with pytest.raises(ValueError, match=f"vehicle {vid}: household {vid} is not"):
             simulate(spec_for(span, "traditional"), data,
                      [VehiclePlan(v, span.start, Trips())])
 
@@ -384,12 +403,12 @@ class TestSharedPhysics:
         s = spec_for(span, "fcfs", seed=5)
         plans = build_fleet(s, data, RngStreams(s.seed))
         first = simulate(s, data, plans)
-        plans[0].vehicle.soc_kwh = 0.0
+        plans[0].vehicle = replace(plans[0].vehicle, soc_kwh=0.0)
         again = simulate(s, data, plans)
         assert len(count_physics) == 2
         assert first_difference(first, again) is not None
         fresh = build_fleet(s, data, RngStreams(s.seed))
-        fresh[0].vehicle.soc_kwh = 0.0
+        fresh[0].vehicle = replace(fresh[0].vehicle, soc_kwh=0.0)
         assert first_difference(again, simulate_ticks(s, data, fresh)) is None
 
     def test_fleet_of_the_caller_gets_a_pass_of_its_own(self, count_physics):
@@ -642,29 +661,39 @@ class TestBaseloadForms:
         ([[1e-200, 2e-200], [0.0, 0.0]], [-1e-200] + [0.5] * 23),   # rounds to -0.0
         ([[1e-160, 2e-160]], [-1e-160] + [0.5] * 23),                 # a denormal below 0
         ([[1.0], [2.0], [-3.0]], [0.0] * 23 + [1e-300]),
+        ([[1e300, 1.0]], [1e10] * 24),                              # products overflow
     ])
     def test_factors_rejected_exactly_when_their_matrix_would_be(self, daily, weights):
-        def accepted(**form):
+        def rejection(**form):
             try:
                 HouseholdBaseload(Timestamp(0), list(range(len(daily))), **form)
             except ValueError as exc:
-                assert "non-negative" in str(exc)
-                return False
-            return True
+                assert "non-negative" in str(exc) or "finite" in str(exc)
+                return str(exc)
+            return None
         with np.errstate(invalid="ignore", over="ignore", under="ignore"):
             matrix = np.stack([np.outer(row, weights).ravel() for row in daily])
-        assert accepted(daily=daily, weights=weights) == accepted(matrix=matrix)
+        assert rejection(daily=daily, weights=weights) == rejection(matrix=matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["matrix", "daily", "weights"])
+    def test_non_finite_values_rejected(self, where, bad):
+        # HourlySeries rejects them too; a library matrix once summed to inf and nan
+        form = {"matrix": np.ones((2, 48))} if where == "matrix" else \
+            {"daily": np.ones((2, 2)), "weights": np.full(24, 1 / 24)}
+        form[where].flat[1] = bad
+        with pytest.raises(ValueError, match="baseload values must be finite"):
+            HouseholdBaseload(Timestamp(0), [1, 2], **form)
 
 
-def test_scenario_data_rejects_a_baseload_of_other_households():
-    # the pricing pass bills baseload rows by position, so reversed labels
-    # would bill each household another's load
+def test_scenario_households_are_the_baseloads():
+    # the pricing pass bills baseload row k to household k, whatever the labels
     scn = load_scenario(ROOT / "demos" / "neighborhood.ini")
     base = scn.data.baseload
-    for ids in (base.household_ids[::-1], base.household_ids[:-1] + (999,)):
-        other = HouseholdBaseload(base.start, ids, daily=base.daily, weights=base.weights)
-        with pytest.raises(ValueError, match="household ids"):
-            replace(scn.data, baseload=other)
+    ids = base.household_ids[::-1]
+    other = replace(scn.data, baseload=HouseholdBaseload(
+        base.start, ids, daily=base.daily, weights=base.weights))
+    assert scn.data.household_ids == base.household_ids and other.household_ids == ids
 
 
 def test_scenario_data_rejects_an_unknown_overload_unit():
@@ -684,3 +713,5 @@ def test_scenario_data_compares_by_value():
     assert scn.data != replace(scn.data, spot=SpotPriceSeries(spot.start, values))
     assert scn.data != replace(scn.data, baseload=HouseholdBaseload(
         scn.data.baseload.start, scn.data.household_ids, scn.data.baseload.block() * 2))
+    assert scn.data != replace(scn.data, baseload=HouseholdBaseload(
+        scn.data.baseload.start, scn.data.household_ids[::-1], scn.data.baseload.block()))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evsim import strategies
+from evsim import engine, strategies
 from evsim.engine import ExperimentSpec, VehiclePlan, build_fleet, simulate
 from evsim.fleet import DrivingPattern, EvModel, TripEvent, Trips, Vehicle
 from evsim.rng import RngStreams
@@ -58,8 +58,8 @@ def fleet(spec, data, tweaks):
     plans = build_fleet(spec, data, RngStreams(spec.seed))
     for p, (soc_frac, target_frac, adopt_at) in zip(plans, tweaks):
         battery = p.vehicle.model.battery_kwh
-        p.vehicle.soc_kwh = soc_frac * battery
-        p.vehicle.desired_target_kwh = target_frac * battery
+        p.vehicle = replace(p.vehicle, soc_kwh=soc_frac * battery,
+                            desired_target_kwh=target_frac * battery)
         if adopt_at is not None:
             p.adoption = Timestamp(spec.span.start.minutes + adopt_at)
             p.trips = Trips.of(t for t in p.trips
@@ -116,7 +116,7 @@ def test_tiny_grant_finishes_on_the_reference_tick(tick):
     spec = ExperimentSpec(id="t", strategy="equal_charge", span=span)
 
     def plans():
-        v = Vehicle(id=1, household_id=1, model=LEAF, soc_kwh=LEAF.battery_kwh - 2e-6)
+        v = Vehicle(id=1, model=LEAF, soc_kwh=LEAF.battery_kwh - 2e-6)
         return [VehiclePlan(v, span.start, Trips())]
 
     with invariants_checked():
@@ -148,11 +148,12 @@ def test_invariants_checked_fires(monkeypatch, broken):
                             lambda self, vid: None)
         soc = LEAF.battery_kwh - 0.01
     else:
-        # a full battery back from a trip of negative energy
+        # a full battery that a trip fills instead of draining
+        monkeypatch.setattr(engine, "drain_trip", lambda vid, soc, energy: soc + energy)
         soc = LEAF.battery_kwh
         trips = Trips.of([TripEvent(Timestamp(span.start.minutes + 60),
-                                    Timestamp(span.start.minutes + 120), -5.0)])
-    plans = [VehiclePlan(Vehicle(id=vid, household_id=vid, model=LEAF, soc_kwh=soc),
+                                    Timestamp(span.start.minutes + 120), 5.0)])
+    plans = [VehiclePlan(Vehicle(id=vid, model=LEAF, soc_kwh=soc),
                          span.start, trips) for vid in (1, 2)]
     spec = ExperimentSpec(id="t", strategy=strategy, span=span)
     with pytest.raises(AssertionError), invariants_checked():

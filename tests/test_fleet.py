@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,7 +8,7 @@ from evsim import strategies
 from evsim.engine import ExperimentSpec, VehiclePlan, build_fleet, simulate
 from evsim.fleet import (AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips,
                          Vehicle, draw_daily_trip, drain_trip, sample_adoptions,
-                         validate_catalog)
+                         satisfied, validate_catalog)
 from evsim.rng import RngStreams
 from evsim.timebase import Timestamp
 
@@ -14,11 +16,8 @@ from conftest import FAST, LEAF, flat_data, make_span
 from reference_engine import invariants_checked
 
 
-def make_vehicle(model=LEAF, soc=20.0, target=None):
-    v = Vehicle(id=1, household_id=1, model=model, soc_kwh=soc)
-    if target is not None:
-        v.desired_target_kwh = target
-    return v
+def make_vehicle(model=LEAF, soc=20.0, target=0.0):
+    return Vehicle(id=1, model=model, soc_kwh=soc, desired_target_kwh=target)
 
 
 def charge_window(model, soc, minutes):
@@ -75,27 +74,21 @@ class TestChargeStep:
 
 class TestTripEnergy:
     def test_drain(self):
-        v = make_vehicle(soc=30.0)
-        drain_trip(v, 8.0)
-        assert v.soc_kwh == pytest.approx(22.0)
+        assert drain_trip(1, 30.0, 8.0) == pytest.approx(22.0)
 
     def test_floor_at_zero(self, caplog):
-        v = make_vehicle(soc=5.0)
         with caplog.at_level("WARNING"):
-            drain_trip(v, 8.0)
-        assert v.soc_kwh == 0.0
-        assert "ran out of charge" in caplog.text
+            assert drain_trip(1, 5.0, 8.0) == 0.0
+        assert "vehicle 1 ran out of charge" in caplog.text
 
     def test_zero_energy_identity(self):
-        v = make_vehicle(soc=30.0)
-        drain_trip(v, 0.0)
-        assert v.soc_kwh == 30.0
+        assert drain_trip(1, 30.0, 0.0) == 30.0
 
 
 class TestSatisfaction:
     def test_boundary_exact_target_is_satisfied(self):
-        assert make_vehicle(soc=40.0).satisfied
-        assert not make_vehicle(soc=40.0 - 1e-5).satisfied
+        assert satisfied(40.0, 40.0) and satisfied(40.0 - 1e-7, 40.0)
+        assert not satisfied(40.0 - 1e-5, 40.0)
         assert charge_window(LEAF, 40.0, 60).dissatisfactions == []
 
     def test_leaf_overnight_window_infeasible(self):
@@ -214,6 +207,8 @@ class TestDailyTrips:
 
 def test_vehicle_invariants():
     with pytest.raises(ValueError):
-        Vehicle(id=1, household_id=1, model=LEAF, soc_kwh=41.0)
-    v = Vehicle(id=1, household_id=1, model=LEAF, soc_kwh=10.0)
+        Vehicle(id=1, model=LEAF, soc_kwh=41.0)
+    v = Vehicle(id=1, model=LEAF, soc_kwh=10.0)
     assert v.desired_target_kwh == LEAF.battery_kwh
+    with pytest.raises(FrozenInstanceError):
+        v.soc_kwh = 20.0

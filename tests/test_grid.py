@@ -26,7 +26,7 @@ def simulated_load(base_kw_by_household, vehicles=()):
     span = make_span("2036-01-01T00:00", "2036-01-02T00:00")
     data = flat_data(span, n_households=len(base_kw_by_household),
                      base_kw=np.asarray(base_kw_by_household)[:, None])
-    plans = [VehiclePlan(Vehicle(id=i + 1, household_id=i + 1, model=model,
+    plans = [VehiclePlan(Vehicle(id=i + 1, model=model,
                                  soc_kwh=soc), span.start, Trips())
              for i, (model, soc) in enumerate(vehicles)]
     return simulate(ExperimentSpec("t", "traditional", span), data, plans).load.values
@@ -308,7 +308,7 @@ def test_engine_and_writers_expand_no_minute_series(tmp_path, monkeypatch):
     monkeypatch.setattr(LoadSeries, "values", property(recording))
     span = make_span("2036-01-01T00:00", "2036-01-03T00:00")
     data = flat_data(span, n_households=3, capacity=4.0)
-    plans = [VehiclePlan(Vehicle(id=i, household_id=i, model=FAST, soc_kwh=10.0),
+    plans = [VehiclePlan(Vehicle(id=i, model=FAST, soc_kwh=10.0),
                          span.start, Trips()) for i in (1, 2)]
     out = simulate(ExperimentSpec("t", "traditional", span), data, plans)
     base = simulate(ExperimentSpec("b", "edf", span), data, plans)

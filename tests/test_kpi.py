@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from evsim.engine import ExperimentSpec, VehiclePlan, simulate
 from evsim.fleet import Trips, Vehicle
-from evsim.kpi import (KpiReport, UndefinedKpiError, YearLedger, assemble_report,
-                       compare_reports, load_factor, pct_difference,
+from evsim.kpi import (KPI_METRICS, KpiReport, UndefinedKpiError, YearLedger,
+                       assemble_report, compare_reports, load_factor, pct_difference,
                        round_half_away)
 from evsim.tariffs import DistributionTariff, TouBand
 from evsim.timebase import Timestamp
@@ -34,7 +36,7 @@ def charge_from(hour, data, tariff_mode="fixed"):
     """Year report of a run where one LEAF plugs in at `hour` of the first
     day needing one hour at full rate (3.7 kWh)."""
     span = make_span()
-    vehicle = Vehicle(id=1, household_id=1, model=LEAF,
+    vehicle = Vehicle(id=1, model=LEAF,
                       soc_kwh=LEAF.battery_kwh - 3.7)
     plan = VehiclePlan(vehicle, Timestamp(span.start.minutes + hour * 60), Trips())
     spec = ExperimentSpec("t", "traditional", span, tariff_mode=tariff_mode)
@@ -189,12 +191,18 @@ class TestAssembleReport:
     def test_overload_units(self):
         from evsim.grid import OverloadEvent
         from evsim.timebase import Timestamp
+        # the third event crosses into the hour after its start
         events = [OverloadEvent(Timestamp(17 * 60), 18, 74.16),
-                  OverloadEvent(Timestamp(18 * 60), 60, 55.27)]
-        led = self.ledger(overload_events=events, overload_minutes=78,
-                          overload_hours=2)
-        assert assemble_report(led, "hours").overload_count == 2
-        assert assemble_report(led, "events").overload_count == 2
-        assert assemble_report(led, "minutes").overload_count == 78
+                  OverloadEvent(Timestamp(18 * 60), 60, 55.27),
+                  OverloadEvent(Timestamp(19 * 60 + 50), 20, 3.5)]
+        led = self.ledger(overload_events=events)
+        assert assemble_report(led, "hours").overload_count == 4
+        assert assemble_report(led, "events").overload_count == 3
+        assert assemble_report(led, "minutes").overload_count == 98
         with pytest.raises(ValueError):
             assemble_report(led, "days")
+
+
+def test_kpi_metrics_are_the_report_fields_in_order():
+    # kpi.csv, comparison.csv and `evsim compare` all read this one table
+    assert [name for _, name, _ in KPI_METRICS] == [f.name for f in fields(KpiReport)][1:]

@@ -255,7 +255,7 @@ def test_dispatcher_objects_equal_their_functions(strategy, data):
     reference = reference_dispatcher(ExperimentSpec("d", strategy, make_span()))
     rates = data.draw(st.lists(st.sampled_from([3.7, 7.4, 11.0, 22.0]),
                                min_size=5, max_size=5))
-    records = [ChargingRecord(Vehicle(id=vid, household_id=vid, soc_kwh=0.0,
+    records = [ChargingRecord(Vehicle(id=vid, soc_kwh=0.0,
                                       model=EvModel(f"r{vid}", 60.0, rate, 1.0)))
                for vid, rate in enumerate(rates)]
     present: dict[int, ChargeRequest] = {}

@@ -35,7 +35,7 @@ def charging_report(kwh, **prices):
     """KPIs of a two-day run in which one LEAF, plugged in from the start,
     charges `kwh` next to a zero baseload; `prices` go to flat_data."""
     span = make_span()
-    vehicle = Vehicle(id=1, household_id=1, model=LEAF,
+    vehicle = Vehicle(id=1, model=LEAF,
                       soc_kwh=LEAF.battery_kwh - kwh)
     data = flat_data(span, n_households=1, base_kw=0.0, **prices)
     out = simulate(ExperimentSpec("t", "traditional", span), data,
