@@ -53,9 +53,10 @@ from .tariffs import (TARIFF_MODES, Co2IntensitySeries, DistributionTariff,
 from .timebase import MINUTES_PER_DAY, SimulationSpan, Timestamp
 
 
-# hours per block in which whole-baseload readers (equality, the hourly total,
-# the CSV writer) take it: a leap year's, so a block of 126 households is 8.8 MB
-_BLOCK_HOURS = 366 * 24
+# hours per block in which whole-baseload readers (the value checks, equality,
+# the hourly total, the CSV writer) take it: a 31-day month's, so a block of 126
+# households is 0.75 MB
+_BLOCK_HOURS = 31 * 24
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,10 @@ class HouseholdBaseload:
     ``daily`` kWh, (households, days), times the 24 diurnal ``weights``, so
     that hour k of day d is ``daily[:, d] * weights[k]``. The factors of a
     long span take households x days + 24 floats, where the matrix takes
-    households x hours; ``block`` builds the hours asked for. Two baseloads
-    are equal when they hold the same start, households and hourly values,
-    whatever their forms.
+    households x hours; ``block`` builds the hours asked for. Either form
+    must hold finite, non-negative hourly values, checked one ``blocks()``
+    block at a time. Two baseloads are equal when they hold the same start,
+    households and hourly values, whatever their forms.
     """
 
     start: Timestamp
@@ -87,35 +89,20 @@ class HouseholdBaseload:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.start.minutes % 60 != 0:
             raise ValueError("baseload must start on an hour boundary")
-        if self.matrix is not None:
-            rows, largest = len(self.matrix), np.abs(self.matrix).max(initial=0.0)
-        else:
-            if self.daily.ndim != 2 or self.weights.shape != (24,):
-                raise ValueError("baseload factors must be (households, days) and 24 weights")
-            # no value exceeds the largest daily magnitude times the largest
-            # weight magnitude, which is not finite when any factor is not
-            rows = len(self.daily)
-            with np.errstate(over="ignore", invalid="ignore"):
-                largest = np.abs(self.daily).max(initial=0.0) * np.abs(self.weights).max()
-        if rows != len(self.household_ids):
+        values = self.matrix if self.matrix is not None else self.daily
+        if values.ndim != 2 or self.matrix is None and self.weights.shape != (24,):
+            raise ValueError("baseload must be a (households, hours) matrix, "
+                             "or (households, days) factors and 24 weights")
+        if len(values) != len(self.household_ids):
             raise ValueError("baseload rows must match household count")
-        if not np.isfinite(largest):       # NaN too, which max passes on
-            raise ValueError("baseload values must be finite")
-        if (self.matrix < 0).any() if self.matrix is not None else self._negative_product():
+        negative = False
+        with np.errstate(over="ignore", invalid="ignore"):     # a product may overflow
+            for block in self.blocks():
+                if not np.isfinite(block).all():
+                    raise ValueError("baseload values must be finite")
+                negative = negative or bool((block < 0).any())
+        if negative:
             raise ValueError("baseload must be non-negative")
-
-    def _negative_product(self) -> bool:
-        """Whether some value ``daily * weight`` is below 0, without building
-        them: a product is negative when its factors have opposite signs and
-        it does not round to -0.0. Of a row's such products, the one of
-        largest magnitude is its largest daily value times the smallest
-        weight, or its smallest daily value times the largest weight; rounding
-        keeps that order, so those two decide. The products are finite."""
-        if self.daily.size == 0:
-            return False
-        daily, weights = self.daily, self.weights
-        return bool((daily.max(axis=1) * weights.min() < 0).any()
-                    or (daily.min(axis=1) * weights.max() < 0).any())
 
     @property
     def n_hours(self) -> int:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
@@ -24,6 +25,9 @@ class EvModel:
     market_share: float
 
     def __post_init__(self):
+        for name in ("battery_kwh", "max_rate_kw"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{self.name}: {name} must be finite")
         if self.battery_kwh <= 0 or self.max_rate_kw <= 0:
             raise ValueError(f"{self.name}: battery and rate must be positive")
         if not (0 <= self.market_share <= 1):
@@ -51,8 +55,8 @@ class Vehicle:
             object.__setattr__(self, "desired_target_kwh", self.model.battery_kwh)
         if not (0 <= self.soc_kwh <= self.model.battery_kwh + SOC_EPS):
             raise ValueError("state of charge out of battery bounds")
-        if self.desired_target_kwh > self.model.battery_kwh + SOC_EPS:
-            raise ValueError("target above battery capacity")
+        if not (0 < self.desired_target_kwh <= self.model.battery_kwh + SOC_EPS):
+            raise ValueError("target out of (0, battery capacity]")
 
 
 def satisfied(soc_kwh: float, target_kwh: float) -> bool:
@@ -140,6 +144,9 @@ class DrivingPattern:
     weekend_trip_prob: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"driving {f.name} must be finite")
         if min(self.departure_std_min, self.arrival_std_min, self.trip_energy_std_kwh) < 0:
             raise ValueError("standard deviations must be non-negative")
         if not (0 <= self.weekday_trip_prob <= 1 and 0 <= self.weekend_trip_prob <= 1):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ class Transformer:
     buffer_kw: float = 0.0
 
     def __post_init__(self):
+        for name in ("capacity_kw", "buffer_kw"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.capacity_kw <= 0:
             raise ValueError("capacity must be positive")
         if not (0 <= self.buffer_kw < self.capacity_kw):

@@ -4,6 +4,7 @@ import logging
 import pickle
 import re
 import shutil
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -646,7 +647,46 @@ class TestBaseloadForms:
             return out
         monkeypatch.setattr(HouseholdBaseload, "block", recording)
         assert baseload == other
-        assert sum(widths) == 2 * span.n_hours and max(widths) <= 366 * 24
+        assert sum(widths) == 2 * span.n_hours and max(widths) <= 31 * 24
+
+    @pytest.mark.parametrize("form", [
+        {"matrix": np.ones(2)},
+        {"daily": np.ones(2), "weights": np.ones(24)},
+        {"daily": np.ones((2, 2)), "weights": np.ones(23)},
+    ])
+    def test_misshapen_forms_rejected(self, form):
+        with pytest.raises(ValueError, match="baseload must be a"):
+            HouseholdBaseload(Timestamp(0), [1, 2], **form)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({-1: np.nan}, "baseload values must be finite"),
+        ({-1: -1.0}, "baseload must be non-negative"),
+        ({0: -1.0, -1: np.nan}, "baseload values must be finite"),
+    ])
+    @pytest.mark.parametrize("where", ["matrix", "daily"])
+    def test_values_checked_up_to_the_last_block(self, where, bad, message):
+        # two blocks and a day; the bad values lie in the first and the last
+        # hour of the matrix, or the first and the last day of the factors
+        days = 2 * engine._BLOCK_HOURS // 24 + 1
+        values = np.ones((2, days if where == "daily" else 24 * days))
+        for at, value in bad.items():
+            values[1, at] = value
+        form = {"matrix": values} if where == "matrix" else \
+            {"daily": values, "weights": np.full(24, 1 / 24)}
+        with pytest.raises(ValueError, match=message):
+            HouseholdBaseload(Timestamp(0), [1, 2], **form)
+
+    def test_checking_a_paper_scale_matrix_takes_a_block_at_a_time(self):
+        # 20 years of 126 households: the checks may add one block's
+        # temporaries to the matrix, not whole-matrix ones
+        tracemalloc.start()
+        try:
+            matrix = np.zeros((126, 175_320))     # its pages are only read
+            HouseholdBaseload(Timestamp(0), range(1, 127), matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes + 2 * 2**20
 
     @pytest.mark.parametrize("daily, weights", [
         ([[1.0, 2.0]], [0.5] * 24),

@@ -1,4 +1,5 @@
-from dataclasses import FrozenInstanceError
+import math
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -43,6 +44,14 @@ class TestCatalog:
             EvModel("x", 0, 11, 1.0)
         with pytest.raises(ValueError):
             EvModel("x", 40, -1, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["battery_kwh", "max_rate_kw"])
+    def test_non_finite_fields_rejected(self, field, bad):
+        # an infinite rate once charged a 40 kWh battery to an infinite state
+        values = {"battery_kwh": 40.0, "max_rate_kw": 11.0, field: bad}
+        with pytest.raises(ValueError, match=f"x: {field} must be finite"):
+            EvModel("x", market_share=1.0, **values)
 
 
 class TestChargeStep:
@@ -148,6 +157,13 @@ class TestAdoption:
 
 
 class TestDailyTrips:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in fields(DrivingPattern)])
+    def test_non_finite_fields_rejected(self, field, bad):
+        # a NaN departure mean once reached build_fleet, which failed to round it
+        with pytest.raises(ValueError, match=f"driving {field} must be finite"):
+            DrivingPattern(**{field: bad})
+
     def test_zero_probability_no_trip(self):
         pattern = DrivingPattern(weekday_trip_prob=0.0, weekend_trip_prob=0.0)
         v = make_vehicle()
@@ -208,6 +224,10 @@ class TestDailyTrips:
 def test_vehicle_invariants():
     with pytest.raises(ValueError):
         Vehicle(id=1, model=LEAF, soc_kwh=41.0)
+    # a NaN target is never met: the engine once put 177.6 kWh into a 40 kWh battery
+    for target in (math.nan, -5.0, 41.0):
+        with pytest.raises(ValueError, match="target out of"):
+            Vehicle(id=1, model=LEAF, soc_kwh=10.0, desired_target_kwh=target)
     v = Vehicle(id=1, model=LEAF, soc_kwh=10.0)
     assert v.desired_target_kwh == LEAF.battery_kwh
     with pytest.raises(FrozenInstanceError):

@@ -68,6 +68,14 @@ def test_transformer_invariants():
         Transformer(400, -1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["capacity_kw", "buffer_kw"])
+def test_transformer_rejects_non_finite_values(field, bad):
+    values = {"capacity_kw": 400.0, "buffer_kw": 20.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Transformer(**values)
+
+
 def test_detect_overloads_none():
     series = LoadSeries(T0, 1, np.full(120, 399.0))
     assert detect_overloads(series, Transformer(400)) == []
