@@ -164,9 +164,9 @@ class ScenarioData:
     """Immutable inputs shared by all experiments of a run set; only the price,
     CO2 and tariff objects, which every ``simulate`` call reads afresh, may change.
 
-    It also holds, weakly, the fleets ``run_experiment`` built on it and the
-    charging-physics passes ``simulate`` ran on them. An output keeps the pass
-    and the fleet it used alive; nothing else does.
+    It also holds, weakly, the charging-physics passes ``run_experiment`` ran
+    on it, by physics key; each pass holds the fleet it ran. An output keeps
+    its pass, and so its fleet, alive; nothing else does.
     """
 
     transformer: Transformer
@@ -179,9 +179,6 @@ class ScenarioData:
     driving: DrivingPattern
     addons_dkk_per_kwh: float = 0.0
     overload_unit: str = "hours"
-    _fleets: weakref.WeakValueDictionary = field(
-        default_factory=weakref.WeakValueDictionary, init=False, repr=False,
-        compare=False)
     _physics: weakref.WeakValueDictionary = field(
         default_factory=weakref.WeakValueDictionary, init=False, repr=False,
         compare=False)
@@ -204,8 +201,8 @@ class ScenarioData:
         return self.baseload.household_ids
 
     def __getstate__(self):
-        # copies and pickles start without the fleets and passes held weakly
-        return {k: v for k, v in vars(self).items() if k not in ("_fleets", "_physics")}
+        # copies and pickles start without the passes held weakly
+        return {k: v for k, v in vars(self).items() if k != "_physics"}
 
     def __setstate__(self, state):
         self.__init__(**state)
@@ -394,25 +391,21 @@ def build_fleet(spec: ExperimentSpec, data: ScenarioData,
     return plans
 
 
-class _Fleet(list):
-    """The plans of a fleet ``run_experiment`` built: a list that can be
-    held weakly."""
-
-    __slots__ = ("__weakref__",)
-
-
 def run_experiment(spec: ExperimentSpec, data: ScenarioData) -> SimulationOutput:
     """Build the stochastic fleet from the seed and simulate the span.
 
-    Experiments on one ``data`` with the same seed and span share one fleet,
-    built the first time and reused while an output of it is alive.
+    Experiments on one ``data`` with the same seed and span share one fleet:
+    that of a live pass registered on ``data`` with the same span and seed,
+    else a new one. The output's pass is registered under the spec's physics key.
     """
-    key = (spec.seed, spec.span)
-    plans = data._fleets.get(key)
+    span_seed = spec.physics_key[2:]
+    plans = next((p.fleet for key, p in data._physics.items() if key[2:] == span_seed),
+                 None)
     if plans is None:
-        plans = _Fleet(build_fleet(spec, data, RngStreams(spec.seed)))
-        data._fleets[key] = plans
-    return simulate(spec, data, plans)
+        plans = build_fleet(spec, data, RngStreams(spec.seed))
+    out = simulate(spec, data, plans)
+    data._physics[spec.physics_key] = out._physics
+    return out
 
 
 def _event_keys(plans: list[VehiclePlan], n_ids: int) -> array:
@@ -700,11 +693,10 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     """Run one experiment on a prepared fleet: its charging physics, priced
     at ``spec.tariff_mode``. ``plans`` is left as it was found.
 
-    If ``plans`` is the fleet ``run_experiment`` built on ``data`` for this
-    seed and span, the physics pass of an earlier call with the same strategy
-    and decision interval is reused while an output of it is alive: the
-    tariff changes no dispatch decision, and neither the fleet nor ``data``'s
-    physics inputs can have changed. Any other fleet gets a pass of its own.
+    The pass ``run_experiment`` registered on ``data`` under the spec's
+    physics key is reused if it ran ``plans`` itself: the tariff changes no
+    dispatch decision, and neither that fleet nor ``data``'s physics inputs can
+    have changed. Any other fleet gets a pass of its own.
     """
     span = spec.span
     tariff = data.tariffs.get(spec.tariff_mode)
@@ -729,12 +721,9 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
         bills[y] = [block @ rates[h0:h1] for rates in (price_h, tariff_h, co2_h)]
     del block, blocks
 
-    shared = plans is data._fleets.get((spec.seed, span))
-    physics = data._physics.get(spec.physics_key) if shared else None
-    if physics is None:
+    physics = data._physics.get(spec.physics_key)
+    if physics is None or physics.fleet is not plans:
         physics = _charge(spec, data.transformer, np.concatenate(base_totals), plans)
-        if shared:
-            data._physics[spec.physics_key] = physics
     return _price(spec, data, physics, years, bills, price_h, tariff_h, co2_h)
 
 

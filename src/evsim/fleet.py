@@ -95,8 +95,11 @@ class AdoptionCurve:
         if not self.breakpoints:
             raise ValueError("empty adoption curve")
         object.__setattr__(self, "breakpoints", tuple(sorted(map(tuple, self.breakpoints))))
-        prev = -1
-        for _, cum in self.breakpoints:
+        prev = 0
+        for year, cum in self.breakpoints:
+            if not (cum >= 0 and float(cum).is_integer()):
+                raise ValueError(f"adoption curve: the cumulative count of {year} must be "
+                                 f"a whole number, not negative, got {cum!r}")
             if cum < prev:
                 raise ValueError("adoption curve must be non-decreasing")
             prev = cum

@@ -5,6 +5,7 @@ import pickle
 import re
 import shutil
 import tracemalloc
+import weakref
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -423,6 +424,32 @@ class TestSharedPhysics:
         assert len(count_physics) == 2 and len(data._physics) == 0
         assert first_difference(first, again) is None
 
+    def test_registered_pass_serves_only_its_own_fleet(self, count_physics):
+        span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
+        data = flat_data(span, n_households=4, capacity=12.0,
+                         curve=AdoptionCurve([(2035, 4)]))
+        s = spec_for(span, "fcfs", seed=5)
+        shared = run_experiment(s, data)
+        own = simulate(s, data, build_fleet(s, data, RngStreams(s.seed)))
+        assert len(count_physics) == 2 and own._physics is not shared._physics
+        assert list(data._physics.keys()) == [s.physics_key]
+        assert data._physics[s.physics_key] is shared._physics
+        assert first_difference(shared, own) is None
+
+    def test_strategies_on_one_seed_and_span_build_one_fleet(self, monkeypatch):
+        span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
+        data = flat_data(span, n_households=4, curve=AdoptionCurve([(2035, 4)]))
+        calls = []
+
+        def counted(spec, *args):
+            calls.append(spec.strategy)
+            return build_fleet(spec, *args)
+        monkeypatch.setattr(engine, "build_fleet", counted)
+        outs = [run_experiment(spec_for(span, name, seed=2), data)
+                for name in ("traditional", "edf")]
+        assert calls == ["traditional"]
+        assert outs[0]._physics.fleet is outs[1]._physics.fleet
+
     def test_inputs_cannot_change_in_place(self):
         span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
         data = flat_data(span, n_households=4, curve=AdoptionCurve([(2035, 4)]))
@@ -460,18 +487,21 @@ class TestSharedPhysics:
         data = flat_data(span, n_households=4, curve=AdoptionCurve([(2035, 4)]))
         outs = [run_experiment(spec_for(span, name, seed=2), data)
                 for name in ("traditional", "edf")]
-        assert len(data._fleets) == 1 and len(data._physics) == 2
+        assert len(data._physics) == 2
+        assert outs[0]._physics.fleet is outs[1]._physics.fleet
+        first_plan = weakref.ref(outs[0]._physics.fleet[0])
         del outs
         gc.collect()
-        assert len(data._fleets) == 0 and len(data._physics) == 0
+        assert len(data._physics) == 0 and first_plan() is None
 
     def test_copies_start_without_fleets_and_passes(self):
         span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
         data = flat_data(span, n_households=4, curve=AdoptionCurve([(2035, 4)]))
         out = run_experiment(spec_for(span, "edf", seed=2), data)
+        assert out._physics.fleet and len(data._physics) == 1
         for other in (copy.copy(data), copy.deepcopy(data),
                       pickle.loads(pickle.dumps(data))):
-            assert len(other._fleets) == 0 and len(other._physics) == 0
+            assert len(other._physics) == 0
             assert other.transformer == data.transformer
         assert pickle.loads(pickle.dumps(out))._physics is None
 
@@ -484,7 +514,7 @@ class TestSharedPhysics:
         # what a --parallel worker sends back; the per-trip and per-session
         # values carry no __dict__
         assert trad.sessions and trad == pickle.loads(pickle.dumps(trad))
-        trip = data._fleets[(2, span)][0].trips[0]
+        trip = trad._physics.fleet[0].trips[0]
         for value in (trip, trip.arrival, trad.sessions[0]):
             assert not hasattr(value, "__dict__")
             assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
@@ -506,7 +536,7 @@ class TestSharedPhysics:
         before = records_alive()
         out = run_experiment(spec_for(span, "edf", seed=3), data)
         assert len(out.sessions) > 0
-        assert sum(len(p.trips) for p in data._fleets[(3, span)]) > 0
+        assert sum(len(p.trips) for p in out._physics.fleet) > 0
         assert records_alive() == before
 
     def test_tariff_pair_prices_its_pass_alike(self, count_physics):

@@ -120,6 +120,11 @@ class TestAdoption:
                                   RngStreams(1).stream("adoption"))
         assert events == []
 
+    @pytest.mark.parametrize("bad", [math.nan, 2.5, -1, math.inf])
+    def test_count_must_be_whole_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="cumulative count of 2035 must be a whole"):
+            AdoptionCurve([(2030, 0), (2035, bad)])
+
     def test_full_adoption_by_curve_end(self):
         curve = AdoptionCurve([(2020, 3), (2021, 8), (2022, 12)])
         ids = list(range(12))

@@ -237,6 +237,12 @@ class TestCsvReaders:
         with pytest.raises(ScenarioError):
             read_adoption_curve_csv(p)
 
+    def test_curve_negative_count_rejected(self, tmp_path):
+        p = tmp_path / "curve.csv"
+        p.write_text("year,cumulative_adopters\n2030,-1\n2035,5\n")
+        with pytest.raises(ScenarioError, match=r"\[body\].*count of 2030"):
+            read_adoption_curve_csv(p)
+
 
 def test_scenario_runs_end_to_end(tmp_path):
     from evsim.engine import run_experiment
