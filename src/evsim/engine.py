@@ -95,6 +95,9 @@ class HouseholdBaseload:
                              "or (households, days) factors and 24 weights")
         if len(values) != len(self.household_ids):
             raise ValueError("baseload rows must match household count")
+        ids, counts = np.unique(self.household_ids, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"baseload household id {ids[counts > 1][0]} is repeated")
         negative = False
         with np.errstate(over="ignore", invalid="ignore"):     # a product may overflow
             for block in self.blocks():

@@ -5,12 +5,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
+from datetime import MAXYEAR
 from operator import attrgetter
 
 import numpy as np
 
 from .columns import Columns
-from .timebase import MINUTES_PER_DAY, Timestamp, year_start_minutes
+from .timebase import EPOCH, MINUTES_PER_DAY, Timestamp, year_start_minutes
 
 log = logging.getLogger(__name__)
 
@@ -95,14 +96,21 @@ class AdoptionCurve:
         if not self.breakpoints:
             raise ValueError("empty adoption curve")
         object.__setattr__(self, "breakpoints", tuple(sorted(map(tuple, self.breakpoints))))
-        prev = 0
+        prev_year, prev = None, 0
         for year, cum in self.breakpoints:
+            if year == prev_year:
+                raise ValueError(f"adoption curve: the year {year} is listed twice")
+            # a year's adoptions fall in [year, year + 1): from the epoch, and year + 1
+            # must be a datetime year
+            if not EPOCH.year <= year < MAXYEAR:
+                raise ValueError(f"adoption curve: the year {year} is outside "
+                                 f"{EPOCH.year}..{MAXYEAR - 1}")
             if not (cum >= 0 and float(cum).is_integer()):
                 raise ValueError(f"adoption curve: the cumulative count of {year} must be "
                                  f"a whole number, not negative, got {cum!r}")
             if cum < prev:
                 raise ValueError("adoption curve must be non-decreasing")
-            prev = cum
+            prev_year, prev = year, cum
 
     @property
     def final_value(self) -> int:

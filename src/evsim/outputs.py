@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import csv
 import shutil
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -43,50 +42,35 @@ def _stamps(minutes) -> list[str]:
     return [dates[k] + _HHMM[m] for k, m in zip(which.tolist(), minute_of_day.tolist())]
 
 
-def _write_rows(fh, row_format: str, n_rows: int, columns) -> None:
-    """Write n_rows rows, each ``row_format`` % one row of the columns that
-    ``columns(lo, hi)`` gives for rows [lo, hi). A block of rows takes one
-    %-format, so the text in memory stays small; ``row_format`` ends in
-    csv.writer's line end, CR LF."""
-    for lo in range(0, n_rows, _ROWS_PER_WRITE):
-        hi = min(lo + _ROWS_PER_WRITE, n_rows)
-        fields = tuple(chain.from_iterable(zip(*columns(lo, hi))))
-        fh.write(row_format * (hi - lo) % fields)
-
-
-def _write_records(path: Path, header: list[str], row_format: str, records: list,
-                   getter, stamped: tuple[int, ...]) -> None:
-    """A CSV of one row per record, ``getter(record)`` giving its fields; the
-    fields at the indices in ``stamped`` are minutes, written as ISO 8601."""
-    def columns(lo, hi):
-        cols = list(zip(*map(getter, records[lo:hi])))
-        for k in stamped:
-            cols[k] = _stamps(cols[k])
-        return cols
-
+def _write_table(path: Path, header: list[str], row_format: str, n_rows: int,
+                 columns) -> None:
+    """A CSV of ``header``, then n_rows rows, each ``row_format`` % one row of
+    the columns that ``columns(lo, hi)`` gives for rows [lo, hi). A block of
+    rows takes one %-format, so the text in memory stays small;
+    ``row_format`` ends in csv.writer's line end, CR LF."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        _write_rows(fh, row_format, len(records), columns)
+        for lo in range(0, n_rows, _ROWS_PER_WRITE):
+            hi = min(lo + _ROWS_PER_WRITE, n_rows)
+            fields = tuple(chain.from_iterable(zip(*columns(lo, hi))))
+            fh.write(row_format * (hi - lo) % fields)
 
 
 def write_load_csv(path: Path, series: LoadSeries, column: str = "load_kw") -> None:
     """One row per tick, written a block of rows at a time; each run of equal
-    load has its value formatted once, then joined to its rows' stamps."""
+    load in a block has its value formatted once, then joined to its rows'
+    stamps."""
     first, res, n = series.start.minutes, series.resolution_minutes, series.n_ticks
     starts, values = series.run_starts, series.run_values
-    last_run, tail = -1, ""      # the last run formatted: its index and text
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["timestamp_iso8601", column])
         for lo in range(0, n, _ROWS_PER_WRITE):
             hi = min(lo + _ROWS_PER_WRITE, n)
             k0, k1 = int(series.run_of(lo)), int(series.run_of(hi - 1)) + 1
-            tails = [tail] if k0 == last_run else []
-            tails += [f",{v:.6f}\r\n" for v in values[k0 + len(tails):k1].tolist()]
-            last_run, tail = k1 - 1, tails[-1]
             stamps = _stamps(first + res * np.arange(lo, hi))
             cuts = [0, *(starts[k0 + 1:k1] - lo).tolist(), hi - lo]
-            fh.write("".join(t.join(stamps[a:b]) + t
-                             for a, b, t in zip(cuts, cuts[1:], tails)))
+            fh.write("".join(t.join(stamps[a:b]) + t for a, b, t in zip(
+                cuts, cuts[1:], [f",{v:.6f}\r\n" for v in values[k0:k1].tolist()])))
 
 
 def write_kpi_csv(path: Path, experiment_id: str, reports: list[KpiReport]) -> None:
@@ -117,39 +101,42 @@ def write_comparison_csv(path: Path, rows: list[ComparisonRow]) -> None:
 
 
 def write_overloads_csv(path: Path, out: SimulationOutput) -> None:
-    _write_records(path, ["start_iso8601", "duration_minutes", "peak_excess_kw"],
-                   "%s,%d,%.4f\r\n", out.overload_events,
-                   attrgetter("start.minutes", "duration_minutes", "peak_excess_kw"),
-                   stamped=(0,))
+    events = out.overload_events
+    _write_table(path, ["start_iso8601", "duration_minutes", "peak_excess_kw"],
+                 "%s,%d,%.4f\r\n", len(events), lambda lo, hi: (
+                     _stamps([e.start.minutes for e in events[lo:hi]]),
+                     [e.duration_minutes for e in events[lo:hi]],
+                     [e.peak_excess_kw for e in events[lo:hi]]))
 
 
 def write_sessions_csv(path: Path, out: SimulationOutput) -> None:
     vids, plug_ins, unplugs, kwhs = out.sessions.columns
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["vehicle_id", "plug_in_iso8601", "unplug_iso8601",
-                                 "delivered_kwh"])
-        _write_rows(fh, "%d,%s,%s,%.6f\r\n", len(vids), lambda lo, hi: (
-            vids[lo:hi], _stamps(plug_ins[lo:hi]), _stamps(unplugs[lo:hi]),
-            kwhs[lo:hi]))
+    _write_table(path, ["vehicle_id", "plug_in_iso8601", "unplug_iso8601",
+                        "delivered_kwh"], "%d,%s,%s,%.6f\r\n", len(vids), lambda lo, hi: (
+                     vids[lo:hi], _stamps(plug_ins[lo:hi]), _stamps(unplugs[lo:hi]),
+                     kwhs[lo:hi]))
 
 
 def write_dissatisfactions_csv(path: Path, out: SimulationOutput) -> None:
-    _write_records(path, ["timestamp_iso8601", "vehicle_id"], "%s,%d\r\n",
-                   out.dissatisfactions, lambda d: (d[0].minutes, d[1]),
-                   stamped=(0,))
+    events = out.dissatisfactions
+    _write_table(path, ["timestamp_iso8601", "vehicle_id"], "%s,%d\r\n", len(events),
+                 lambda lo, hi: (_stamps([t.minutes for t, _ in events[lo:hi]]),
+                                 [vid for _, vid in events[lo:hi]]))
 
 
 def write_baseload_csv(path: Path, baseload) -> None:
-    """Long-form per-household hourly baseload, matching the ingestion schema;
-    read one block of hours at a time."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp_iso8601", "household_id", "load_kw"])
-        hours = chain.from_iterable(block.T.tolist() for block in baseload.blocks())
-        for h, loads in enumerate(hours):
-            ts = Timestamp(baseload.start.minutes + 60 * h).isoformat()
-            for hid, kw in zip(baseload.household_ids, loads):
-                w.writerow([ts, hid, f"{kw:.6f}"])
+    """Long-form per-household hourly baseload, matching the ingestion schema:
+    a row per hour and household, the hours read one ``blocks()`` block at a
+    time."""
+    ids = np.asarray(baseload.household_ids)
+    loads = chain.from_iterable(block.T.ravel().tolist() for block in baseload.blocks())
+
+    def columns(lo, hi):
+        hours, which = np.divmod(np.arange(lo, hi), len(ids))
+        return (_stamps(baseload.start.minutes + 60 * hours), ids[which].tolist(),
+                list(islice(loads, hi - lo)))
+    _write_table(path, ["timestamp_iso8601", "household_id", "load_kw"], "%s,%d,%.6f\r\n",
+                 len(ids) * baseload.n_hours, columns)
 
 
 def write_manifest(path: Path, scenario_hash: str, spec: ExperimentSpec) -> None:

@@ -38,31 +38,34 @@ def _frame(title: str, parts: list[str], width: int = _W, height: int = _H) -> s
     return head + "".join(parts) + "</svg>"
 
 
-def _axis_labels(y_lo: float, y_hi: float, top: float, bottom: float) -> list[str]:
-    out = []
+def _panel(values, y_hi: float, capacity_kw: float, top: float, bottom: float,
+           grid: bool) -> tuple[list[str], float]:
+    """One load panel from 0 kW at ``bottom`` to ``y_hi`` at ``top``: the axis
+    labels (with grid lines if ``grid``), the load polyline and the dashed
+    capacity line; and the capacity line's height."""
+    parts = []
     for frac in (0.0, 0.5, 1.0):
-        val = y_lo + frac * (y_hi - y_lo)
         y = bottom - frac * (bottom - top)
-        out.append(f'<text x="{_MARGIN - 6}" y="{y + 4:.1f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11">{val:.0f}</text>')
-        out.append(f'<line x1="{_MARGIN}" y1="{y:.1f}" x2="{_W - 20}" y2="{y:.1f}" '
-                   f'stroke="#ddd" stroke-width="0.5"/>')
-    return out
+        val = frac * y_hi + 0.0                 # + 0.0: a y_hi of -0.0 labels 0, not -0
+        parts.append(f'<text x="{_MARGIN - 6}" y="{y + 4:.1f}" text-anchor="end" '
+                     f'font-family="sans-serif" font-size="11">{val:.0f}</text>')
+        if grid:
+            parts.append(f'<line x1="{_MARGIN}" y1="{y:.1f}" x2="{_W - 20}" y2="{y:.1f}" '
+                         f'stroke="#ddd" stroke-width="0.5"/>')
+    xs = _scale(np.arange(len(values)), 0, max(1, len(values) - 1), _MARGIN, _W - 20)
+    parts.append(_polyline(xs, _scale(values, 0.0, y_hi, bottom, top), "#1f6fb2"))
+    cap_y = float(_scale(capacity_kw, 0.0, y_hi, bottom, top))
+    parts.append(f'<line x1="{_MARGIN}" y1="{cap_y:.1f}" x2="{_W - 20}" '
+                 f'y2="{cap_y:.1f}" stroke="#c0392b" stroke-width="1.5" '
+                 f'stroke-dasharray="6,4"/>')
+    return parts, cap_y
 
 
 def load_profile_svg(values: np.ndarray, capacity_kw: float, title: str) -> str:
     """Single-panel load series with the transformer capacity line."""
     values = np.asarray(values, float)
-    top, bottom = 35.0, _H - 30.0
     y_hi = max(float(values.max(initial=0.0)), capacity_kw) * 1.05
-    parts = _axis_labels(0.0, y_hi, top, bottom)
-    xs = _scale(np.arange(len(values)), 0, max(1, len(values) - 1), _MARGIN, _W - 20)
-    ys = _scale(values, 0.0, y_hi, bottom, top)
-    parts.append(_polyline(xs, ys, "#1f6fb2"))
-    cap_y = float(_scale(np.array([capacity_kw]), 0.0, y_hi, bottom, top)[0])
-    parts.append(f'<line x1="{_MARGIN}" y1="{cap_y:.1f}" x2="{_W - 20}" '
-                 f'y2="{cap_y:.1f}" stroke="#c0392b" stroke-width="1.5" '
-                 f'stroke-dasharray="6,4"/>')
+    parts, cap_y = _panel(values, y_hi, capacity_kw, 35.0, _H - 30.0, grid=True)
     parts.append(f'<text x="{_W - 22}" y="{cap_y - 5:.1f}" text-anchor="end" '
                  f'font-family="sans-serif" font-size="11" fill="#c0392b">'
                  f'capacity {capacity_kw:g} kW</text>')
@@ -73,29 +76,16 @@ def day_zoom_svg(top_values: np.ndarray, bottom_values: np.ndarray,
                  capacity_kw: float, top_label: str, bottom_label: str,
                  title: str) -> str:
     """Two stacked panels with shared axes for a day-level comparison."""
-    height = 2 * _H
     y_hi = max(float(np.max(top_values, initial=0.0)),
                float(np.max(bottom_values, initial=0.0)), capacity_kw) * 1.05
     parts: list[str] = []
-    for panel, (vals, label) in enumerate([(top_values, top_label),
-                                           (bottom_values, bottom_label)]):
-        off = panel * _H
-        top, bottom = off + 35.0, off + _H - 30.0
-        for frac in (0.0, 0.5, 1.0):
-            val = frac * y_hi
-            y = bottom - frac * (bottom - top)
-            parts.append(f'<text x="{_MARGIN - 6}" y="{y + 4:.1f}" text-anchor="end" '
-                         f'font-family="sans-serif" font-size="11">{val:.0f}</text>')
-        xs = _scale(np.arange(len(vals)), 0, max(1, len(vals) - 1), _MARGIN, _W - 20)
-        ys = _scale(np.asarray(vals, float), 0.0, y_hi, bottom, top)
-        parts.append(_polyline(xs, ys, "#1f6fb2"))
-        cap_y = bottom - capacity_kw / y_hi * (bottom - top)
-        parts.append(f'<line x1="{_MARGIN}" y1="{cap_y:.1f}" x2="{_W - 20}" '
-                     f'y2="{cap_y:.1f}" stroke="#c0392b" stroke-width="1.5" '
-                     f'stroke-dasharray="6,4"/>')
+    for off, values, label in ((0, top_values, top_label),
+                               (_H, bottom_values, bottom_label)):
+        top = off + 35.0
+        parts += _panel(values, y_hi, capacity_kw, top, off + _H - 30.0, grid=False)[0]
         parts.append(f'<text x="{_MARGIN + 5}" y="{top + 2:.1f}" '
                      f'font-family="sans-serif" font-size="12">{label}</text>')
-    return _frame(title, parts, height=height)
+    return _frame(title, parts, height=2 * _H)
 
 
 def bar_chart_svg(labels: list[str], counts: list[int], title: str,

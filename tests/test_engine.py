@@ -745,6 +745,14 @@ class TestBaseloadForms:
             matrix = np.stack([np.outer(row, weights).ravel() for row in daily])
         assert rejection(daily=daily, weights=weights) == rejection(matrix=matrix)
 
+    @pytest.mark.parametrize("where", ["matrix", "daily"])
+    def test_repeated_household_ids_rejected(self, where):
+        # the load would count both rows, the bills price the id once
+        form = {"matrix": np.ones((3, 48))} if where == "matrix" else \
+            {"daily": np.ones((3, 2)), "weights": np.full(24, 1 / 24)}
+        with pytest.raises(ValueError, match="baseload household id 2 is repeated"):
+            HouseholdBaseload(Timestamp(0), [2, 1, 2], **form)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["matrix", "daily", "weights"])
     def test_non_finite_values_rejected(self, where, bad):

@@ -125,6 +125,24 @@ class TestAdoption:
         with pytest.raises(ValueError, match="cumulative count of 2035 must be a whole"):
             AdoptionCurve([(2030, 0), (2035, bad)])
 
+    @pytest.mark.parametrize("points, message", [
+        ([(2030, 5), (2030, 28)], "the year 2030 is listed twice"),
+        ([(2030, 5), (2035, 9), (2030, 5)], "the year 2030 is listed twice"),
+        ([(1999, 5), (2038, 28)], "the year 1999 is outside 2000..9998"),
+        ([(2030, 5), (9999, 28)], "the year 9999 is outside 2000..9998"),
+    ])
+    def test_years_repeated_or_out_of_range_rejected(self, points, message):
+        # each once failed in every experiment that sampled adoptions from it
+        with pytest.raises(ValueError, match=message):
+            AdoptionCurve(points)
+
+    def test_years_at_the_ends_of_the_range_sample(self):
+        curve = AdoptionCurve([(2000, 1), (9998, 3)])
+        events = sample_adoptions(curve, [1, 2, 3], [LEAF],
+                                  RngStreams(2).stream("adoption"))
+        assert len(events) == 3
+        assert all(2000 <= e.at.year <= 9998 for e in events)
+
     def test_full_adoption_by_curve_end(self):
         curve = AdoptionCurve([(2020, 3), (2021, 8), (2022, 12)])
         ids = list(range(12))

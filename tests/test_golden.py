@@ -4,7 +4,8 @@
   tables, baseline comparisons and per-vehicle delivered energy.
 - ``golden/binding/binding.ini`` (28 households, 20 +- 6 kWh trips, two weeks
   behind a transformer that binds, so the strategies differ): each
-  experiment's KPI table and dissatisfactions, and the sha256 of its sessions.
+  experiment's KPI table and dissatisfactions, and the sha256 of every file
+  it writes (its CSVs, manifest and plots), so the output bytes are pinned.
 
 After a deliberate change of behaviour, regenerate the fixtures with
 ``PYTHONPATH=src python tests/test_golden.py`` and record why in CHANGES.md.
@@ -65,9 +66,10 @@ def write_binding_fixtures(work: Path, dest: Path) -> None:
     for s in scn.experiments:
         for name in ("kpi.csv", "dissatisfactions.csv"):
             (dest / f"{s.id}_{name}").write_bytes((work / s.id / name).read_bytes())
-        sha = hashlib.sha256((work / s.id / "sessions.csv").read_bytes()).hexdigest()
-        digests.append(f"{sha}  {s.id}/sessions.csv\n")
-    (dest / "sessions.sha256").write_text("".join(digests))
+        for path in sorted((work / s.id).iterdir()):
+            sha = hashlib.sha256(path.read_bytes()).hexdigest()
+            digests.append(f"{sha}  {s.id}/{path.name}\n")
+    (dest / "outputs.sha256").write_text("".join(digests))
 
 
 def _fixtures(directory: Path) -> list[str]:

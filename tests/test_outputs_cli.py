@@ -12,11 +12,11 @@ import pytest
 
 from evsim import cli, outputs
 from evsim.cli import main
-from evsim.engine import ChargeSession, Sessions, run_experiment
+from evsim.engine import ChargeSession, HouseholdBaseload, Sessions, run_experiment
 from evsim.grid import LoadSeries, OverloadEvent
-from evsim.outputs import (read_kpi_csv, write_all, write_dissatisfactions_csv,
-                           write_kpi_csv, write_load_csv, write_overloads_csv,
-                           write_sessions_csv)
+from evsim.outputs import (read_kpi_csv, write_all, write_baseload_csv,
+                           write_dissatisfactions_csv, write_kpi_csv, write_load_csv,
+                           write_overloads_csv, write_sessions_csv)
 from evsim.scenario import load_scenario
 from evsim.svgplot import _polyline, bar_chart_svg, day_zoom_svg, load_profile_svg
 from evsim.timebase import Timestamp
@@ -338,6 +338,18 @@ class TestCliValidate:
         err = capsys.readouterr().err
         assert "validation error" in err and "[baseload]" in err and "finite" in err
 
+    @pytest.mark.parametrize("rows, year", [
+        (["2035,2", "2035,4"], 2035), (["1999,2", "2037,4"], 1999),
+        (["2035,2", "9999,4"], 9999),
+    ], ids=["repeated_year", "year_before_2000", "year_9999"])
+    def test_curve_no_run_can_sample_exit_1(self, tmp_path, capsys, rows, year):
+        # each once passed validate, then failed every experiment of a run
+        curve = "\n".join(["year,cumulative_adopters", *rows]) + "\n"
+        path = write_scenario(tmp_path, SHORT_INI, curve=curve)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and "[body]" in err and f"year {year}" in err
+
     def test_short_csv_row_names_its_line(self, tmp_path, capsys):
         catalog = CATALOG.replace("small,40,3.7,0.6", "small,40")
         assert main(["validate", str(write_scenario(tmp_path, SHORT_INI, catalog))]) == 1
@@ -574,6 +586,39 @@ class TestBatchedRowWriters:
             [[e.start.isoformat(), e.duration_minutes, f"{e.peak_excess_kw:.4f}"]
              for e in events])
         assert (tmp_path / "fast.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("form, households, hours", [
+        *(("matrix", h, n) for h, n in [(1, 0), (1, 1), (5, 51), (1, 256), (257, 1)]),
+        # the factors hold whole days: 0, 24, 240 and 264 rows
+        *(("daily", h, 24) for h in (0, 1, 10, 11)),
+        # across the first 744-hour block of each form
+        ("matrix", 2, 31 * 24 + 1), ("daily", 2, 32 * 24),
+    ])
+    def test_baseload(self, tmp_path, monkeypatch, form, households, hours):
+        rng = np.random.default_rng(hours)
+        columns = hours if form == "matrix" else hours // 24
+        values = rng.uniform(0.0, 30.0, (households, columns))
+        values.flat[:3] = (-0.0, 0.0, 1e7 / 3)[:values.size]
+        kwargs = {"matrix": values} if form == "matrix" else \
+            {"daily": values, "weights": rng.uniform(0.0, 0.2, 24)}
+        ids = rng.permutation(10 * households + 1)[:households].tolist()
+        # from the year's last evening into the next year
+        baseload = HouseholdBaseload(Timestamp.from_iso("2036-12-31T20:00"), ids, **kwargs)
+        want = _row_by_row(
+            tmp_path / "rows.csv", ["timestamp_iso8601", "household_id", "load_kw"],
+            [[Timestamp(baseload.start.minutes + 60 * h).isoformat(), hid, f"{kw:.6f}"]
+             for h, loads in enumerate(baseload.block().T) for hid, kw in zip(ids, loads)])
+        widths = []
+        block = HouseholdBaseload.block
+
+        def recording(self, lo=0, hi=None, buffer=None):
+            out = block(self, lo, hi, buffer)
+            widths.append(out.shape[1])
+            return out
+        monkeypatch.setattr(HouseholdBaseload, "block", recording)
+        write_baseload_csv(tmp_path / "fast.csv", baseload)
+        assert (tmp_path / "fast.csv").read_bytes() == want
+        assert max(widths, default=0) <= 31 * 24     # read a block at a time
 
     @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 3000])
     def test_polyline_points(self, n):

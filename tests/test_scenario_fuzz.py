@@ -5,8 +5,9 @@ key names one: ``evsim validate`` accepts or rejects each (exit 0 or 1, never
 
 Most values are drawn from their valid range; each key is occasionally given
 a value that load_scenario must reject, each CSV file a row of the wrong
-width, each timestamp a UTC offset or seconds, and each experiment an id that
-names no output directory of its own.
+width, each timestamp a UTC offset or seconds, the adoption curve a repeated
+year or one out of range, and each experiment an id that names no output
+directory of its own.
 """
 
 import tempfile
@@ -204,6 +205,11 @@ def scenario_files(draw):
         if draw(mostly(st.just(False), st.just(True))):
             counts[-1] = n + 1
         rows = [f"{y},{c}" for y, c in zip(years, counts)]
+        # a repeated year, or one before 2000 or after 9998, where no run can sample
+        extra = draw(mostly(st.none(), st.sampled_from(
+            [(years[0], counts[0]), (1999, counts[0]), (9999, counts[-1])])))
+        if extra is not None:
+            rows.append("%d,%d" % extra)
         files["curve.csv"] = "\n".join(["year,cumulative_adopters", *rows]) + "\n"
         sections.append(("adoption", {"path": "curve.csv"}))
 
