@@ -46,7 +46,7 @@ from .fleet import (AdoptionCurve, DrivingPattern, EvModel, Trips, Vehicle,
                     validate_catalog)
 from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
                    detect_overloads, hourly_max)
-from .kpi import OVERLOAD_UNITS, KpiReport, YearLedger, assemble_report
+from .kpi import KpiReport, YearLedger, assemble_report, check_overload_unit
 from .rng import RngStreams
 from .tariffs import (TARIFF_MODES, Co2IntensitySeries, DistributionTariff,
                       SpotPriceSeries, hours_covering)
@@ -193,15 +193,20 @@ class ScenarioData:
             if a is not None:
                 a.flags.writeable = False
         validate_catalog(self.catalog)
-        if self.adoption_curve.final_value > len(self.household_ids):
-            raise ValueError("adoption curve exceeds household count")
-        if self.overload_unit not in OVERLOAD_UNITS:
-            raise ValueError(f"unknown overload unit {self.overload_unit!r}")
+        self.adoption_curve.check_households(len(self.household_ids))
+        check_overload_unit(self.overload_unit)
 
     @property
     def household_ids(self) -> tuple[int, ...]:
         """The households, in the order of the baseload's rows."""
         return self.baseload.household_ids
+
+    def tariff(self, mode: str) -> DistributionTariff:
+        """The distribution tariff of ``mode``, which the scenario must define."""
+        if mode not in self.tariffs:
+            raise ValueError(f"scenario defines no {mode!r} tariff"
+                             " (add tariff.tou_path for time_of_use)")
+        return self.tariffs[mode]
 
     def __getstate__(self):
         # copies and pickles start without the passes held weakly
@@ -702,9 +707,7 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     have changed. Any other fleet gets a pass of its own.
     """
     span = spec.span
-    tariff = data.tariffs.get(spec.tariff_mode)
-    if tariff is None:
-        raise ValueError(f"scenario has no {spec.tariff_mode!r} tariff")
+    tariff = data.tariff(spec.tariff_mode)
 
     # hourly context arrays over the span
     first_hour = hours_covering(data.baseload.start, data.baseload.n_hours, span).start

@@ -120,6 +120,12 @@ class AdoptionCurve:
     def final_year(self) -> int:
         return self.breakpoints[-1][0]
 
+    def check_households(self, households: int) -> None:
+        """Reject a curve with more adopters than ``households``."""
+        if self.final_value > households:
+            raise ValueError(f"curve reaches {self.final_value} adopters"
+                             f" but the scenario has {households} households")
+
     def yearly_increments(self) -> list[tuple[int, int]]:
         """(year, new adopters that year) for every year on the curve."""
         out = []

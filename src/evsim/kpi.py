@@ -121,6 +121,13 @@ OVERLOAD_UNITS = {
 }
 
 
+def check_overload_unit(unit: str) -> str:
+    """``unit``, if it is one of ``OVERLOAD_UNITS``."""
+    if unit not in OVERLOAD_UNITS:
+        raise ValueError(f"unknown overload unit {unit!r}; valid: {', '.join(OVERLOAD_UNITS)}")
+    return unit
+
+
 def assemble_report(ledger: YearLedger, overload_unit: str = "hours") -> KpiReport:
     """Fold one year's ledger into the seven headline indicators.
 
@@ -129,8 +136,7 @@ def assemble_report(ledger: YearLedger, overload_unit: str = "hours") -> KpiRepo
     metrics as not-applicable (None), and a year without any load its load
     factor.
     """
-    if overload_unit not in OVERLOAD_UNITS:
-        raise ValueError(f"unknown overload unit {overload_unit!r}")
+    check_overload_unit(overload_unit)
 
     total_kwh = sum(ledger.charging_kwh.values())
     if total_kwh > 0:

@@ -1,19 +1,23 @@
 """Scenario files: flat key=value config with sections, CSV ingestion, validation.
 
 Every dataset invariant (coverage, monotone timestamps, market-share sums,
-adoption-curve totals) is checked eagerly at load so runs fail fast. A key
-left out of a section takes the default of the dataclass the section builds.
+adoption-curve totals) is checked eagerly at load so runs fail fast. Each
+section's keys become fields of the dataclass it builds: a key left out, in
+any section, takes its field's default, and a key is required exactly when
+its field has none. Values are read verbatim (``%`` is no interpolation), and
+a key that nothing reads is rejected at ``[section.key]``.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
 import hashlib
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +25,7 @@ import numpy as np
 from .engine import ExperimentSpec, HouseholdBaseload, ScenarioData
 from .fleet import AdoptionCurve, DrivingPattern, EvModel, validate_catalog
 from .grid import Transformer
-from .kpi import OVERLOAD_UNITS
+from .kpi import check_overload_unit
 from .rng import RngStreams, parse_seed
 from .strategies import STRATEGY_NAMES
 from .synth import (SyntheticBaseloadSpec, SyntheticCo2Spec, SyntheticPriceSpec,
@@ -84,48 +88,46 @@ def _parse_rows(path: Path, header: list[str], parse) -> Iterator[tuple[int, obj
         yield line, value
 
 
+def _hourly_values(path: Path, rows: list, start: int) -> list:
+    """The values of ``(line, (minute, value))`` rows in strict hourly steps
+    from the minute ``start``: no gaps or duplicates."""
+    for k, (line, (m, _)) in enumerate(rows):
+        if m != start + 60 * k:
+            raise ScenarioError(str(path), f"line {line}",
+                                "gap or duplicate timestamp (hourly steps required)")
+    return [v for _, (_, v) in rows]
+
+
 def read_hourly_series_csv(path: Path, value_column: str) -> tuple[Timestamp, np.ndarray]:
-    """`timestamp_iso8601,<value>` with strict hourly steps, no gaps or dups."""
+    """`timestamp_iso8601,<value>` with strict hourly steps."""
     rows = list(_parse_rows(path, ["timestamp_iso8601", value_column],
                             lambda row: (Timestamp.from_iso(row[0]).minutes, _real(row[1]))))
     if not rows:
         raise ScenarioError(str(path), "body", "series is empty")
     start = rows[0][1][0]
-    for k, (line, (m, _)) in enumerate(rows):
-        if m != start + 60 * k:
-            raise ScenarioError(str(path), f"line {line}",
-                                "gap or duplicate timestamp (hourly steps required)")
-    return Timestamp(start), np.array([v for _, (_, v) in rows])
+    return Timestamp(start), np.array(_hourly_values(path, rows, start))
 
 
 def read_baseload_csv(path: Path, household_ids: list[int]) -> HouseholdBaseload:
-    """Long-form per-household hourly load: timestamp_iso8601,household_id,load_kw."""
-    series: dict[int, list[tuple[int, float]]] = {hid: [] for hid in household_ids}
+    """Long-form per-household hourly load: timestamp_iso8601,household_id,load_kw;
+    every household in strict hourly steps from the same start."""
+    series: dict[int, list[tuple[int, tuple[int, float]]]] = {hid: [] for hid in household_ids}
 
     def parse(row):
         m, hid, kw = Timestamp.from_iso(row[0]).minutes, int(row[1]), _real(row[2])
         if hid not in series:
             raise ValueError(f"unknown household id {hid}")
-        return hid, m, kw
+        return hid, (m, kw)
 
-    for _, (hid, m, kw) in _parse_rows(
+    for line, (hid, point) in _parse_rows(
             path, ["timestamp_iso8601", "household_id", "load_kw"], parse):
-        series[hid].append((m, kw))
-    lengths = {len(v) for v in series.values()}
-    if len(lengths) != 1:
-        raise ScenarioError(str(path), "body",
-                            "households have differing series lengths")
-    n = lengths.pop()
-    if n == 0:
+        series[hid].append((line, point))
+    if len({len(v) for v in series.values()}) != 1:
+        raise ScenarioError(str(path), "body", "households have differing series lengths")
+    if not series[household_ids[0]]:
         raise ScenarioError(str(path), "body", "baseload is empty")
-    start = series[household_ids[0]][0][0]
-    matrix = np.empty((len(household_ids), n))
-    for row_i, hid in enumerate(household_ids):
-        for k, (m, kw) in enumerate(series[hid]):
-            if m != start + 60 * k:
-                raise ScenarioError(str(path), f"household {hid}",
-                                    "gap or duplicate timestamp")
-            matrix[row_i, k] = kw
+    start = series[household_ids[0]][0][1][0]
+    matrix = np.array([_hourly_values(path, series[hid], start) for hid in household_ids])
     return HouseholdBaseload(Timestamp(start), list(household_ids), matrix)
 
 
@@ -169,6 +171,28 @@ class Scenario:
         raise KeyError(exp_id)
 
 
+class _Config(configparser.ConfigParser):
+    """A scenario file's sections, with values read verbatim (no ``%``
+    interpolation) and ``#`` comments after them; notes each key read."""
+
+    def __init__(self):
+        super().__init__(interpolation=None, inline_comment_prefixes=("#",))
+        self.read_keys: set[tuple[str, str]] = set()
+
+    def get(self, section, option, **kwargs):
+        value = super().get(section, option, **kwargs)
+        self.read_keys.add((section, self.optionxform(option)))
+        return value
+
+    def unread(self) -> list[str]:
+        """``section.key`` of each key that no ``get`` read; a key of the
+        default section is read when any section read it."""
+        keys = [(s, k) for s in self.sections() for k in self._sections[s]]
+        anywhere = {k for _, k in self.read_keys}
+        return [f"{s}.{k}" for s, k in keys if (s, k) not in self.read_keys] \
+            + [f"{self.default_section}.{k}" for k in self.defaults() if k not in anywhere]
+
+
 def _get(cfg, section: str, key: str, path: str, cast=str, default=None):
     try:
         raw = cfg.get(section, key)
@@ -182,18 +206,27 @@ def _get(cfg, section: str, key: str, path: str, cast=str, default=None):
         raise ScenarioError(path, f"{section}.{key}", f"bad value {raw!r}: {exc}")
 
 
-def _section(cfg, section: str, path: str, cls, keys: dict):
-    """``cls`` built from the keys of ``section``, each mapped by ``keys`` to
-    its field and cast; a key left out keeps the field's default."""
-    fields = {field: _get(cfg, section, key, path, cast)
-              for key, (field, cast) in keys.items() if cfg.has_option(section, key)}
+def _fields(cfg, section: str, path: str, cls, keys: dict, given=()) -> dict:
+    """The fields of ``cls`` that ``keys`` maps the keys of ``section`` to,
+    each with its cast. A key left out keeps its field's default; the key of
+    a field without a default that is not ``given`` is required."""
+    required = {f.name for f in dataclasses.fields(cls) if f.name not in given
+                and f.default is MISSING and f.default_factory is MISSING}
+    return {field: _get(cfg, section, key, path, cast) for key, (field, cast) in keys.items()
+            if field in required or cfg.has_option(section, key)}
+
+
+def _section(cfg, section: str, path: str, cls, keys: dict, **given):
+    """``cls`` built from the ``given`` fields and the ``_fields`` read from
+    ``section``, which take precedence; a ValueError of ``cls`` names ``section``."""
+    fields = given | _fields(cfg, section, path, cls, keys, given)
     with _rejected_as(path, section):
         return cls(**fields)
 
 
 def _time_of_day(text: str) -> float:
     """Minutes into the day of an ``HH:MM`` time."""
-    hh, mm = map(int, text.strip().split(":"))
+    hh, mm = map(int, text.split(":"))
     if not (0 <= hh < 24 and 0 <= mm < 60):
         raise ValueError("time of day out of range")
     return float(hh * 60 + mm)
@@ -212,17 +245,18 @@ _SYNTHETIC = {
     "co2": (SyntheticCo2Spec, _reals("mean_kg_per_kwh", "diurnal_amplitude",
                                      "noise_std")),
 }
+_SPAN_KEYS = {"span_start": ("start", Timestamp.from_iso),
+              "span_end": ("end", Timestamp.from_iso)}
+_EXPERIMENT_KEYS = {
+    "strategy": ("strategy", str), "decision_interval_min": ("decision_interval_min", int),
+    "tariff_mode": ("tariff_mode", str), "seed": ("seed", parse_seed),
+    "baseline": ("baseline_id", lambda raw: raw or None)}     # empty: no baseline
 _DRIVING_KEYS = {
     "departure_mean": ("departure_mean_min", _time_of_day),
     "arrival_mean": ("arrival_mean_min", _time_of_day),
     **_reals("departure_std_min", "arrival_std_min", "trip_energy_mean_kwh",
              "trip_energy_std_kwh", "weekday_trip_prob", "weekend_trip_prob"),
 }
-
-
-def _resolve(base: Path, rel: str) -> Path:
-    p = Path(rel)
-    return p if p.is_absolute() else base.parent / p
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
@@ -234,13 +268,14 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
         raise ScenarioError(str(path), "file", str(exc)) from exc
     content_hash = hashlib.sha256(text.encode()).hexdigest()
 
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cfg = _Config()
     try:
         cfg.read_string(text)
     except configparser.Error as exc:
         raise ScenarioError(str(path), "syntax", str(exc)) from exc
 
     sp = str(path)
+    resolve = path.parent.joinpath     # a relative path is the scenario file's
     households = _get(cfg, "scenario", "households", sp, int)
     if households <= 0:
         raise ScenarioError(sp, "scenario.households", "must be positive")
@@ -249,20 +284,17 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     if seed_override is not None:
         with _rejected_as(sp, "seed_override"):
             seed = parse_seed(seed_override)
-    tick = _get(cfg, "scenario", "tick_minutes", sp, int, default=1)
-    span = _parse_span(cfg, "scenario", sp, tick)
-
-    capacity_kw = _get(cfg, "transformer", "capacity_kw", sp, _real)
-    buffer_kw = _get(cfg, "transformer", "buffer_kw", sp, _real, default=0.0)
-    with _rejected_as(sp, "transformer"):
-        transformer = Transformer(capacity_kw, buffer_kw)
+    span = _section(cfg, "scenario", sp, SimulationSpan,
+                    {"tick_minutes": ("tick_minutes", int), **_SPAN_KEYS})
+    transformer = _section(cfg, "transformer", sp, Transformer,
+                           _reals("capacity_kw", "buffer_kw"))
 
     streams = RngStreams(seed)
 
     def dataset(section: str, read, generate):
         """The section's hourly dataset, from its CSV file or generated from its
         synthetic spec; it must cover the span, which the engine reads."""
-        src = _get(cfg, section, "source", sp, str, default="synthetic").strip()
+        src = _get(cfg, section, "source", sp, str, default="synthetic")
         has_path = cfg.has_option(section, "path")
         if src == "csv" and not has_path:
             raise ScenarioError(sp, f"{section}.path", "csv source needs a path")
@@ -273,7 +305,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             raise ScenarioError(sp, f"{section}.source", f"unknown source {src!r}")
         with _rejected_as(sp, section):
             if src == "csv":
-                series = read(_resolve(path, cfg.get(section, "path")))
+                series = read(resolve(cfg.get(section, "path")))
             else:
                 series = generate(_section(cfg, section, sp, *_SYNTHETIC[section]))
             hours_covering(series.start, series.n_hours, span)
@@ -288,54 +320,39 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
                   lambda p: Co2IntensitySeries(*read_hourly_series_csv(p, "kg_per_kwh")),
                   lambda spec: generate_co2(spec, span, streams))
 
-    # tariffs
-    tariffs: dict[str, DistributionTariff] = {}
     fixed_rate = _get(cfg, "tariff", "fixed_dkk_per_kwh", sp, _real, default=0.30)
     with _rejected_as(sp, "tariff"):
-        tariffs["fixed"] = DistributionTariff([TouBand("all", 0, 24, fixed_rate)])
+        tariffs = {"fixed": DistributionTariff([TouBand("all", 0, 24, fixed_rate)])}
         if cfg.has_option("tariff", "tou_path"):
-            bands = read_tou_tariff_csv(_resolve(path, cfg.get("tariff", "tou_path")))
+            bands = read_tou_tariff_csv(resolve(cfg.get("tariff", "tou_path")))
             tariffs["time_of_use"] = DistributionTariff(bands)
-    addons = _get(cfg, "tariff", "addons_dkk_per_kwh", sp, _real, default=0.0)
 
-    catalog_path = _resolve(path, cfg.get("catalog", "path")) \
-        if cfg.has_option("catalog", "path") else DEFAULT_CATALOG_FILE
-    catalog = read_catalog_csv(catalog_path)
-
-    curve_path = _resolve(path, cfg.get("adoption", "path")) \
-        if cfg.has_option("adoption", "path") else DEFAULT_CURVE_FILE
+    catalog = read_catalog_csv(_get(cfg, "catalog", "path", sp, resolve,
+                                    default=DEFAULT_CATALOG_FILE))
+    curve_path = _get(cfg, "adoption", "path", sp, resolve, default=DEFAULT_CURVE_FILE)
     curve = read_adoption_curve_csv(curve_path)
-    if curve.final_value > households:
-        raise ScenarioError(str(curve_path), "body",
-                            f"curve reaches {curve.final_value} adopters"
-                            f" but the scenario has {households} households")
+    with _rejected_as(str(curve_path), "body"):
+        curve.check_households(households)
 
     driving = _section(cfg, "driving", sp, DrivingPattern, _DRIVING_KEYS)
 
-    overload_unit = _get(cfg, "kpi", "overload_unit", sp, str, default="hours").strip()
-    if overload_unit not in OVERLOAD_UNITS:
-        raise ScenarioError(sp, "kpi.overload_unit", "must be one of "
-                            f"{', '.join(OVERLOAD_UNITS)}, got {overload_unit!r}")
-
     data = ScenarioData(
-        transformer=transformer, baseload=baseload, spot=spot, co2=co2, tariffs=tariffs, catalog=catalog,
-        adoption_curve=curve, driving=driving, addons_dkk_per_kwh=addons,
-        overload_unit=overload_unit)
+        transformer=transformer, baseload=baseload, spot=spot, co2=co2, tariffs=tariffs,
+        catalog=catalog, adoption_curve=curve, driving=driving,
+        **_fields(cfg, "tariff", sp, ScenarioData, _reals("addons_dkk_per_kwh")),
+        **_fields(cfg, "kpi", sp, ScenarioData,
+                  {"overload_unit": ("overload_unit", check_overload_unit)}))
 
-    return Scenario(path=path, data=data, span=span, seed=seed,
-                    experiments=_parse_experiments(cfg, sp, span, seed, tariffs),
+    experiments = _parse_experiments(cfg, sp, span, seed, data)
+    unread = cfg.unread()
+    if unread:
+        raise ScenarioError(sp, unread[0], "nothing reads this key")
+    return Scenario(path=path, data=data, span=span, seed=seed, experiments=experiments,
                     content_hash=content_hash)
 
 
-def _parse_span(cfg, section: str, path: str, tick: int) -> SimulationSpan:
-    start = _get(cfg, section, "span_start", path, Timestamp.from_iso)
-    end = _get(cfg, section, "span_end", path, Timestamp.from_iso)
-    with _rejected_as(path, section):
-        return SimulationSpan(start, end, tick)
-
-
 def _parse_experiments(cfg, path: str, default_span: SimulationSpan, seed: int,
-                       tariffs: dict[str, DistributionTariff]) -> list[ExperimentSpec]:
+                       data: ScenarioData) -> list[ExperimentSpec]:
     """The experiment of each ``experiment.<id>`` section, checked as it is
     read; ids are unique, as section names are. Without such sections, one
     experiment per strategy over the scenario span, traditional the baseline."""
@@ -353,27 +370,18 @@ def _parse_experiments(cfg, path: str, default_span: SimulationSpan, seed: int,
                 or "\\" in exp_id:
             raise ScenarioError(path, section, f"experiment id {exp_id!r} does not name "
                                 "a directory of its own inside the output directory")
-        strategy = _get(cfg, section, "strategy", path).strip()
         span = default_span
         if cfg.has_option(section, "span_start") or cfg.has_option(section, "span_end"):
-            span = _parse_span(cfg, section, path, default_span.tick_minutes)
-        interval = _get(cfg, section, "decision_interval_min", path, int) \
-            if cfg.has_option(section, "decision_interval_min") else None
-        tariff_mode = _get(cfg, section, "tariff_mode", path, default="fixed").strip()
-        exp_seed = _get(cfg, section, "seed", path, parse_seed, default=seed)
-        baseline = _get(cfg, section, "baseline", path, default="").strip() or None
-        with _rejected_as(path, section):
-            specs.append(ExperimentSpec(
-                id=exp_id, strategy=strategy, span=span, tariff_mode=tariff_mode,
-                seed=exp_seed, decision_interval_min=interval,
-                baseline_id=baseline))
-        if span.start.minutes < default_span.start.minutes or \
-                span.end.minutes > default_span.end.minutes:
+            span = _section(cfg, section, path, SimulationSpan, _SPAN_KEYS,
+                            tick_minutes=default_span.tick_minutes)
+        spec = _section(cfg, section, path, ExperimentSpec, _EXPERIMENT_KEYS,
+                        id=exp_id, span=span, seed=seed)
+        if span.start < default_span.start or span.end > default_span.end:
             raise ScenarioError(path, section,
                                 "experiment span must lie within the scenario span")
-        if tariff_mode not in tariffs:
-            raise ScenarioError(path, section, f"scenario defines no {tariff_mode!r} tariff"
-                                " (add tariff.tou_path for time_of_use)")
-        if baseline is not None and baseline not in ids:
-            raise ScenarioError(path, section, f"unknown baseline {baseline!r}")
+        with _rejected_as(path, section):
+            data.tariff(spec.tariff_mode)
+        if spec.baseline_id is not None and spec.baseline_id not in ids:
+            raise ScenarioError(path, section, f"unknown baseline {spec.baseline_id!r}")
+        specs.append(spec)
     return specs

@@ -105,9 +105,7 @@ def simulate_ticks(spec: ExperimentSpec, data: ScenarioData,
     interval = spec.interval
     tr = data.transformer
 
-    tariff = data.tariffs.get(spec.tariff_mode)
-    if tariff is None:
-        raise ValueError(f"scenario has no {spec.tariff_mode!r} tariff")
+    tariff = data.tariff(spec.tariff_mode)
 
     # hourly context arrays over the span
     hours = hours_covering(data.baseload.start, data.baseload.n_hours, span)

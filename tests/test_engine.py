@@ -781,6 +781,12 @@ def test_scenario_data_rejects_an_unknown_overload_unit():
         replace(scn.data, overload_unit="days")
 
 
+def test_scenario_data_rejects_a_curve_above_its_households():
+    scn = load_scenario(ROOT / "demos" / "neighborhood.ini")
+    with pytest.raises(ValueError, match="127 adopters but the scenario has 126 households"):
+        replace(scn.data, adoption_curve=AdoptionCurve([(2039, 127)]))
+
+
 def test_scenario_data_compares_by_value():
     scn = load_scenario(ROOT / "demos" / "neighborhood.ini")
     for other in (copy.deepcopy(scn.data), pickle.loads(pickle.dumps(scn.data))):

@@ -21,7 +21,7 @@ from evsim.scenario import load_scenario
 from evsim.svgplot import _polyline, bar_chart_svg, day_zoom_svg, load_profile_svg
 from evsim.timebase import Timestamp
 
-from test_scenario import CATALOG, write_scenario
+from test_scenario import CATALOG, CURVE, write_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -255,7 +255,7 @@ class TestCliValidate:
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.ini")]) == 1
 
-    @pytest.mark.parametrize("old, new, where, csv_baseload", [
+    @pytest.mark.parametrize("old, new, where, csv_datasets", [
         ("span_end = 2036-01-08T00:00", "span_end = 2035-12-25T00:00", "scenario", False),
         ("span_end = 2036-01-08T00:00", "span_end = 2036-01-07T12:00", "baseload", False),
         ("path = curve.csv\n", "path = curve.csv\n[experiment.x]\nstrategy = edf\n"
@@ -304,6 +304,32 @@ class TestCliValidate:
          "decision_interval_min = 0\n", "experiment.x", False),
         ("path = curve.csv\n", "path = curve.csv\n[kpi]\noverload_unit = days\n",
          "kpi.overload_unit", False),
+        # a value is read verbatim: % is no interpolation
+        ("path = curve.csv\n", "path = curve.csv\n[kpi]\noverload_unit = 100%\n",
+         "kpi.overload_unit", False),
+        ("households = 4", "households = 0", "scenario.households", False),
+        # the curve's final count of 4 against the households
+        ("households = 4", "households = 3", "body", False),
+        ("large,60,11,0.4", "large,60,11,0.3", "body", False),
+        ("path = curve.csv\n", "path = curve.csv\n[experiment.x]\nstrategy = edf\n"
+         "tariff_mode = time_of_use\n", "experiment.x", False),
+        ("path = curve.csv\n", "path = curve.csv\n[experiment.x]\nstrategy = edf\n"
+         "baseline = nobody\n", "experiment.x", False),
+        # a key that nothing reads
+        ("path = curve.csv\n", "path = curve.csv\n[experiment.x]\nstrategy = edf\n"
+         "tarif_mode = time_of_use\n", "experiment.x.tarif_mode", False),
+        ("path = curve.csv\n", "path = curve.csv\n[driving]\ndeparture_mean_min = 300\n",
+         "driving.departure_mean_min", False),
+        ("path = curve.csv\n", "path = curve.csv\n[scenrio]\ntick_minutes = 15\n",
+         "scenrio.tick_minutes", False),
+        ("path = data/spot.csv\n", "path = data/spot.csv\nmean_dkk_per_kwh = 1.0\n",
+         "spot.mean_dkk_per_kwh", True),
+        ("capacity_kw = 400", "capacity_kw = 400\ncapacity_kw = 500", "syntax", False),
+        ("path = catalog.csv", "path = absent.csv", "file", False),
+        ("path = curve.csv\n", "path = curve.csv\n[spot]\nsource = csv\n", "spot.path",
+         False),
+        ("path = curve.csv\n", "path = curve.csv\n[spot]\nsource = excel\n",
+         "spot.source", False),
     ], ids=["end_before_start", "part_day_synthetic_baseload", "empty_experiment_span",
             "start_not_a_date", "start_with_utc_offset", "end_with_seconds",
             "tick_not_dividing_60", "buffer_not_below_capacity",
@@ -312,15 +338,27 @@ class TestCliValidate:
             "negative_daily_kwh", "negative_diurnal_weight", "negative_std", "probability_above_one", "time_of_day_out_of_range",
             "minute_above_59", "negative_minute", "id_parent_of_out", "id_out_itself",
             "id_dot", "id_absolute_path", "id_with_backslash", "id_of_the_baseload_file",
-            "zero_decision_interval", "unknown_overload_unit"])
+            "zero_decision_interval", "unknown_overload_unit", "percent_sign",
+            "no_households", "curve_above_households", "shares_not_summing_to_1",
+            "time_of_use_without_tou_path", "unknown_baseline", "misspelt_key",
+            "key_of_another_section", "misspelt_section", "synthetic_key_beside_csv",
+            "repeated_key", "absent_catalog_file", "csv_source_without_path",
+            "unknown_source"])
     def test_invalid_value_names_its_section_or_key(self, tmp_path, capsys, old, new,
-                                                    where, csv_baseload):
-        ini = SHORT_INI.replace(old, new)
-        if csv_baseload:
+                                                    where, csv_datasets):
+        """One table entry per loader rule: the scenario, its catalog and its
+        curve with ``old`` replaced by ``new`` break that rule alone, which
+        ``evsim validate`` reports at ``where``. With ``csv_datasets``, the
+        baseload, spot and CO2 series are CSV files that gen-synthetic wrote."""
+        ini = SHORT_INI
+        if csv_datasets:
             assert main(["gen-synthetic", str(write_scenario(tmp_path, SHORT_INI)),
                          "--out", str(tmp_path / "data")]) == 0
-            ini += "\n[baseload]\nsource = csv\npath = data/baseload.csv\n"
-        bad = write_scenario(tmp_path, ini)
+            ini += "".join(f"\n[{s}]\nsource = csv\npath = data/{s}.csv\n"
+                           for s in ("baseload", "spot", "co2"))
+        assert any(old in text for text in (ini, CATALOG, CURVE))
+        bad = write_scenario(tmp_path, *(text.replace(old, new)
+                                         for text in (ini, CATALOG, CURVE)))
         assert main(["validate", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "validation error" in err and f"[{where}]" in err
@@ -371,8 +409,14 @@ class TestCliValidate:
          + rows[3:], "line 3"),
         ("baseload.csv", lambda rows: rows[:1] + [rows[1].replace(",", ":30,", 1)]
          + rows[2:], "line 2"),
+        # household 1's second hour repeats its first
+        ("baseload.csv", lambda rows: rows[:5] + [rows[5].replace("T01:00", "T00:00")]
+         + rows[6:], "line 6"),
+        ("spot.csv", lambda rows: rows[:1], "body"),
+        ("baseload.csv", lambda rows: rows[:1], "body"),
     ], ids=["negative_baseload", "spot_ends_before_the_span", "co2_starts_after_it",
-            "spot_stamp_with_utc_offset", "baseload_stamp_with_seconds"])
+            "spot_stamp_with_utc_offset", "baseload_stamp_with_seconds",
+            "baseload_repeated_hour", "empty_spot", "empty_baseload"])
     def test_invalid_dataset_names_its_section(self, tmp_path, capsys, name, edit, where):
         # the datasets are checked at load, not when an experiment slices them
         assert main(["gen-synthetic", str(write_scenario(tmp_path, SHORT_INI)),

@@ -61,6 +61,8 @@ class TestLoadScenario:
             ["traditional", "round_robin", "fcfs", "equal_charge", "edf"]
         assert sc.experiment("edf").baseline_id == "traditional"
         assert sc.experiment("traditional").baseline_id is None
+        with pytest.raises(KeyError):
+            sc.experiment("absent")
         assert len(sc.content_hash) == 64
 
     def test_seed_override(self, tmp_path):
