@@ -95,6 +95,9 @@ class HouseholdBaseload:
                              "or (households, days) factors and 24 weights")
         if len(values) != len(self.household_ids):
             raise ValueError("baseload rows must match household count")
+        for h in self.household_ids:     # as sessions hold their vehicles' ids
+            if not -2**63 <= h < 2**63:
+                raise ValueError(f"baseload household id {h} does not fit in 64 bits")
         ids, counts = np.unique(self.household_ids, return_counts=True)
         if (counts > 1).any():
             raise ValueError(f"baseload household id {ids[counts > 1][0]} is repeated")
@@ -263,7 +266,8 @@ class ExperimentSpec:
 @dataclass
 class VehiclePlan:
     """One vehicle, when it joins the fleet, and its trips in arrival order
-    (``Trips.of`` builds them from ``TripEvent`` records)."""
+    (``Trips.of`` builds them from ``TripEvent`` records). The vehicle's id is
+    its household: one of the scenario's, and no other plan's."""
 
     vehicle: Vehicle
     adoption: Timestamp
@@ -416,35 +420,6 @@ def run_experiment(spec: ExperimentSpec, data: ScenarioData) -> SimulationOutput
     return out
 
 
-def _event_keys(plans: list[VehiclePlan], n_ids: int) -> array:
-    """The fleet plan's adoptions, departures and arrivals as integer keys
-    ``(minute * _KINDS + kind) * n_ids + vehicle id``, sorted: the processing
-    order, by minute, then kind, then vehicle id. ``n_ids`` exceeds every id.
-    ``_Run.apply_events`` ends a vehicle's trips in turn, one per arrival, so
-    each must depart after the one before arrives."""
-    keys = array("q")
-    for p in plans:
-        vid = p.vehicle.id
-        if vid < 0:
-            raise ValueError(f"vehicle id {vid} is negative")
-        keys.append((p.adoption.minutes * _KINDS + _ADOPT) * n_ids + vid)
-        if not isinstance(p.trips, Trips):
-            raise TypeError(f"vehicle {vid}: trips must be Trips, "
-                            f"not {type(p.trips).__name__}")
-        earliest = p.adoption.minutes       # the first minute the next trip may depart
-        for k, (departure, arrival, energy) in enumerate(zip(*p.trips.columns)):
-            if not (earliest <= departure < arrival and 0.0 <= energy < math.inf):
-                raise ValueError(
-                    f"vehicle {vid}: trip {k} (minutes {departure} to {arrival}, {energy} "
-                    f"kWh) must depart at or after minute {earliest}, arrive after it "
-                    f"departs and take a finite, non-negative energy: trips go one at "
-                    f"a time, in arrival order, from the adoption on")
-            earliest = arrival + 1
-            keys.append((departure * _KINDS + _DEPART) * n_ids + vid)
-            keys.append((arrival * _KINDS + _ARRIVE) * n_ids + vid)
-    return array("q", np.sort(np.frombuffer(keys, dtype=np.int64)).tobytes())
-
-
 class _Run:
     """The mutable state of one simulation, advanced one span of ticks at a time.
 
@@ -452,9 +427,16 @@ class _Run:
     decision boundary, the dispatch. After that the grants and the hour stay
     fixed, so only the state of charge moves, and only the span's last tick
     can bring a vehicle to its target.
+
+    ``records`` holds a ``ChargingRecord`` per plan, in vehicle-id order, and
+    ``events`` the plans' adoptions, departures and arrivals as sorted keys
+    ``(minute * _KINDS + kind) * len(plans) + k``, k the record's place: by
+    minute, then kind, then vehicle id. The walk that builds both raises every
+    fleet rule, before the first tick.
     """
 
-    def __init__(self, spec: ExperimentSpec, plans: list[VehiclePlan]):
+    def __init__(self, spec: ExperimentSpec, data: ScenarioData,
+                 plans: list[VehiclePlan]):
         span = spec.span
         self.dt = span.tick_minutes
         self.start = span.start.minutes
@@ -462,14 +444,33 @@ class _Run:
         self.interval = spec.interval
         self.end = span.end.minutes
 
-        self.records: dict[int, ChargingRecord] = {}
-        for p in plans:
+        households, n = set(data.household_ids), len(plans)
+        self.records, keys = [], array("q")
+        for k, p in enumerate(sorted(plans, key=lambda p: p.vehicle.id)):
             vid = p.vehicle.id
-            if vid in self.records:
+            if k and vid == self.records[-1].vid:
                 raise ValueError(f"vehicle id {vid} is in more than one plan")
-            self.records[vid] = ChargingRecord(p.vehicle, p.trips)
-        self.n_ids = max(self.records, default=0) + 1
-        self.events = _event_keys(plans, self.n_ids)
+            if vid not in households:       # its charging is billed to its household
+                raise ValueError(f"vehicle {vid}: household {vid} "
+                                 f"is not one of the scenario's")
+            if not isinstance(p.trips, Trips):
+                raise TypeError(f"vehicle {vid}: trips must be Trips, "
+                                f"not {type(p.trips).__name__}")
+            keys.append((p.adoption.minutes * _KINDS + _ADOPT) * n + k)
+            earliest = p.adoption.minutes       # the first minute the next trip may depart
+            for t, (departure, arrival, energy) in enumerate(zip(*p.trips.columns)):
+                if not (earliest <= departure < arrival and 0.0 <= energy < math.inf):
+                    raise ValueError(
+                        f"vehicle {vid}: trip {t} (minutes {departure} to {arrival}, "
+                        f"{energy} kWh) must depart at or after minute {earliest}, arrive "
+                        f"after it departs and take a finite, non-negative energy: trips "
+                        f"go one at a time, in arrival order, from the adoption on")
+                earliest = arrival + 1
+                keys.append((departure * _KINDS + _DEPART) * n + k)
+                keys.append((arrival * _KINDS + _ARRIVE) * n + k)
+            self.records.append(ChargingRecord(p.vehicle, p.trips))
+        self.events = array("q", np.sort(np.frombuffer(keys, dtype=np.int64)).tobytes())
+        self.keys_per_minute = _KINDS * n
         self.ev_ptr = 0
 
         self.dispatcher = strat.DISPATCHERS[spec.strategy]()
@@ -497,13 +498,13 @@ class _Run:
     def apply_events(self, m: int) -> None:
         """Phase 1: the adoptions, departures and arrivals due before m + dt; an
         arrival ends its vehicle's next trip, and it plugs in until the one after."""
-        events, records, n_ids = self.events, self.records, self.n_ids
-        due = (m + self.dt) * _KINDS * n_ids      # the first key not due
+        events, records, per_minute = self.events, self.records, self.keys_per_minute
+        due = (m + self.dt) * per_minute      # the first key not due
         while self.ev_ptr < len(events) and events[self.ev_ptr] < due:
-            minute_kind, vid = divmod(events[self.ev_ptr], n_ids)
-            kind = minute_kind % _KINDS
+            kind, place = divmod(events[self.ev_ptr] % per_minute, len(records))
             self.ev_ptr += 1
-            r = records[vid]
+            r = records[place]
+            vid = r.vid
             if kind == _DEPART:
                 if r.session_start is not None:
                     if not satisfied(r.soc_kwh, r.target_kwh):
@@ -566,7 +567,7 @@ class _Run:
         dt = self.dt
         j = hour_end
         if self.ev_ptr < len(self.events):
-            j = min(j, (self.events[self.ev_ptr] // (_KINDS * self.n_ids) - self.start) // dt)
+            j = min(j, (self.events[self.ev_ptr] // self.keys_per_minute - self.start) // dt)
         if self._dispatch_pending(budget):
             boundary = ((self.start + i * dt) // self.interval + 1) * self.interval
             j = min(j, (boundary - self.start) // dt)
@@ -675,10 +676,9 @@ class _Run:
 
     def close_sessions(self, end_minute: int) -> None:
         """End the sessions still plugged in at the end of the span."""
-        for vid in sorted(self.records):
-            r = self.records[vid]
+        for r in self.records:
             if r.session_start is not None:
-                self.sessions.add(vid, r.session_start, end_minute, r.session_kwh)
+                self.sessions.add(r.vid, r.session_start, end_minute, r.session_kwh)
 
 
 @dataclass
@@ -699,7 +699,9 @@ class _Physics:
 def simulate(spec: ExperimentSpec, data: ScenarioData,
              plans: list[VehiclePlan]) -> SimulationOutput:
     """Run one experiment on a prepared fleet: its charging physics, priced
-    at ``spec.tariff_mode``. ``plans`` is left as it was found.
+    at ``spec.tariff_mode``. ``plans`` is left as it was found; any order
+    will do, and a plan the engine cannot run (see ``_Run``) is rejected
+    before the first tick.
 
     The pass ``run_experiment`` registered on ``data`` under the spec's
     physics key is reused if it ran ``plans`` itself: the tariff changes no
@@ -729,11 +731,11 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
 
     physics = data._physics.get(spec.physics_key)
     if physics is None or physics.fleet is not plans:
-        physics = _charge(spec, data.transformer, np.concatenate(base_totals), plans)
+        physics = _charge(spec, data, np.concatenate(base_totals), plans)
     return _price(spec, data, physics, years, bills, price_h, tariff_h, co2_h)
 
 
-def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
+def _charge(spec: ExperimentSpec, data: ScenarioData, base_total_h: np.ndarray,
             plans: list[VehiclePlan]) -> _Physics:
     """The charging-physics pass: the deterministic core loop over the span."""
     span = spec.span
@@ -741,10 +743,10 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
     n_ticks = span.n_ticks
     interval = spec.interval
     base_h = base_total_h.tolist()
-    budget_h = available_capacity(tr, base_total_h).tolist()
+    budget_h = available_capacity(data.transformer, base_total_h).tolist()
 
     start_min = span.start.minutes
-    run = _Run(spec, plans)
+    run = _Run(spec, data, plans)
 
     per_hour = 60 // dt
     i = 0
@@ -768,10 +770,10 @@ def _charge(spec: ExperimentSpec, tr: Transformer, base_total_h: np.ndarray,
                                        np.frombuffer(run.load_kw))
 
     summaries = [VehicleSummary(
-        vehicle_id=vid, model=r.vehicle.model.name,
+        vehicle_id=r.vid, model=r.vehicle.model.name,
         initial_soc_kwh=r.vehicle.soc_kwh, final_soc_kwh=r.soc_kwh,
         delivered_kwh=r.delivered_kwh, trip_drain_kwh=r.trip_drain_kwh)
-        for vid, r in sorted(run.records.items())]
+        for r in run.records]
 
     return _Physics(
         fleet=plans, load=load_series, hourly_max=hourly_max(load_series),
@@ -787,12 +789,6 @@ def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
     ``years`` holds each calendar year of the span with its first and end hour,
     counted from the span start. ``bills`` holds each year's baseload cost,
     tariff and CO2 per household, in the order of ``data.household_ids``."""
-    # a vehicle's charging is billed to the household of its id
-    households = set(data.household_ids)
-    for p in physics.fleet:
-        if p.vehicle.id not in households:
-            raise ValueError(f"vehicle {p.vehicle.id}: household {p.vehicle.id} "
-                             f"is not one of the scenario's")
     start_min = spec.span.start.minutes
     booked, vids, kwhs = physics.booked, physics.booked_vids, physics.booked_kwh
     reports, all_events, delivered_by_year = [], [], {}

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .strategies import CAPACITY_EPS
 from .timebase import Timestamp
 
 
@@ -149,9 +150,9 @@ def available_capacity(tr: Transformer, baseload_total_kw):
 def detect_overloads(series: LoadSeries, tr: Transformer) -> list[OverloadEvent]:
     """Find maximal runs of ticks where load exceeds the raw capacity; an
     event lasts its tick count times the series resolution."""
-    # tiny tolerance so a dispatch that exactly fills the budget is not
-    # flagged through float round-off in the grant sums
-    over = series.run_values > tr.capacity_kw + 1e-9
+    # the dispatchers' slack: a dispatch that fills its budget, up to the
+    # float round-off of the grant sums, is no overload
+    over = series.run_values > tr.capacity_kw + CAPACITY_EPS
     if not over.any():
         return []
     # the first and the one-past-last run of each event, from sign changes

@@ -80,48 +80,49 @@ TARIFF_MODES = ("fixed", "time_of_use")
 SUMMER_MONTHS = (4, 5, 6, 7, 8, 9)
 
 
+def _rate_table(bands: list[TouBand]) -> np.ndarray:
+    """The (winter, summer) x hour-of-day rates of ``bands``, which must give
+    each hour of season "all", or of "summer" and "winter", one valid rate."""
+    if not bands:
+        raise ValueError("tariff needs at least one band")
+    seasons = {b.season for b in bands}
+    if seasons not in ({"all"}, {"summer", "winter"}):
+        raise ValueError("bands must use season 'all' or both 'summer' and 'winter'")
+    table, covered = np.empty((2, 24)), np.zeros((2, 24))     # rows: winter, summer
+    for season in sorted(seasons):
+        rows = slice(0, 2) if season == "all" else int(season == "summer")
+        for b in bands:
+            if b.season != season:
+                continue
+            if not (0 <= b.start_hour < b.end_hour <= 24):
+                raise ValueError(f"bad band hours {b.start_hour}..{b.end_hour}")
+            if not math.isfinite(b.dkk_per_kwh):
+                raise ValueError(f"tariff rate {b.dkk_per_kwh} is not finite")
+            if b.dkk_per_kwh < 0:
+                raise ValueError("tariff rates must be non-negative")
+            table[rows, b.start_hour:b.end_hour] = b.dkk_per_kwh
+            covered[rows, b.start_hour:b.end_hour] += 1
+        if (covered[rows] != 1).any():
+            raise ValueError(f"season {season!r} bands do not partition the 24 hours")
+    return table
+
+
 @dataclass
 class DistributionTariff:
     """Distribution grid tariff: hour-of-day bands for the whole year (season
-    "all") or for summer and winter. A flat rate is one band of 24 hours."""
+    "all") or for summer and winter. A flat rate is one band of 24 hours. Each
+    ``hourly_rates`` checks the bands again: they may change in place."""
 
     bands: list[TouBand]
 
     def __post_init__(self):
-        if not self.bands:
-            raise ValueError("tariff needs at least one band")
-        seasons = {b.season for b in self.bands}
-        if seasons not in ({"all"}, {"summer", "winter"}):
-            raise ValueError("bands must use season 'all' or both 'summer' and 'winter'")
-        for season in sorted(seasons):
-            covered = [0] * 24
-            for b in self.bands:
-                if b.season != season:
-                    continue
-                if not (0 <= b.start_hour < b.end_hour <= 24):
-                    raise ValueError(f"bad band hours {b.start_hour}..{b.end_hour}")
-                if not math.isfinite(b.dkk_per_kwh):
-                    raise ValueError(f"tariff rate {b.dkk_per_kwh} is not finite")
-                if b.dkk_per_kwh < 0:
-                    raise ValueError("tariff rates must be non-negative")
-                for h in range(b.start_hour, b.end_hour):
-                    covered[h] += 1
-            # every hour exactly once per season
-            if any(c != 1 for c in covered):
-                raise ValueError(
-                    f"season {season!r} bands do not partition the 24 hours")
+        _rate_table(self.bands)
 
     def hourly_rates(self, span: SimulationSpan) -> np.ndarray:
         """The rate of each hour of the span: a (winter, summer) x hour-of-day
         table looked up by each hour's month and hour of day."""
-        table = np.full((2, 24), np.nan)              # rows: winter, summer
-        for b in self.bands:
-            rows = [0, 1] if b.season == "all" else [int(b.season == "summer")]
-            table[rows, b.start_hour:b.end_hour] = b.dkk_per_kwh
-        if np.isnan(table).any():
-            raise AssertionError("validated bands must cover every hour")
         hours = span.start.minutes // 60 + np.arange(span.n_hours)     # since EPOCH
         # datetime64[M] counts months from 1970-01, so % 12 + 1 is the month
         months = (np.datetime64(EPOCH, "h") + hours).astype("datetime64[M]").astype(int)
         summer = np.isin(months % 12 + 1, SUMMER_MONTHS)
-        return table[summer.astype(int), hours % 24]
+        return _rate_table(self.bands)[summer.astype(int), hours % 24]

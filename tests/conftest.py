@@ -17,10 +17,12 @@ def make_span(start="2036-01-01T00:00", end="2036-01-03T00:00", tick=1):
 
 def flat_data(span, n_households=2, base_kw=0.5, capacity=400.0, buffer_kw=0.0,
               spot=1.0, tariff=0.3, co2=0.1, addons=0.0, catalog=None,
-              curve=None, driving=None, overload_unit="hours"):
+              curve=None, driving=None, overload_unit="hours", ids=None):
     """Scenario data with constant prices, handy for crafted runs. ``base_kw``
-    broadcasts to the (households, hours) baseload matrix."""
-    ids = list(range(1, n_households + 1))
+    broadcasts to the (households, hours) baseload matrix. The households are
+    ``ids`` if given, else 1 to ``n_households``."""
+    ids = list(range(1, n_households + 1)) if ids is None else list(ids)
+    n_households = len(ids)
     n_hours = span.n_hours
     baseload = HouseholdBaseload(span.start, ids,
                                  np.full((n_households, n_hours), base_kw))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from bisect import bisect_left
 from contextlib import contextmanager
 from unittest.mock import patch
 
@@ -78,7 +79,10 @@ def invariants_checked():
             # charge, book_hour and _ungrant rely on the id order
             assert all(a.vid < b.vid for a, b in zip(grants, grants[1:]))
             for r in grants:
-                assert r.vid in self.requests and r is self.records[r.vid]
+                # the run's one record of the vehicle, in its id-ordered list
+                k = bisect_left(self.records, r.vid, key=lambda rec: rec.vid)
+                assert r.vid in self.requests and k < len(self.records) \
+                    and r is self.records[k]
                 assert 0.0 <= r.grant <= r.vehicle.model.max_rate_kw + strat.CAPACITY_EPS
             # traditional charging plugs in and charges: capacity ignored
             if not isinstance(self.dispatcher, strat.TraditionalDispatcher):
@@ -87,7 +91,7 @@ def invariants_checked():
     def checked_charge(self, i: int, j: int, base_kw: float) -> None:
         charge(self, i, j, base_kw)
         # the state of charge only rises within a span: its end bounds it
-        for r in self.records.values():
+        for r in self.records:
             assert -SOC_EPS <= r.soc_kwh <= r.vehicle.model.battery_kwh + SOC_EPS
 
     with patch.object(engine._Run, "dispatch_due", checked_dispatch_due), \

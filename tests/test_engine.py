@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from evsim import engine
-from evsim.engine import (ExperimentSpec, HouseholdBaseload, VehiclePlan, build_fleet,
-                          run_experiment, simulate)
+from evsim.engine import (ExperimentSpec, HouseholdBaseload, Sessions, VehiclePlan,
+                          build_fleet, run_experiment, simulate)
 from evsim.fleet import AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips, Vehicle
 from evsim.rng import RngStreams
 from evsim.scenario import load_scenario
+from evsim.strategies import STRATEGY_NAMES
 from evsim.synth import (SyntheticBaseloadSpec, SyntheticPriceSpec, generate_baseload,
                          generate_spot)
 from evsim.tariffs import CoverageError, DistributionTariff, SpotPriceSeries, TouBand
@@ -86,14 +87,16 @@ class TestPhaseOrder:
         plans = [plan(9, LEAF, 0.0, minute(span, t), [trip(t, t + 5), trip(t + 9, t + 20)]),
                  plan(2, LEAF, 0.0, minute(span, t), [trip(t, t + 9)]),
                  plan(4, LEAF, 0.0, minute(span, 0), [trip(t - 9, t), trip(t + 1, t + 5)])]
-        keys = engine._event_keys(plans, 10)
+        run = engine._Run(spec_for(span), flat_data(span, n_households=9), plans)
+        # a key holds its plan's place in id order, which places the records
+        assert [r.vid for r in run.records] == [2, 4, 9]
         want = sorted([(p.adoption.minutes, engine._ADOPT, p.vehicle.id) for p in plans]
                       + [(tr.departure.minutes, engine._DEPART, p.vehicle.id)
                          for p in plans for tr in p.trips]
                       + [(tr.arrival.minutes, engine._ARRIVE, p.vehicle.id)
                          for p in plans for tr in p.trips])
-        decoded = [(mk // engine._KINDS, mk % engine._KINDS, vid)
-                   for mk, vid in (divmod(k, 10) for k in keys)]
+        decoded = [(mk // engine._KINDS, mk % engine._KINDS, run.records[k].vid)
+                   for mk, k in (divmod(key, len(plans)) for key in run.events)]
         assert decoded == want
         assert sum(m == span.start.minutes + t for m, _, _ in decoded) == 5
 
@@ -223,7 +226,9 @@ class TestInputHandling:
         assert spec_for(two_day_span, "edf", decision_interval_min=60).interval == 60
 
     @pytest.mark.parametrize("vid, arrivals, match", [
-        (-1, [16 * 60], "negative"), (1, [40 * 60, 16 * 60], "arrival order")])
+        # no household has the id -1, which the keys could not hold before
+        pytest.param(-1, [16 * 60], "household -1 is not", id="-1-arrivals0-negative"),
+        (1, [40 * 60, 16 * 60], "arrival order")])
     def test_plan_the_event_keys_cannot_hold_rejected(self, two_day_span, vid, arrivals,
                                                       match):
         span = two_day_span
@@ -281,6 +286,57 @@ class TestInputHandling:
         with pytest.raises(ValueError, match=f"vehicle {vid}: household {vid} is not"):
             simulate(spec_for(span, "traditional"), data,
                      [VehiclePlan(v, span.start, Trips())])
+
+    def test_plan_naming_no_household_rejected_before_the_first_tick(
+            self, two_day_span, monkeypatch):
+        span = two_day_span
+        spans = []
+        charge = engine._Run.charge
+
+        def counted(run, i, j, base_kw):
+            spans.append((i, j))
+            charge(run, i, j, base_kw)
+        monkeypatch.setattr(engine._Run, "charge", counted)
+        plans = [plan(1, LEAF, 0.0, span.start, []), plan(7, LEAF, 0.0, span.start, [])]
+        with pytest.raises(ValueError, match="vehicle 7: household 7 is not one of"):
+            simulate(spec_for(span, "traditional"), flat_data(span, n_households=2), plans)
+        assert spans == []
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_large_sparse_and_negative_ids_run_as_small_ones(self, two_day_span, strategy):
+        # ids in the same order give the same run: a key holds a plan's place
+        # in id order, not its id, so no id is too large or negative for it
+        span = two_day_span
+        ids, small = (-5, 3, 123_456_789_012_345_678), (1, 2, 3)
+        base_kw = np.random.default_rng(5).uniform(0.0, 2.0, (3, span.n_hours))
+        spec = spec_for(span, strategy, decision_interval_min=5)
+
+        def plans(vids):
+            trips = [[TripEvent(minute(span, 7 * 60), minute(span, 17 * 60), 12.0)],
+                     [TripEvent(minute(span, 7 * 60), minute(span, 16 * 60), 9.0),
+                      TripEvent(minute(span, 31 * 60), minute(span, 40 * 60), 20.0)], []]
+            # given out of id order, which the run's records restore
+            return [plan(vids[k], model, 5.0, start, trips[k], target=model.battery_kwh)
+                    for k, model, start in [(2, FAST, minute(span, 60)),
+                                            (0, LEAF, span.start), (1, FAST, span.start)]]
+
+        def run(vids):
+            data = flat_data(span, base_kw=base_kw, capacity=14.0, ids=vids)
+            with invariants_checked():
+                return simulate(spec, data, plans(vids))
+        out, want = run(ids), run(small)
+        to_small = dict(zip(ids, small)).__getitem__
+        relabelled = replace(
+            out, sessions=Sessions.of(replace(s, vehicle_id=to_small(s.vehicle_id))
+                                      for s in out.sessions),
+            dissatisfactions=[(t, to_small(v)) for t, v in out.dissatisfactions],
+            vehicles=[replace(v, vehicle_id=to_small(v.vehicle_id)) for v in out.vehicles],
+            delivered_by_year={y: {to_small(v): kwh for v, kwh in d.items()}
+                               for y, d in out.delivered_by_year.items()})
+        assert first_difference(relabelled, want) is None
+        assert [list(d) for d in relabelled.delivered_by_year.values()] == \
+            [list(d) for d in want.delivered_by_year.values()]
+        assert want.dissatisfactions and len(want.sessions) == 6
 
     def test_unknown_strategy_rejected(self, two_day_span):
         with pytest.raises(ValueError, match="valid"):
@@ -752,6 +808,21 @@ class TestBaseloadForms:
             {"daily": np.ones((3, 2)), "weights": np.full(24, 1 / 24)}
         with pytest.raises(ValueError, match="baseload household id 2 is repeated"):
             HouseholdBaseload(Timestamp(0), [2, 1, 2], **form)
+
+    @pytest.mark.parametrize("hid", [2**63, -2**63 - 1])
+    def test_household_id_beyond_64_bits_rejected(self, hid):
+        # such a vehicle once ran its whole span, and its first session then
+        # failed with a bare OverflowError; -2**63 and 2**63 - 1 run
+        with pytest.raises(ValueError, match=f"household id {hid} does not fit in 64 bits"):
+            HouseholdBaseload(Timestamp(0), [1, hid], np.ones((2, 48)))
+        span = make_span()
+        data = flat_data(span, ids=[-2**63, 2**63 - 1])
+        plans = [plan(hid, LEAF, 0.0, span.start, [], target=10.0)
+                 for hid in (2**63 - 1, -2**63)]
+        out = simulate(spec_for(span, "edf"), data, plans)
+        assert [s.vehicle_id for s in out.sessions] == [-2**63, 2**63 - 1]
+        assert out.delivered_by_year[2036] == {-2**63: pytest.approx(10.0),
+                                               2**63 - 1: pytest.approx(10.0)}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["matrix", "daily", "weights"])

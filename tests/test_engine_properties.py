@@ -35,11 +35,15 @@ def scenarios(draw):
                        market_share=1.0 / n_models) for k in range(n_models)]
     capacity = draw(st.floats(2.0, 60.0))
     n_households = draw(st.integers(1, 6))
+    # household ids 1 to n, or sparse, large or negative ones in any row order
+    ids = draw(st.just(range(1, n_households + 1)) | st.lists(
+        st.integers(-20, 20) | st.integers(-2**63, 2**63 - 1),
+        min_size=n_households, max_size=n_households, unique=True))
     driving = DrivingPattern(trip_energy_mean_kwh=draw(st.floats(2.0, 30.0)))
     buffer_kw = draw(st.floats(0.0, 0.5)) * capacity
     # an hourly baseload that moves the budget from hour to hour
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    data = flat_data(span, n_households=n_households, capacity=capacity,
+    data = flat_data(span, ids=ids, capacity=capacity,
                      buffer_kw=buffer_kw, catalog=catalog, driving=driving,
                      base_kw=rng.uniform(0.0, 2.0, (n_households, span.n_hours)))
     # decision intervals: the multiples of the tick that divide 60
@@ -75,10 +79,9 @@ EDF_DEADLINES_OUT_OF_ID_ORDER = (
     flat_data(_SPAN, n_households=2, capacity=60.0), [(0.0, 1.0, None)] * 2)
 
 
-@given(scenarios())
-@example(EDF_DEADLINES_OUT_OF_ID_ORDER)
-@settings(max_examples=60, deadline=None)
-def test_invariants_and_reference_equality(scenario):
+def check_engine(scenario):
+    """The engine's invariants hold on ``scenario``, and its output equals the
+    per-tick loop's and a fresh rerun's."""
     spec, data, tweaks = scenario
     with invariants_checked():
         out = simulate(spec, data, fleet(spec, data, tweaks))
@@ -104,6 +107,14 @@ def test_invariants_and_reference_equality(scenario):
         base = np.repeat(data.baseload.block().sum(axis=0), 60 // spec.span.tick_minutes)
         limit = np.maximum(tr.capacity_kw - tr.buffer_kw, base)
         assert (out.load.values <= limit + 1e-6).all()
+
+
+# CI runs check_engine on 1000 examples
+@given(scenarios())
+@example(EDF_DEADLINES_OUT_OF_ID_ORDER)
+@settings(max_examples=60, deadline=None)
+def test_invariants_and_reference_equality(scenario):
+    check_engine(scenario)
 
 
 @pytest.mark.parametrize("tick", [1, 5, 15])

@@ -13,6 +13,7 @@ from evsim.fleet import Trips, Vehicle
 from evsim.grid import (LoadSeries, Transformer, available_capacity,
                         detect_overloads, hourly_max)
 from evsim.outputs import _worst_day, write_all, write_load_csv
+from evsim.strategies import CAPACITY_EPS
 from evsim.timebase import Timestamp
 
 from conftest import FAST, LEAF, flat_data, make_span
@@ -102,6 +103,15 @@ def test_detect_overloads_maximality():
     assert [e.duration_minutes for e in events] == [1, 1]
 
 
+def test_a_dispatch_that_fills_its_budget_is_no_overload():
+    # the dispatchers admit grants up to the budget plus CAPACITY_EPS: a load
+    # at capacity plus that slack is none, the next float up is one
+    limit = 400.0 + CAPACITY_EPS
+    values = np.array([limit, np.nextafter(limit, np.inf), limit])
+    events = detect_overloads(LoadSeries(T0, 1, values), Transformer(400.0))
+    assert [(e.start.minutes - T0.minutes, e.duration_minutes) for e in events] == [(1, 1)]
+
+
 @given(st.lists(st.floats(0, 800), min_size=1, max_size=300),
        st.sampled_from([1, 5, 15]))
 def test_overload_durations_match_minute_count(values, resolution):
@@ -152,9 +162,9 @@ def tick_overloads(values, capacity, start, res):
     """(start minute, duration, peak excess) of each run of ticks above capacity."""
     events, k = [], 0
     while k < len(values):
-        if values[k] > capacity + 1e-9:
+        if values[k] > capacity + CAPACITY_EPS:
             e = k
-            while e < len(values) and values[e] > capacity + 1e-9:
+            while e < len(values) and values[e] > capacity + CAPACITY_EPS:
                 e += 1
             events.append((start + k * res, (e - k) * res,
                            float(values[k:e].max() - capacity)))

@@ -179,3 +179,19 @@ def test_every_minute_maps_to_one_rate():
 def test_co2_series_rejects_negative():
     with pytest.raises(ValueError):
         Co2IntensitySeries(T0, np.array([0.1, -0.2]))
+
+
+@pytest.mark.parametrize("band, match", [
+    (TouBand("all", 0, 24, 5.0), "season 'all' bands do not partition the 24 hours"),
+    (TouBand("all", 0, 24, float("nan")), "tariff rate nan is not finite")],
+    ids=["overlapping", "nan"])
+def test_bands_changed_in_place_rejected_when_priced(band, match):
+    # tariff objects may change in place: a band appended to a valid tariff
+    # once priced every hour at its own rate, or, with a NaN rate, raised an
+    # AssertionError. Pricing raises the constructor's error instead.
+    tariff = tou_peak_17_20()
+    tariff.bands.append(band)
+    with pytest.raises(ValueError, match=match):
+        tariff.hourly_rates(SimulationSpan(T0, at(24 * 60)))
+    with pytest.raises(ValueError, match=match):
+        DistributionTariff(tariff.bands)
