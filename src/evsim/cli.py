@@ -87,6 +87,19 @@ def _run_specs(specs, data) -> dict[str, SimulationOutput | Exception]:
     return ran
 
 
+# a --parallel worker's scenario data, handed over once by the pool's initializer
+_worker_data = None
+
+
+def _take_data(data) -> None:
+    global _worker_data
+    _worker_data = data
+
+
+def _run_group(specs) -> dict[str, SimulationOutput | Exception]:
+    return _run_specs(specs, _worker_data)
+
+
 def cmd_run(args) -> int:
     scn = _load(args.scenario)
     specs = scn.experiments
@@ -104,7 +117,8 @@ def cmd_run(args) -> int:
 
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    # one --parallel task per charging-physics pass, run on the loaded data
+    # one --parallel task per charging-physics pass, run on the loaded data,
+    # which each worker takes once: under fork without a pickle
     groups: dict[tuple, list] = {}
     for s in specs:
         groups.setdefault(s.physics_key, []).append(s)
@@ -112,9 +126,9 @@ def cmd_run(args) -> int:
     if workers > 1:
         # imported here: the serial path, and every other command, starts no pool
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(group, pool.submit(_run_specs, group, scn.data))
-                       for group in groups.values()]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_take_data,
+                                 initargs=(scn.data,)) as pool:
+            futures = [(group, pool.submit(_run_group, group)) for group in groups.values()]
         ran: dict[str, SimulationOutput | Exception] = {}
         for group, fut in futures:
             try:

@@ -30,6 +30,7 @@ their tariff share one physics pass.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from array import array
 from bisect import bisect_left
@@ -96,6 +97,8 @@ class HouseholdBaseload:
         if len(values) != len(self.household_ids):
             raise ValueError("baseload rows must match household count")
         for h in self.household_ids:     # as sessions hold their vehicles' ids
+            if not isinstance(h, numbers.Integral):
+                raise ValueError(f"baseload household id {h!r} is not an integer")
             if not -2**63 <= h < 2**63:
                 raise ValueError(f"baseload household id {h} does not fit in 64 bits")
         ids, counts = np.unique(self.household_ids, return_counts=True)
@@ -433,6 +436,7 @@ class _Run:
     ``(minute * _KINDS + kind) * len(plans) + k``, k the record's place: by
     minute, then kind, then vehicle id. The walk that builds both raises every
     fleet rule, before the first tick.
+    A requester stops at its departure or its target, through ``_leave``.
     """
 
     def __init__(self, spec: ExperimentSpec, data: ScenarioData,
@@ -512,10 +516,7 @@ class _Run:
                     self.sessions.add(vid, r.session_start, m, r.session_kwh)
                     r.session_start = None
                 if vid in self.requests:
-                    self._ungrant(r)
-                    self.requests.remove(vid)
-                    self.dispatcher.leave(vid)
-                    self.inputs_changed = True
+                    self._leave(r)
                 continue
             if kind == _ADOPT:
                 arrival = m
@@ -537,12 +538,16 @@ class _Run:
                 self.dispatcher.arrive(r, arrival, departure)
                 self.inputs_changed = True
 
-    def _ungrant(self, r: ChargingRecord) -> None:
-        """Take r out of the grant list, if it is there."""
+    def _leave(self, r: ChargingRecord) -> None:
+        """r stops requesting: it leaves the grant list (if it is there), the
+        requests and the dispatcher, whose inputs have changed."""
         grants = self.grants
         k = bisect_left(grants, r.vid, key=_VID)
         if k < len(grants) and grants[k] is r:
             del grants[k]
+        self.requests.remove(r.vid)
+        self.dispatcher.leave(r.vid)
+        self.inputs_changed = True
 
     def _dispatch_pending(self, budget: float) -> bool:
         """Whether the dispatcher may answer otherwise than on its last call."""
@@ -641,12 +646,8 @@ class _Run:
                     hour_records.append(r)
                 r.hour_kwh += d
                 r.session_kwh += d
-        if released:
-            for r in released:
-                self._ungrant(r)
-                self.requests.remove(r.vid)
-                self.dispatcher.leave(r.vid)
-            self.inputs_changed = True
+        for r in released:
+            self._leave(r)
 
         if quiet:
             self._load_run(i, base_kw + quiet_sum * 60.0 / dt)

@@ -13,11 +13,12 @@ to date as requests arrive and leave:
 
 - ``arrive(record, arrival_min, departure_min)`` takes the vehicle's charging
   record (``engine.ChargingRecord``), which gives its id (``vid``) and rate;
-- ``leave(vid)`` drops it;
+- ``leave(vid)`` drops it at its departure or target (``_Run._leave``);
 - ``grants(budget)`` sets ``grant`` on each record it grants and returns the
   granted records in vehicle-id order, a list the caller may change. The
   (id, grant) pairs equal the function called on the current requests in
-  vehicle-id order.
+  vehicle-id order. FCFS and Round Robin take the arrivals and departures
+  since the last call in at the next (``_Queued``), as their functions would.
 
 Each class also carries what the engine must know of its strategy (see
 ``Dispatcher``), so ``DISPATCHERS`` is the one table of strategies.
@@ -287,21 +288,18 @@ class EqualChargeDispatcher(Dispatcher):
         if sum(self.caps) <= budget + CAPACITY_EPS:
             for r in self.records:
                 r.grant = r.rate
-            return self.records.copy()
-        residual = budget
-        remaining = len(self.by_cap)
-        for i, (cap, _, r) in enumerate(self.by_cap):
-            level = residual / remaining
-            if cap > level:
-                break
-            # slow chargers below the common level are unaffected
-            r.grant = cap
-            residual -= cap
-            remaining -= 1
         else:
-            return self.records.copy()   # every cap fit after all
-        for _, _, r in self.by_cap[i:]:
-            r.grant = level
+            residual, remaining = budget, len(self.by_cap)
+            for i, (cap, _, r) in enumerate(self.by_cap):
+                level = residual / remaining
+                if cap > level:     # so is every larger cap: all take the level
+                    for _, _, r in self.by_cap[i:]:
+                        r.grant = level
+                    break
+                # slow chargers below the common level are unaffected
+                r.grant = cap
+                residual -= cap
+                remaining -= 1
         return self.records.copy()
 
 
@@ -309,44 +307,44 @@ class _Queued(Dispatcher):
     """The requesters of a strategy that keeps a queue across calls.
 
     ``dispatch_fcfs`` and ``dispatch_round_robin`` see only the requests
-    present at call time, so arrivals and departures take effect at the next
-    ``grants`` call: a vehicle that leaves and returns in between keeps its
-    place, and one that arrives and leaves in between is never seen.
-    Subclasses keep the ``queue`` and take a vehicle out in ``_drop``.
+    present at call time. So ``arrive`` and ``leave`` only note the vehicle in
+    ``changed``, and ``_settle`` alone decides at the next ``grants`` call,
+    in O(changes), what each change means. Subclasses keep the ``queue`` and
+    take a vehicle out in ``_drop``.
     """
 
     def __init__(self):
         self.requests: dict[int, tuple] = {}   # id -> (record, arrival)
         self.known: set[int] = set()       # queued or charging after the last call
-        self.pending: dict[int, int] = {}  # arrived since, not known -> arrival
-        self.gone: set[int] = set()        # known, and left since
+        self.changed: set[int] = set()     # arrived or left since the last call
 
     def arrive(self, record, arrival_min: int, departure_min: int) -> None:
-        vid = record.vid
-        self.requests[vid] = (record, arrival_min)
-        if vid not in self.known:
-            self.pending[vid] = arrival_min
+        self.requests[record.vid] = (record, arrival_min)
+        self.changed.add(record.vid)
 
     def leave(self, vid: int) -> None:
         del self.requests[vid]
-        if vid in self.known:
-            self.gone.add(vid)
-        else:
-            del self.pending[vid]
+        self.changed.add(vid)
 
     def _settle(self) -> None:
-        """Drop the known vehicles that left and did not return, then queue
-        the newcomers in (arrival, id) order."""
-        for vid in self.gone:
-            if vid not in self.requests:
-                self.known.remove(vid)
-                self._drop(vid)
-        self.gone.clear()
-        if self.pending:
-            self.queue.extend(vid for _, vid in
-                              sorted((arr, vid) for vid, arr in self.pending.items()))
-            self.known.update(self.pending)
-            self.pending.clear()
+        """Take in the changes since the last call as the function sees them,
+        by what each vehicle was then and is now: a known vehicle still (or
+        again) requesting keeps its place, a known one that left is dropped, a
+        newcomer is queued in (arrival, id) order, and one that arrived and
+        left in between is never seen."""
+        requests, known = self.requests, self.known
+        newcomers = []
+        for vid in self.changed:
+            if vid in known:
+                if vid not in requests:
+                    known.remove(vid)
+                    self._drop(vid)
+            elif vid in requests:
+                newcomers.append((requests[vid][1], vid))
+        self.changed.clear()
+        newcomers.sort()
+        self.queue.extend(vid for _, vid in newcomers)
+        known.update(vid for _, vid in newcomers)
 
 
 class FcfsDispatcher(_Queued):

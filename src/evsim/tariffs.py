@@ -27,7 +27,9 @@ def hours_covering(start: Timestamp, n_hours: int, span: SimulationSpan) -> slic
 
 @dataclass
 class HourlySeries:
-    """One value per clock hour from `start`; base for spot and CO2 series."""
+    """One value per clock hour from `start`; base for spot and CO2 series.
+    ``check`` holds the rule of the values: the constructor checks all of
+    them, and ``slice_hours`` the slice it returns, as they may change in place."""
 
     start: Timestamp
     values: np.ndarray
@@ -36,7 +38,12 @@ class HourlySeries:
         if self.start.minutes % 60 != 0:
             raise ValueError("hourly series must start on an hour boundary")
         self.values = np.asarray(self.values, dtype=float)
-        if not np.isfinite(self.values).all():
+        self.check(self.values)
+
+    def check(self, values: np.ndarray) -> None:
+        if values.ndim != 1:
+            raise ValueError("hourly series must be one-dimensional")
+        if not np.isfinite(values).all():
             raise ValueError("series contains non-finite values")
 
     @property
@@ -44,8 +51,10 @@ class HourlySeries:
         return len(self.values)
 
     def slice_hours(self, span: SimulationSpan) -> np.ndarray:
-        """Hourly values over the span (must be covered)."""
-        return self.values[hours_covering(self.start, self.n_hours, span)]
+        """Hourly values over the span (must be covered), checked."""
+        values = self.values[hours_covering(self.start, self.n_hours, span)]
+        self.check(values)
+        return values
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -60,9 +69,9 @@ class SpotPriceSeries(HourlySeries):
 class Co2IntensitySeries(HourlySeries):
     """Hourly grid emission intensity, kg CO2 per kWh."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if (self.values < 0).any():
+    def check(self, values: np.ndarray) -> None:
+        super().check(values)
+        if (values < 0).any():
             raise ValueError("CO2 intensity must be non-negative")
 
 

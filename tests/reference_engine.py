@@ -76,7 +76,7 @@ def invariants_checked():
         dispatch_due(self, budget)
         if new:
             grants = self.grants
-            # charge, book_hour and _ungrant rely on the id order
+            # charge, book_hour and _leave rely on the id order
             assert all(a.vid < b.vid for a, b in zip(grants, grants[1:]))
             for r in grants:
                 # the run's one record of the vehicle, in its id-ordered list

@@ -614,6 +614,52 @@ class TestSharedPhysics:
         assert fixed.delivered_by_year == tou.delivered_by_year
         assert fixed.reports == tou.reports
 
+    def test_live_pass_priced_with_the_inputs_changed_in_place(self, count_physics):
+        # the spot, CO2 and tariff objects may change in place, since every
+        # call prices afresh: a tariff sibling reuses the live pass and prices
+        # it as a fresh scenario with the new inputs would
+        span = make_span("2036-12-30T00:00", "2037-01-02T00:00")
+        data = flat_data(span, n_households=4, capacity=30.0,
+                         curve=AdoptionCurve([(2035, 4)]))
+        data.tariffs["time_of_use"] = DistributionTariff([TouBand("all", 0, 24, 0.3)])
+        fixed = run_experiment(spec_for(span, "edf", seed=2), data)
+        data.tariffs["time_of_use"] = DistributionTariff([
+            TouBand("all", 0, 17, 0.2), TouBand("all", 17, 20, 1.5), TouBand("all", 20, 24, 0.2)])
+        data.spot.values[::5] = 2.5
+        tou_spec = spec_for(span, "edf", seed=2, tariff_mode="time_of_use")
+        tou = run_experiment(tou_spec, data)
+        assert count_physics == ["t"] and tou.sessions is fixed.sessions
+        fresh = run_experiment(tou_spec, replace(
+            data, spot=SpotPriceSeries(span.start, data.spot.values.copy()),
+            tariffs=dict(data.tariffs)))
+        assert len(count_physics) == 2 and fresh.sessions is not tou.sessions
+        assert first_difference(tou, fresh) is None
+        assert tou.reports != fixed.reports
+        data.spot.values[7] = np.nan
+        with pytest.raises(ValueError, match="series contains non-finite values"):
+            run_experiment(spec_for(span, "edf", seed=2), data)
+        assert len(count_physics) == 2 and fixed._physics is tou._physics
+
+    @pytest.mark.parametrize("name, change, match", [
+        ("co2", lambda s: s.values.fill(-1.0), "CO2 intensity must be non-negative"),
+        ("spot", lambda s: s.values.__setitem__(5, np.nan), "series contains non-finite values"),
+        ("spot", lambda s: setattr(s, "values", np.stack([s.values, s.values], axis=1)),
+         "hourly series must be one-dimensional")],
+        ids=["negative_co2", "nan_spot", "two_dimensional_spot"])
+    def test_series_checked_when_priced(self, count_physics, name, change, match):
+        # a negative CO2 intensity once gave a negative CO2 KPI, a NaN spot
+        # price a NaN bill, and a 2-D series (accepted when built) a numpy
+        # broadcast error; each raises the constructor's error before charging
+        span = make_span()
+        data = flat_data(span)
+        series = getattr(data, name)
+        change(series)
+        with pytest.raises(ValueError, match=match):
+            simulate(spec_for(span, "edf"), data, [plan(1, LEAF, 0.0, span.start, [])])
+        assert count_physics == []
+        with pytest.raises(ValueError, match=match):
+            type(series)(series.start, series.values)
+
     def test_trip_clamp_warned_once_per_run(self, caplog):
         # seed 1 draws exactly one trip above the 10 kWh battery
         span = make_span("2036-01-01T00:00", "2036-01-04T00:00")
@@ -823,6 +869,22 @@ class TestBaseloadForms:
         assert [s.vehicle_id for s in out.sessions] == [-2**63, 2**63 - 1]
         assert out.delivered_by_year[2036] == {-2**63: pytest.approx(10.0),
                                                2**63 - 1: pytest.approx(10.0)}
+
+    @pytest.mark.parametrize("hid", [2.5, "2"])
+    def test_household_id_not_an_integer_rejected(self, hid):
+        # a vehicle of id 2.5 once charged and then failed with a bare
+        # TypeError in the session arrays; "2" failed with one here
+        with pytest.raises(ValueError, match=re.escape(f"household id {hid!r} is not an integer")):
+            HouseholdBaseload(Timestamp(0), [1, hid], np.ones((2, 48)))
+
+    def test_numpy_integer_household_id_runs(self):
+        span = make_span()
+        data = flat_data(span, ids=[1, np.int64(7)])
+        out = simulate(spec_for(span, "edf"), data,
+                       [plan(7, LEAF, 0.0, span.start, [], target=10.0)])
+        assert [s.vehicle_id for s in out.sessions] == [7]
+        assert out.delivered_by_year[2036] == {7: pytest.approx(10.0)}
+        assert out.reports[0].avg_charging_cost_dkk_per_kwh == pytest.approx(1.3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["matrix", "daily", "weights"])

@@ -1,9 +1,11 @@
 import concurrent.futures
 import csv
+import functools
 import logging
 import pickle
 import shutil
 from concurrent.futures import Future
+from multiprocessing import get_context
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +14,8 @@ import pytest
 
 from evsim import cli, outputs
 from evsim.cli import main
-from evsim.engine import ChargeSession, HouseholdBaseload, Sessions, run_experiment
+from evsim.engine import (ChargeSession, HouseholdBaseload, ScenarioData, Sessions,
+                          run_experiment)
 from evsim.grid import LoadSeries, OverloadEvent
 from evsim.outputs import (read_kpi_csv, write_all, write_baseload_csv,
                            write_dissatisfactions_csv, write_kpi_csv, write_load_csv,
@@ -167,8 +170,9 @@ class TestCliRun:
         pools, loads = [], []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 pools.append(max_workers)
+                initializer(*pickle.loads(pickle.dumps(initargs)))    # one worker's start
 
             def __enter__(self):
                 return self
@@ -189,6 +193,7 @@ class TestCliRun:
             return load(*args, **kwargs)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli, "load_scenario", counted)
+        monkeypatch.setattr(cli, "_worker_data", None)
         serial = tmp_path / "serial"
         assert main(["run", str(tou_scenario_path), "--out", str(serial)]) == 0
         assert pools == [] and len(loads) == 1
@@ -203,6 +208,26 @@ class TestCliRun:
         assert main(["run", str(tou_scenario_path), "--out", str(tmp_path / "one"),
                      "--parallel", "4", "--experiment", "trad_tou"]) == 0
         assert pools == [2, 2] and len(loads) == 4
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_parallel_sends_the_scenario_once_per_worker(self, scenario_path, tmp_path,
+                                                         monkeypatch, method):
+        # each of the five passes' tasks once pickled the whole scenario data;
+        # the pool's initializer hands it to each worker, under fork unpickled
+        pickled = []
+        getstate = ScenarioData.__getstate__
+
+        def counted(self):
+            pickled.append(self)
+            return getstate(self)
+        monkeypatch.setattr(ScenarioData, "__getstate__", counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=get_context(method)))
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(["run", str(scenario_path), "--out", str(parallel), "--parallel", "2"]) == 0
+        assert len(pickled) <= (0 if method == "fork" else 2)
+        assert main(["run", str(scenario_path), "--out", str(serial)]) == 0
+        assert tree(parallel) == tree(serial) and len(pickled) <= 2
 
     def test_physics_files_formatted_once_per_pass(self, tou_scenario_path,
                                                    tmp_path, monkeypatch):

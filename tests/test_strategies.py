@@ -241,14 +241,12 @@ def test_fcfs_idempotent_on_unchanged_inputs(first, first_budget, entries, budge
     assert snapshot(state) == before
 
 
-@given(st.sampled_from(STRATEGY_NAMES), st.data())
-@settings(max_examples=300, deadline=None)
-def test_dispatcher_objects_equal_their_functions(strategy, data):
-    # random arrive / leave / grants sequences on five vehicles whose arrival
-    # and departure minutes tie often, with budgets that are often exact sums
-    # of some requesters' rates; vehicles often leave and return between two
-    # calls. The engine relies on the granted records coming back in id
-    # order, so the order is compared too.
+def check_dispatcher(strategy, data):
+    """Random arrive / leave / grants sequences on five vehicles whose arrival
+    and departure minutes tie often, with budgets that are often exact sums
+    of some requesters' rates; vehicles often leave and return between two
+    calls. The engine relies on the granted records coming back in id
+    order, so the order is compared too."""
     dispatcher = DISPATCHERS[strategy]()
     # dispatch_<strategy> as the per-tick oracle calls it: FCFS and Round
     # Robin keep one state across the calls
@@ -278,6 +276,13 @@ def test_dispatcher_objects_equal_their_functions(strategy, data):
             expected = reference([present[v] for v in sorted(present)], budget)
             granted = dispatcher.grants(budget)
             assert [(r.vid, r.grant) for r in granted] == sorted(expected.items())
+
+
+# CI runs check_dispatcher on 2000 examples
+@given(st.sampled_from(STRATEGY_NAMES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_dispatcher_objects_equal_their_functions(strategy, data):
+    check_dispatcher(strategy, data)
 
 
 def test_dispatch_budget_examples(monkeypatch):
