@@ -355,7 +355,7 @@ class ChargingRecord:
                  "hour_kwh", "session_kwh", "session_start", "delivered_kwh",
                  "trip_drain_kwh", "trips", "next_trip")
 
-    def __init__(self, vehicle: Vehicle, trips: Trips = ()):
+    def __init__(self, vehicle: Vehicle, trips: Trips):
         self.vehicle = vehicle
         self.vid = vehicle.id
         self.rate = vehicle.model.max_rate_kw
@@ -382,9 +382,10 @@ _ROUNDING_SLACK = 1e-15
 _VID = attrgetter("vid")
 
 
-def build_fleet(spec: ExperimentSpec, data: ScenarioData,
-                streams: RngStreams) -> list[VehiclePlan]:
-    """Sample adoptions and daily trips for one experiment's span."""
+def build_fleet(spec: ExperimentSpec, data: ScenarioData) -> list[VehiclePlan]:
+    """Sample adoptions and daily trips for one experiment's span, from the
+    streams of the spec's seed: the same seed and span, the same fleet."""
+    streams = RngStreams(spec.seed)
     adoptions = sample_adoptions(data.adoption_curve, list(data.household_ids),
                                  data.catalog, streams.stream("adoption"))
     span = spec.span
@@ -417,7 +418,7 @@ def run_experiment(spec: ExperimentSpec, data: ScenarioData) -> SimulationOutput
     plans = next((p.fleet for key, p in data._physics.items() if key[2:] == span_seed),
                  None)
     if plans is None:
-        plans = build_fleet(spec, data, RngStreams(spec.seed))
+        plans = build_fleet(spec, data)
     out = simulate(spec, data, plans)
     data._physics[spec.physics_key] = out._physics
     return out

@@ -11,10 +11,6 @@ import numpy as np
 from .grid import OverloadEvent
 
 
-class UndefinedKpiError(ValueError):
-    """Raised when a KPI has no defined value (e.g. no energy charged)."""
-
-
 @dataclass
 class KpiReport:
     year: int
@@ -35,10 +31,10 @@ class ComparisonRow:
     pct_difference: float | None    # None when not applicable
 
 
-def round_half_away(x: float, decimals: int = 2) -> float:
-    """Round half away from zero, the convention used in reported figures."""
-    q = Decimal(10) ** -decimals
-    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
+def round_half_away(x: float) -> float:
+    """Round to 2 decimals, half away from zero: the convention of reported
+    figures."""
+    return float(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def pct_difference(value: float, baseline: float) -> float | None:
@@ -49,17 +45,16 @@ def pct_difference(value: float, baseline: float) -> float | None:
     if baseline == 0:
         return 0.0 if value == 0 else None
     pct = (value - baseline) / baseline * 100.0
-    return round_half_away(pct, 2) if math.isfinite(pct) else None
+    return round_half_away(pct) if math.isfinite(pct) else None
 
 
-def load_factor(values) -> float:
-    """Mean load divided by peak load; scale invariant."""
+def load_factor(values) -> float | None:
+    """Mean load divided by peak load; scale invariant. None, not applicable,
+    for a series without a positive peak (an empty one too)."""
     values = np.asarray(values, float)
-    if len(values) == 0:
-        raise UndefinedKpiError("load factor of empty series")
-    peak = float(values.max())
+    peak = float(values.max(initial=0.0))
     if peak <= 0:
-        raise UndefinedKpiError("load factor undefined for all-zero load")
+        return None
     return float(values.mean()) / peak
 
 
@@ -158,11 +153,6 @@ def assemble_report(ledger: YearLedger, overload_unit: str = "hours") -> KpiRepo
 
     revenue = sum(ledger.baseload_tariff.values()) + sum(ledger.charging_tariff.values())
 
-    try:
-        lf = load_factor(ledger.hourly_max_load)
-    except UndefinedKpiError:
-        lf = None
-
     return KpiReport(
         year=ledger.year,
         overload_count=OVERLOAD_UNITS[overload_unit](ledger.overload_events),
@@ -170,6 +160,6 @@ def assemble_report(ledger: YearLedger, overload_unit: str = "hours") -> KpiRepo
         avg_total_bill_dkk=avg_bill,
         avg_total_co2_kg=avg_co2,
         dissatisfaction_count=ledger.dissatisfaction_count,
-        load_factor=lf,
+        load_factor=load_factor(ledger.hourly_max_load),
         dso_revenue_dkk=revenue,
     )

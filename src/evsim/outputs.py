@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import shutil
+from collections import Counter
 from itertools import chain, islice
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .engine import ExperimentSpec, SimulationOutput
 from .grid import LoadSeries
-from .kpi import KPI_METRICS, ComparisonRow, KpiReport, compare_reports
+from .kpi import KPI_METRICS, KpiReport, compare_reports
 from .svgplot import bar_chart_svg, day_zoom_svg, load_profile_svg
 from .timebase import EPOCH, MINUTES_PER_DAY, Timestamp
 
@@ -91,13 +92,19 @@ def read_kpi_csv(path: Path) -> list[dict]:
         return list(reader)
 
 
-def write_comparison_csv(path: Path, rows: list[ComparisonRow]) -> None:
+def write_comparison_csv(path: Path, reports: list[KpiReport],
+                         baseline_reports: list[KpiReport]) -> None:
+    """Each metric of each year of ``reports`` that the baseline reports too,
+    against the baseline's, under the columns that ``evsim compare`` prints."""
+    base_by_year = {r.year: r for r in baseline_reports}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["metric", "value", "baseline", "pct_difference"])
-        for r in rows:
-            w.writerow([r.metric, _fmt(r.value, 6), _fmt(r.baseline, 6),
-                        _fmt(r.pct_difference, 2)])
+        w.writerow(["year", "metric", "value", "baseline", "pct_difference"])
+        for rep in reports:
+            if rep.year in base_by_year:
+                for r in compare_reports(rep, base_by_year[rep.year]):
+                    w.writerow([rep.year, r.metric, _fmt(r.value, 6), _fmt(r.baseline, 6),
+                                _fmt(r.pct_difference, 2)])
 
 
 def write_overloads_csv(path: Path, out: SimulationOutput) -> None:
@@ -162,14 +169,10 @@ def emit_plots(out_dir: Path, out: SimulationOutput, capacity_kw: float,
         out.hourly_max.values, capacity_kw,
         f"Hourly-max grid load, {out.spec.id}"))
 
-    counts: dict[int, int] = {}
-    for _, vid in out.dissatisfactions:
-        counts[vid] = counts.get(vid, 0) + 1
-    labels = [str(i + 1) for i in range(len(counts))]
+    counts = Counter(vid for _, vid in out.dissatisfactions)
     (out_dir / "dissatisfaction.svg").write_text(bar_chart_svg(
-        labels, [counts[vid] for vid in sorted(counts)],
-        f"Dissatisfaction events per user, {out.spec.id}",
-        y_label="events"))
+        [counts[vid] for vid in sorted(counts)],
+        f"Dissatisfaction events per user, {out.spec.id}"))
 
     if baseline is not None:
         day = _worst_day(baseline)
@@ -215,10 +218,5 @@ def write_all(out_dir: Path, out: SimulationOutput, scenario_hash: str,
             shutil.copyfile(physics_from / name, out_dir / name)
     write_kpi_csv(out_dir / "kpi.csv", out.spec.id, out.reports)
     if baseline is not None:
-        rows: list[ComparisonRow] = []
-        base_by_year = {r.year: r for r in baseline.reports}
-        for rep in out.reports:
-            if rep.year in base_by_year:
-                rows.extend(compare_reports(rep, base_by_year[rep.year]))
-        write_comparison_csv(out_dir / "comparison.csv", rows)
+        write_comparison_csv(out_dir / "comparison.csv", out.reports, baseline.reports)
     emit_plots(out_dir, out, capacity_kw, baseline)

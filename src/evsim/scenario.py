@@ -292,20 +292,16 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     streams = RngStreams(seed)
 
     def dataset(section: str, read, generate):
-        """The section's hourly dataset, from its CSV file or generated from its
-        synthetic spec; it must cover the span, which the engine reads."""
+        """The section's hourly dataset, from the CSV file at its required
+        ``path`` or generated from its synthetic spec; it must cover the span,
+        which the engine reads. Only a CSV source reads ``path``, so the
+        unread-key rule rejects a ``path`` beside a synthetic one."""
         src = _get(cfg, section, "source", sp, str, default="synthetic")
-        has_path = cfg.has_option(section, "path")
-        if src == "csv" and not has_path:
-            raise ScenarioError(sp, f"{section}.path", "csv source needs a path")
-        if src == "synthetic" and has_path:
-            raise ScenarioError(sp, section,
-                                "exactly one of synthetic spec or path allowed")
         if src not in ("csv", "synthetic"):
             raise ScenarioError(sp, f"{section}.source", f"unknown source {src!r}")
         with _rejected_as(sp, section):
             if src == "csv":
-                series = read(resolve(cfg.get(section, "path")))
+                series = read(_get(cfg, section, "path", sp, resolve))
             else:
                 series = generate(_section(cfg, section, sp, *_SYNTHETIC[section]))
             hours_covering(series.start, series.n_hours, span)

@@ -16,7 +16,7 @@ def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float,
     return out_lo + (np.asarray(values, float) - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def _polyline(xs, ys, color: str, width: float = 1.0) -> str:
+def _polyline(xs, ys) -> str:
     # one %-format per block of points, each block's x0, y0, x1, y1, ...
     xy = np.column_stack((xs, ys))
     blocks = []
@@ -25,15 +25,14 @@ def _polyline(xs, ys, color: str, width: float = 1.0) -> str:
         blocks.append(" ".join(["%.2f,%.2f"] * len(block))
                       % tuple(block.ravel().tolist()))
     pts = " ".join(blocks)
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
-            f'points="{pts}"/>')
+    return f'<polyline fill="none" stroke="#1f6fb2" stroke-width="1.0" points="{pts}"/>'
 
 
-def _frame(title: str, parts: list[str], width: int = _W, height: int = _H) -> str:
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">'
-            f'<rect width="{width}" height="{height}" fill="white"/>'
-            f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
+def _frame(title: str, parts: list[str], height: int = _H) -> str:
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+            f'height="{height}" viewBox="0 0 {_W} {height}">'
+            f'<rect width="{_W}" height="{height}" fill="white"/>'
+            f'<text x="{_W / 2:.0f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>')
     return head + "".join(parts) + "</svg>"
 
@@ -53,7 +52,7 @@ def _panel(values, y_hi: float, capacity_kw: float, top: float, bottom: float,
             parts.append(f'<line x1="{_MARGIN}" y1="{y:.1f}" x2="{_W - 20}" y2="{y:.1f}" '
                          f'stroke="#ddd" stroke-width="0.5"/>')
     xs = _scale(np.arange(len(values)), 0, max(1, len(values) - 1), _MARGIN, _W - 20)
-    parts.append(_polyline(xs, _scale(values, 0.0, y_hi, bottom, top), "#1f6fb2"))
+    parts.append(_polyline(xs, _scale(values, 0.0, y_hi, bottom, top)))
     cap_y = float(_scale(capacity_kw, 0.0, y_hi, bottom, top))
     parts.append(f'<line x1="{_MARGIN}" y1="{cap_y:.1f}" x2="{_W - 20}" '
                  f'y2="{cap_y:.1f}" stroke="#c0392b" stroke-width="1.5" '
@@ -88,10 +87,10 @@ def day_zoom_svg(top_values: np.ndarray, bottom_values: np.ndarray,
     return _frame(title, parts, height=2 * _H)
 
 
-def bar_chart_svg(labels: list[str], counts: list[int], title: str,
-                  y_label: str = "count") -> str:
-    """Per-user bar chart (e.g. dissatisfaction events by anonymized user)."""
-    n = len(labels)
+def bar_chart_svg(counts: list[int], title: str) -> str:
+    """Bar chart of events per anonymized user: bar i, labelled i + 1, is
+    ``counts[i]``."""
+    n = len(counts)
     top, bottom = 35.0, _H - 45.0
     parts: list[str] = []
     if n == 0:
@@ -101,7 +100,7 @@ def bar_chart_svg(labels: list[str], counts: list[int], title: str,
     y_hi = max(max(counts), 1) * 1.1
     slot = (_W - 20 - _MARGIN) / n
     bar_w = max(1.0, slot * 0.7)
-    for i, (lab, c) in enumerate(zip(labels, counts)):
+    for i, c in enumerate(counts):
         x = _MARGIN + i * slot + (slot - bar_w) / 2
         h = c / y_hi * (bottom - top)
         parts.append(f'<rect x="{x:.1f}" y="{bottom - h:.1f}" width="{bar_w:.1f}" '
@@ -109,8 +108,8 @@ def bar_chart_svg(labels: list[str], counts: list[int], title: str,
         if n <= 40:
             parts.append(f'<text x="{x + bar_w / 2:.1f}" y="{bottom + 14:.1f}" '
                          f'text-anchor="middle" font-family="sans-serif" '
-                         f'font-size="9">{lab}</text>')
+                         f'font-size="9">{i + 1}</text>')
     parts.append(f'<text x="16" y="{(top + bottom) / 2:.0f}" font-family="sans-serif" '
                  f'font-size="11" transform="rotate(-90 16 {(top + bottom) / 2:.0f})" '
-                 f'text-anchor="middle">{y_label}</text>')
+                 f'text-anchor="middle">events</text>')
     return _frame(title, parts)

@@ -38,7 +38,6 @@ from evsim.fleet import SOC_EPS, TripEvent, Vehicle, drain_trip, satisfied
 from evsim.grid import (LoadSeries, OverloadEvent, available_capacity,
                         detect_overloads, hourly_max)
 from evsim.kpi import YearLedger, assemble_report
-from evsim.rng import RngStreams
 from evsim.scenario import load_scenario
 from evsim.tariffs import hours_covering
 from evsim.timebase import Timestamp, year_start_minutes
@@ -363,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         # the path of `evsim run`, against the tick loop on a fleet of its own
         with invariants_checked():
             kept.append(run_experiment(spec, scn.data))
-        fresh = build_fleet(spec, scn.data, RngStreams(spec.seed))
+        fresh = build_fleet(spec, scn.data)
         diff = first_difference(kept[-1], simulate_ticks(spec, scn.data, fresh))
         print(f"{spec.id}: {'identical' if diff is None else 'DIFFERS: ' + diff}")
         differ += diff is not None

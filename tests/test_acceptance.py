@@ -341,7 +341,7 @@ def test_criterion_9_conservation_and_determinism():
         for seed in (101, 202, 303, 404, 505):
             spec = ExperimentSpec(id="c9", strategy="round_robin", span=span,
                                   seed=seed)
-            plans = build_fleet(spec, data, RngStreams(seed))
+            plans = build_fleet(spec, data)
             with invariants_checked():
                 out = simulate(spec, data, plans)
             for v in out.vehicles:

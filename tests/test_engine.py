@@ -16,13 +16,14 @@ from evsim import engine
 from evsim.engine import (ExperimentSpec, HouseholdBaseload, Sessions, VehiclePlan,
                           build_fleet, run_experiment, simulate)
 from evsim.fleet import AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips, Vehicle
+from evsim.grid import LoadSeries, hourly_max
 from evsim.rng import RngStreams
 from evsim.scenario import load_scenario
 from evsim.strategies import STRATEGY_NAMES
 from evsim.synth import (SyntheticBaseloadSpec, SyntheticPriceSpec, generate_baseload,
                          generate_spot)
 from evsim.tariffs import CoverageError, DistributionTariff, SpotPriceSeries, TouBand
-from evsim.timebase import Timestamp
+from evsim.timebase import SimulationSpan, Timestamp
 
 from conftest import FAST, LEAF, flat_data, make_span
 from reference_engine import first_difference, invariants_checked, simulate_ticks
@@ -191,9 +192,8 @@ class TestConservationAndBounds:
         data = flat_data(span, n_households=6, capacity=20.0,
                          curve=AdoptionCurve([(2035, 6)]))
         from evsim.engine import build_fleet
-        from evsim.rng import RngStreams
         s = spec_for(span, strategy, seed=3)
-        plans = build_fleet(s, data, RngStreams(s.seed))
+        plans = build_fleet(s, data)
         with invariants_checked():
             out = simulate(s, data, plans)
         for v in out.vehicles:
@@ -415,7 +415,7 @@ class TestSharedPhysics:
         data = flat_data(span, n_households=6, capacity=20.0,
                          curve=AdoptionCurve([(2035, 6)]))
         s = spec_for(span, "edf", seed=3)
-        plans = build_fleet(s, data, RngStreams(s.seed))
+        plans = build_fleet(s, data)
         before = copy.deepcopy(plans)
         with invariants_checked():
             out = simulate(s, data, plans)
@@ -438,7 +438,7 @@ class TestSharedPhysics:
             assert out.sessions is first.sessions and out.vehicles is first.vehicles
         assert len(first_of_pass) == 5
         for s, out in zip(specs, outs):
-            fresh = build_fleet(s, scn.data, RngStreams(s.seed))
+            fresh = build_fleet(s, scn.data)
             assert first_difference(out, simulate_ticks(s, scn.data, fresh)) is None, s.id
 
     def test_dense_feeder_day_equals_the_tick_loop(self, tmp_path):
@@ -451,7 +451,7 @@ class TestSharedPhysics:
         outs = [run_experiment(s, scn.data) for s in scn.experiments]
         assert len(outs) == 5
         for s, out in zip(scn.experiments, outs):
-            fresh = build_fleet(s, scn.data, RngStreams(s.seed))
+            fresh = build_fleet(s, scn.data)
             assert first_difference(out, simulate_ticks(s, scn.data, fresh)) is None, s.id
 
     def test_fleet_changed_in_place_gets_a_fresh_pass(self, count_physics):
@@ -459,13 +459,13 @@ class TestSharedPhysics:
         data = flat_data(span, n_households=4, capacity=12.0,
                          curve=AdoptionCurve([(2035, 4)]))
         s = spec_for(span, "fcfs", seed=5)
-        plans = build_fleet(s, data, RngStreams(s.seed))
+        plans = build_fleet(s, data)
         first = simulate(s, data, plans)
         plans[0].vehicle = replace(plans[0].vehicle, soc_kwh=0.0)
         again = simulate(s, data, plans)
         assert len(count_physics) == 2
         assert first_difference(first, again) is not None
-        fresh = build_fleet(s, data, RngStreams(s.seed))
+        fresh = build_fleet(s, data)
         fresh[0].vehicle = replace(fresh[0].vehicle, soc_kwh=0.0)
         assert first_difference(again, simulate_ticks(s, data, fresh)) is None
 
@@ -474,7 +474,7 @@ class TestSharedPhysics:
         data = flat_data(span, n_households=4, capacity=12.0,
                          curve=AdoptionCurve([(2035, 4)]))
         s = spec_for(span, "fcfs", seed=5)
-        plans = build_fleet(s, data, RngStreams(s.seed))
+        plans = build_fleet(s, data)
         first = simulate(s, data, plans)
         again = simulate(s, data, plans)
         assert len(count_physics) == 2 and len(data._physics) == 0
@@ -486,7 +486,7 @@ class TestSharedPhysics:
                          curve=AdoptionCurve([(2035, 4)]))
         s = spec_for(span, "fcfs", seed=5)
         shared = run_experiment(s, data)
-        own = simulate(s, data, build_fleet(s, data, RngStreams(s.seed)))
+        own = simulate(s, data, build_fleet(s, data))
         assert len(count_physics) == 2 and own._physics is not shared._physics
         assert list(data._physics.keys()) == [s.physics_key]
         assert data._physics[s.physics_key] is shared._physics
@@ -535,7 +535,7 @@ class TestSharedPhysics:
         second = run_experiment(s, longer)     # while first is alive
         assert sum(v.trip_drain_kwh for v in second.vehicles) > \
             sum(v.trip_drain_kwh for v in first.vehicles)
-        fresh = build_fleet(s, longer, RngStreams(s.seed))
+        fresh = build_fleet(s, longer)
         assert first_difference(second, simulate_ticks(s, longer, fresh)) is None
 
     def test_dropped_outputs_release_fleet_and_physics(self):
@@ -707,7 +707,7 @@ class TestBaseloadForms:
         matrix = as_matrix(factors)
         assert matrix.baseload.matrix is not None and factors.baseload.matrix is None
         s = spec_for(make_span(start, end), strategy, seed=4)
-        outs = [simulate(s, d, build_fleet(s, d, RngStreams(s.seed))) for d in (factors, matrix)]
+        outs = [simulate(s, d, build_fleet(s, d)) for d in (factors, matrix)]
         assert first_difference(*outs) is None
         assert len(outs[0].reports) == 2 and outs[0].reports[0].avg_total_bill_dkk > 0
 
@@ -717,8 +717,8 @@ class TestBaseloadForms:
         # (for these 16 households, that hour's pairwise sum differs)
         data = synthetic_data(self.SPAN, n_households=16)
         s = spec_for(make_span("2027-12-31T23:00", "2028-01-01T07:00"), "edf", seed=4)
-        out = simulate(s, data, build_fleet(s, data, RngStreams(s.seed)))
-        reference = simulate_ticks(s, data, build_fleet(s, data, RngStreams(s.seed)))
+        out = simulate(s, data, build_fleet(s, data))
+        reference = simulate_ticks(s, data, build_fleet(s, data))
         assert first_difference(out, reference) is None
 
     @pytest.mark.parametrize("strategy", ["traditional", "edf"])
@@ -932,3 +932,37 @@ def test_scenario_data_compares_by_value():
         scn.data.baseload.start, scn.data.household_ids, scn.data.baseload.block() * 2))
     assert scn.data != replace(scn.data, baseload=HouseholdBaseload(
         scn.data.baseload.start, scn.data.household_ids[::-1], scn.data.baseload.block()))
+
+
+def _band(season="all", start_hour=0, end_hour=24):
+    return TouBand(season, start_hour, end_hour, 0.1)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: HouseholdBaseload(Timestamp(0), [1]), "needs a matrix, or daily factors"),
+    (lambda: HouseholdBaseload(Timestamp(0), [1], np.ones((1, 24)), np.ones((1, 1)),
+                               np.ones(24)), "needs a matrix, or daily factors"),
+    (lambda: HouseholdBaseload(Timestamp(30), [1], np.ones((1, 24))),
+     "baseload must start on an hour boundary"),
+    (lambda: HouseholdBaseload(Timestamp(0), [1, 2], np.ones((1, 24))),
+     "rows must match household count"),
+    (lambda: EvModel("x", 40.0, 7.4, 1.5), "market share out of"),
+    (lambda: AdoptionCurve([]), "empty adoption curve"),
+    (lambda: LoadSeries(Timestamp(0), 1, np.ones((2, 2))), "one-dimensional"),
+    (lambda: LoadSeries(Timestamp(0), 0, np.ones(3)), "resolution must be positive"),
+    (lambda: hourly_max(LoadSeries(Timestamp(0), 7, np.ones(70))), "must divide 60"),
+    (lambda: hourly_max(LoadSeries(Timestamp(30), 1, np.ones(120))),
+     "series must start on an hour boundary"),
+    (lambda: SpotPriceSeries(Timestamp(30), np.ones(3)),
+     "hourly series must start on an hour boundary"),
+    (lambda: DistributionTariff([]), "at least one band"),
+    (lambda: DistributionTariff([_band(), _band("summer")]), "bands must use season"),
+    (lambda: DistributionTariff([_band(start_hour=5, end_hour=3)]), "bad band hours 5..3"),
+    (lambda: SimulationSpan(Timestamp(0), Timestamp(60), 0), "tick must be positive"),
+], ids=["baseload-no-form", "baseload-both-forms", "baseload-start", "baseload-rows",
+        "market-share", "empty-curve", "load-2d", "load-resolution", "hourly-max-resolution",
+        "hourly-max-start", "hourly-start", "no-bands", "mixed-seasons", "band-hours",
+        "span-tick"])
+def test_constructor_rejects(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

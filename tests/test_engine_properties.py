@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from evsim import engine, strategies
 from evsim.engine import ExperimentSpec, VehiclePlan, build_fleet, simulate
 from evsim.fleet import DrivingPattern, EvModel, TripEvent, Trips, Vehicle
-from evsim.rng import RngStreams
 from evsim.strategies import STRATEGY_NAMES
 from evsim.timebase import Timestamp
 
@@ -59,7 +58,7 @@ def scenarios(draw):
 
 
 def fleet(spec, data, tweaks):
-    plans = build_fleet(spec, data, RngStreams(spec.seed))
+    plans = build_fleet(spec, data)
     for p, (soc_frac, target_frac, adopt_at) in zip(plans, tweaks):
         battery = p.vehicle.model.battery_kwh
         p.vehicle = replace(p.vehicle, soc_kwh=soc_frac * battery,

@@ -231,7 +231,7 @@ class TestDailyTrips:
         data = flat_data(span, n_households=8,
                          curve=AdoptionCurve([(2035, 3), (2036, 8)]))
         spec = ExperimentSpec(id="t", strategy="edf", span=span, seed=4)
-        plans = build_fleet(spec, data, RngStreams(spec.seed))
+        plans = build_fleet(spec, data)
         assert any(p.adoption.minutes > span.start.minutes for p in plans)
         for p in plans:
             rng = RngStreams(spec.seed).stream(f"trips/{p.vehicle.id}")

@@ -5,7 +5,7 @@ import pytest
 
 from evsim.engine import ExperimentSpec, VehiclePlan, simulate
 from evsim.fleet import Trips, Vehicle
-from evsim.kpi import (KPI_METRICS, KpiReport, UndefinedKpiError, YearLedger,
+from evsim.kpi import (KPI_METRICS, KpiReport, YearLedger,
                        assemble_report, compare_reports, load_factor, pct_difference,
                        round_half_away)
 from evsim.tariffs import DistributionTariff, TouBand
@@ -55,8 +55,8 @@ class TestLoadFactor:
         assert load_factor(values) == pytest.approx(load_factor(values / 2))
 
     def test_all_zero_undefined(self):
-        with pytest.raises(UndefinedKpiError):
-            load_factor(np.zeros(10))
+        assert load_factor(np.zeros(10)) is None
+        assert load_factor(np.zeros(0)) is None
 
 
 class TestAvgChargingCost:
@@ -121,8 +121,8 @@ class TestPctDifference:
             assert pct_difference(value, baseline) is None, (value, baseline)
 
     def test_half_away_from_zero(self):
-        assert round_half_away(0.005, 2) == 0.01
-        assert round_half_away(-0.005, 2) == -0.01
+        assert round_half_away(0.005) == 0.01
+        assert round_half_away(-0.005) == -0.01
 
 
 class TestCompareReports:

@@ -17,6 +17,7 @@ from evsim.cli import main
 from evsim.engine import (ChargeSession, HouseholdBaseload, ScenarioData, Sessions,
                           run_experiment)
 from evsim.grid import LoadSeries, OverloadEvent
+from evsim.kpi import KPI_METRICS
 from evsim.outputs import (read_kpi_csv, write_all, write_baseload_csv,
                            write_dissatisfactions_csv, write_kpi_csv, write_load_csv,
                            write_overloads_csv, write_sessions_csv)
@@ -88,6 +89,48 @@ def tree(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """An in-process stand-in for the --parallel pool: it pickles each task and
+    result as a worker process would, and starts no process. ``pools`` lists
+    each pool's worker count; the task of a pass that runs an experiment in
+    ``failing`` raises, as a worker that dies does."""
+    state = SimpleNamespace(pools=[], failing=set())
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            state.pools.append(max_workers)
+            initializer(*pickle.loads(pickle.dumps(initargs)))    # one worker's start
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fn, args = pickle.loads(pickle.dumps((fn, args)))
+            done = Future()
+            if state.failing & {s.id for s in args[0]}:
+                done.set_exception(RuntimeError("worker died"))
+            else:
+                done.set_result(pickle.loads(pickle.dumps(fn(*args))))
+            return done
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "_worker_data", None)
+    return state
+
+
+def failing_run_experiment(monkeypatch, failing):
+    """Patch the CLI's run_experiment to raise for the experiment id ``failing``."""
+    def run(spec, data):
+        if spec.id == failing:
+            raise RuntimeError(f"{spec.id} broke")
+        return run_experiment(spec, data)
+    monkeypatch.setattr(cli, "run_experiment", run)
+
+
 class TestCliRun:
     def test_run_writes_all_outputs(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -136,6 +179,18 @@ class TestCliRun:
         assert main(["run", str(scenario_path), "--out", str(taken)]) == 2
         assert calls == []
 
+    def test_comparison_names_the_year_of_each_row(self, tmp_path):
+        ini = SHORT_INI.replace("span_start = 2036-01-01T00:00",
+                                "span_start = 2035-12-29T00:00")
+        out = tmp_path / "out"
+        assert main(["run", str(write_scenario(tmp_path, ini)), "--out", str(out),
+                     "--experiment", "edf"]) == 0
+        with open(out / "edf" / "comparison.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["year", "metric", "value", "baseline", "pct_difference"]
+        assert [(r[0], r[1]) for r in rows[1:]] == [
+            (year, name) for year in ("2035", "2036") for _, name, _ in KPI_METRICS]
+
     def test_manifest_records_provenance(self, scenario_path, tmp_path):
         out = tmp_path / "out"
         main(["run", str(scenario_path), "--out", str(out),
@@ -164,36 +219,14 @@ class TestCliRun:
         assert not (tmp_path / "o").exists()
 
     def test_parallel_workers_share_one_load_and_one_worker_per_pass(
-            self, tou_scenario_path, tmp_path, monkeypatch):
-        # an in-process stand-in for the pool: it pickles each task and result
-        # as a worker process would, and starts no process
-        pools, loads = [], []
-
-        class FakePool:
-            def __init__(self, max_workers, initializer, initargs):
-                pools.append(max_workers)
-                initializer(*pickle.loads(pickle.dumps(initargs)))    # one worker's start
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fn, args = pickle.loads(pickle.dumps((fn, args)))
-                done = Future()
-                done.set_result(pickle.loads(pickle.dumps(fn(*args))))
-                return done
-
+            self, tou_scenario_path, tmp_path, monkeypatch, fake_pool):
+        pools, loads = fake_pool.pools, []
         load = cli.load_scenario
 
         def counted(*args, **kwargs):
             loads.append(args)
             return load(*args, **kwargs)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli, "load_scenario", counted)
-        monkeypatch.setattr(cli, "_worker_data", None)
         serial = tmp_path / "serial"
         assert main(["run", str(tou_scenario_path), "--out", str(serial)]) == 0
         assert pools == [] and len(loads) == 1
@@ -251,6 +284,58 @@ class TestCliRun:
         assert tree(full / "edf_tou") == tree(alone / "edf_tou")
         assert (full / "edf_tou" / "overloads.csv").read_bytes() == \
             (full / "edf_fixed" / "overloads.csv").read_bytes()
+
+    def test_failed_experiment_is_reported_and_the_rest_written(
+            self, tou_scenario_path, tmp_path, capsys, monkeypatch):
+        full, out = tmp_path / "full", tmp_path / "out"
+        assert main(["run", str(tou_scenario_path), "--out", str(full)]) == 0
+        capsys.readouterr()
+        failing_run_experiment(monkeypatch, "edf_fixed")
+        assert main(["run", str(tou_scenario_path), "--out", str(out)]) == 2
+        std = capsys.readouterr()
+        assert std.err.splitlines() == ["edf_fixed: FAILED: edf_fixed broke"]
+        assert sorted(std.out.splitlines()) == sorted(
+            f"{e}: ok -> {out / e}" for e in ("trad_fixed", "trad_tou", "edf_tou"))
+        assert not (out / "edf_fixed").exists()
+        for e in ("trad_fixed", "trad_tou", "edf_tou"):
+            assert tree(out / e) == tree(full / e), e
+
+    def test_failed_baseline_leaves_its_dependents_without_comparison(
+            self, tou_scenario_path, tmp_path, capsys, monkeypatch):
+        full, out = tmp_path / "full", tmp_path / "out"
+        assert main(["run", str(tou_scenario_path), "--out", str(full)]) == 0
+        capsys.readouterr()
+        failing_run_experiment(monkeypatch, "trad_fixed")
+        assert main(["run", str(tou_scenario_path), "--out", str(out)]) == 2
+        std = capsys.readouterr()
+        assert std.err.splitlines() == ["trad_fixed: FAILED: trad_fixed broke"]
+        assert sorted(std.out.splitlines()) == sorted(
+            f"{e}: ok -> {out / e}" for e in ("edf_fixed", "trad_tou", "edf_tou"))
+        assert not (out / "trad_fixed").exists()
+        assert tree(out / "trad_tou") == tree(full / "trad_tou")
+        # a dependent is written as if it had no baseline
+        for e in ("edf_fixed", "edf_tou"):
+            want = {p: b for p, b in tree(full / e).items()
+                    if p.name not in ("comparison.csv", "day_zoom.svg")}
+            assert tree(out / e) == want, e
+
+    def test_parallel_failed_task_fails_its_whole_pass(
+            self, tou_scenario_path, tmp_path, capsys, fake_pool):
+        full, out = tmp_path / "full", tmp_path / "out"
+        assert main(["run", str(tou_scenario_path), "--out", str(full)]) == 0
+        capsys.readouterr()
+        fake_pool.failing = {"edf_tou"}
+        assert main(["run", str(tou_scenario_path), "--out", str(out),
+                     "--parallel", "2"]) == 2
+        std = capsys.readouterr()
+        assert sorted(std.err.splitlines()) == ["edf_fixed: FAILED: worker died",
+                                                "edf_tou: FAILED: worker died"]
+        assert sorted(std.out.splitlines()) == sorted(
+            f"{e}: ok -> {out / e}" for e in ("trad_fixed", "trad_tou"))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "baseload_hourly.csv", "trad_fixed", "trad_tou"]
+        for e in ("trad_fixed", "trad_tou"):
+            assert tree(out / e) == tree(full / e), e
 
     def test_baselines_of_baselines_run_too(self, tmp_path):
         ini = SHORT_INI.replace("span_end = 2036-01-08T00:00", "span_end = 2036-01-02T00:00") \
@@ -546,6 +631,23 @@ class TestCompare:
         out = capsys.readouterr().out
         assert row in out.splitlines() and "nan" not in out
 
+    def test_na_cell_compares_as_na_and_a_year_without_baseline_is_skipped(
+            self, tmp_path, capsys):
+        from evsim.kpi import KpiReport
+        write_kpi_csv(tmp_path / "a.csv", "a", [KpiReport(2036, 0, None, None, None, 0,
+                                                          0.25, 1000.0),
+                                                KpiReport(2037, 1, 1.0, 100.0, 10.0, 0,
+                                                          0.3, 1100.0)])
+        write_kpi_csv(tmp_path / "b.csv", "b", [KpiReport(2036, 0, 1.0, 100.0, 10.0, 0,
+                                                          0.2, 1000.0)])
+        assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "year,metric,value,baseline,pct_difference"
+        assert "2036,avg_charging_cost,na,1.0000,na" in lines
+        assert "2036,load_factor,0.2500,0.2000,25.00" in lines
+        assert len(lines) == 1 + len(KPI_METRICS)
+        assert not any(line.startswith("2037,") for line in lines)
+
     def test_non_kpi_file_exit_2(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("foo,bar\n1,2\n")
@@ -697,8 +799,8 @@ class TestBatchedRowWriters:
         if n:
             xs[0], ys[0] = -0.0, 12345.675
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-        assert _polyline(xs, ys, "#000") == \
-            f'<polyline fill="none" stroke="#000" stroke-width="1.0" points="{pts}"/>'
+        assert _polyline(xs, ys) == \
+            f'<polyline fill="none" stroke="#1f6fb2" stroke-width="1.0" points="{pts}"/>'
 
 
 class TestSvg:
@@ -708,8 +810,8 @@ class TestSvg:
             load_profile_svg(np.linspace(100, 420, 500), 400.0, "title"),
             day_zoom_svg(np.full(1440, 390.0), np.full(1440, 350.0), 400.0,
                          "a", "b", "day"),
-            bar_chart_svg(["1", "2"], [3, 5], "bars", y_label="events"),
-            bar_chart_svg([], [], "empty", y_label="events"),
+            bar_chart_svg([3, 5], "bars"),
+            bar_chart_svg([], "empty"),
         ]
         for doc in docs:
             root = ET.fromstring(doc)

@@ -153,8 +153,9 @@ baseline = base
             load_scenario(write_scenario(tmp_path, catalog=catalog))
 
     def test_synthetic_and_path_mutually_exclusive(self, tmp_path):
+        # only a csv source reads path, so the unread-key rule rejects it
         ini = BASE_INI + "\n[spot]\npath = spot.csv\n"
-        with pytest.raises(ScenarioError, match="exactly one"):
+        with pytest.raises(ScenarioError, match=r"\[spot\.path\] nothing reads this key"):
             load_scenario(write_scenario(tmp_path, ini))
 
     def test_experiment_span_outside_scenario(self, tmp_path):

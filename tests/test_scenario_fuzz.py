@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from evsim.cli import main
 from evsim.engine import build_fleet, simulate
-from evsim.rng import RngStreams
 from evsim.scenario import load_scenario
 from evsim.strategies import STRATEGY_NAMES
 from evsim.tariffs import TARIFF_MODES
@@ -278,10 +277,8 @@ def check_scenario(files):
         scn = load_scenario(path)
         for spec in map(cut, scn.experiments):
             with invariants_checked():
-                out = simulate(spec, scn.data,
-                               build_fleet(spec, scn.data, RngStreams(spec.seed)))
-            reference = simulate_ticks(spec, scn.data,
-                                       build_fleet(spec, scn.data, RngStreams(spec.seed)))
+                out = simulate(spec, scn.data, build_fleet(spec, scn.data))
+            reference = simulate_ticks(spec, scn.data, build_fleet(spec, scn.data))
             assert first_difference(out, reference) is None
 
 

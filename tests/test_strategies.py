@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from evsim import strategies
 from evsim.engine import ChargingRecord, ExperimentSpec, simulate
-from evsim.fleet import EvModel, Vehicle
+from evsim.fleet import EvModel, Trips, Vehicle
 from evsim.strategies import (CAPACITY_EPS, DISPATCHERS, STRATEGY_NAMES,
                               ChargeRequest, FcfsState, RoundRobinState,
                               dispatch_edf, dispatch_equal_charge, dispatch_fcfs,
@@ -254,7 +254,7 @@ def check_dispatcher(strategy, data):
     rates = data.draw(st.lists(st.sampled_from([3.7, 7.4, 11.0, 22.0]),
                                min_size=5, max_size=5))
     records = [ChargingRecord(Vehicle(id=vid, soc_kwh=0.0,
-                                      model=EvModel(f"r{vid}", 60.0, rate, 1.0)))
+                                      model=EvModel(f"r{vid}", 60.0, rate, 1.0)), Trips())
                for vid, rate in enumerate(rates)]
     present: dict[int, ChargeRequest] = {}
     for _ in range(data.draw(st.integers(1, 40))):
