@@ -8,8 +8,8 @@ from .fleet import (AdoptionCurve, DrivingPattern, EvModel, TripEvent, Trips,
                     Vehicle, sample_adoptions)
 from .grid import (LoadSeries, OverloadEvent, Transformer, available_capacity,
                    detect_overloads, hourly_max)
-from .kpi import (ComparisonRow, KpiReport, YearLedger, assemble_report,
-                  compare_reports, load_factor, pct_difference)
+from .kpi import (KpiReport, YearLedger, assemble_report, load_factor,
+                  pct_difference)
 from .rng import RngStreams
 from .scenario import Scenario, ScenarioError, load_scenario
 from .strategies import STRATEGY_NAMES

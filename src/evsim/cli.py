@@ -16,7 +16,6 @@ from pathlib import Path
 from . import outputs
 from .engine import SimulationOutput, run_experiment
 from .grid import LoadSeries
-from .kpi import KPI_METRICS, pct_difference
 from .rng import parse_seed
 from .scenario import Scenario, ScenarioError, load_scenario
 
@@ -185,20 +184,9 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    rows_a = outputs.read_kpi_csv(Path(args.kpi_a))
-    rows_b = outputs.read_kpi_csv(Path(args.kpi_b))
-    by_year_b = {r["year"]: r for r in rows_b}
-    print("year,metric,value,baseline,pct_difference")
-    for ra in rows_a:
-        rb = by_year_b.get(ra["year"])
-        if rb is None:
-            continue
-        for m, _, _ in KPI_METRICS:
-            try:
-                pct = pct_difference(float(ra[m]), float(rb[m]))
-            except ValueError:
-                pct = None
-            print(f"{ra['year']},{m},{ra[m]},{rb[m]},{outputs._fmt(pct, 2)}")
+    reports = [outputs.read_kpi_csv(Path(p)) for p in (args.kpi_a, args.kpi_b)]
+    for row in outputs.comparison_rows(*reports):
+        print(",".join(row))
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Per-year key performance indicators and baseline comparison tables."""
+"""Per-year key performance indicators and their difference from a baseline's."""
 
 from __future__ import annotations
 
@@ -23,18 +23,10 @@ class KpiReport:
     dso_revenue_dkk: float
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    metric: str
-    value: float | None
-    baseline: float | None
-    pct_difference: float | None    # None when not applicable
-
-
 def round_half_away(x: float) -> float:
     """Round to 2 decimals, half away from zero: the convention of reported
-    figures."""
-    return float(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    figures. ``x`` may be any real number, a numpy float too."""
+    return float(Decimal(repr(float(x))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def pct_difference(value: float, baseline: float) -> float | None:
@@ -70,21 +62,6 @@ KPI_METRICS = (
     ("load_factor", "load_factor", 4),
     ("dso_revenue", "dso_revenue_dkk", 2),
 )
-
-
-def compare_reports(a: KpiReport, b: KpiReport) -> list[ComparisonRow]:
-    """Per-metric percentage difference of report `a` against baseline `b`."""
-    if a.year != b.year:
-        raise ValueError(f"comparing different years: {a.year} vs {b.year}")
-    rows = []
-    for _, name, _ in KPI_METRICS:
-        va, vb = getattr(a, name), getattr(b, name)
-        if va is None or vb is None:
-            rows.append(ComparisonRow(name, va, vb, None))
-        else:
-            va, vb = float(va), float(vb)
-            rows.append(ComparisonRow(name, va, vb, pct_difference(va, vb)))
-    return rows
 
 
 @dataclass

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import shutil
+import typing
 from collections import Counter
 from itertools import chain, islice
 from pathlib import Path
@@ -12,11 +13,12 @@ import numpy as np
 
 from .engine import ExperimentSpec, SimulationOutput
 from .grid import LoadSeries
-from .kpi import KPI_METRICS, KpiReport, compare_reports
+from .kpi import KPI_METRICS, KpiReport, pct_difference
 from .svgplot import bar_chart_svg, day_zoom_svg, load_profile_svg
 from .timebase import EPOCH, MINUTES_PER_DAY, Timestamp
 
 KPI_HEADER = ["experiment_id", "year", *(column for column, _, _ in KPI_METRICS)]
+_KPI_TYPES = typing.get_type_hints(KpiReport)
 
 # the files a charging-physics pass determines alone: the same bytes for every
 # experiment priced from that pass
@@ -84,27 +86,44 @@ def write_kpi_csv(path: Path, experiment_id: str, reports: list[KpiReport]) -> N
                 for _, name, decimals in KPI_METRICS)])
 
 
-def read_kpi_csv(path: Path) -> list[dict]:
+def _kpi_value(kind, cell: str):
+    """A kpi.csv cell as a ``KpiReport`` field of type ``kind`` holds it."""
+    if cell == "na" and type(None) in typing.get_args(kind):
+        return None
+    return int(cell) if kind is int else float(cell)
+
+
+def read_kpi_csv(path: Path) -> list[KpiReport]:
+    """The reports of a ``write_kpi_csv`` file, at its decimals; a row that it
+    could not have written is a ValueError naming its line."""
+    names = ["year", *(name for _, name, _ in KPI_METRICS)]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != KPI_HEADER:
+        reader = csv.reader(fh)
+        if next(reader, None) != KPI_HEADER:
             raise ValueError(f"{path}: not a KPI csv (header mismatch)")
-        return list(reader)
+        try:    # a row of another length fails the strict zip
+            return [KpiReport(**{name: _kpi_value(_KPI_TYPES[name], cell) for name, cell
+                                 in zip(names, row[1:], strict=True)}) for row in reader]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def comparison_rows(reports: list[KpiReport], baseline_reports: list[KpiReport]):
+    """The comparison table: its header, then each metric of each year that both
+    report, as year, ``KpiReport`` field, value, baseline and percentage."""
+    yield ["year", "metric", "value", "baseline", "pct_difference"]
+    base_by_year = {r.year: r for r in baseline_reports}
+    for rep in (r for r in reports if r.year in base_by_year):
+        for _, name, _ in KPI_METRICS:
+            value, baseline = getattr(rep, name), getattr(base_by_year[rep.year], name)
+            pct = None if value is None or baseline is None else pct_difference(value, baseline)
+            yield [str(rep.year), name, _fmt(value, 6), _fmt(baseline, 6), _fmt(pct, 2)]
 
 
 def write_comparison_csv(path: Path, reports: list[KpiReport],
                          baseline_reports: list[KpiReport]) -> None:
-    """Each metric of each year of ``reports`` that the baseline reports too,
-    against the baseline's, under the columns that ``evsim compare`` prints."""
-    base_by_year = {r.year: r for r in baseline_reports}
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["year", "metric", "value", "baseline", "pct_difference"])
-        for rep in reports:
-            if rep.year in base_by_year:
-                for r in compare_reports(rep, base_by_year[rep.year]):
-                    w.writerow([rep.year, r.metric, _fmt(r.value, 6), _fmt(r.baseline, 6),
-                                _fmt(r.pct_difference, 2)])
+        csv.writer(fh).writerows(comparison_rows(reports, baseline_reports))
 
 
 def write_overloads_csv(path: Path, out: SimulationOutput) -> None:

@@ -5,9 +5,9 @@ import pytest
 
 from evsim.engine import ExperimentSpec, VehiclePlan, simulate
 from evsim.fleet import Trips, Vehicle
-from evsim.kpi import (KPI_METRICS, KpiReport, YearLedger,
-                       assemble_report, compare_reports, load_factor, pct_difference,
-                       round_half_away)
+from evsim.kpi import (KPI_METRICS, KpiReport, YearLedger, assemble_report, load_factor,
+                       pct_difference, round_half_away)
+from evsim.outputs import comparison_rows
 from evsim.tariffs import DistributionTariff, TouBand
 from evsim.timebase import Timestamp
 
@@ -120,31 +120,37 @@ class TestPctDifference:
                                 (inf, inf), (1e308, 1e-10)]:
             assert pct_difference(value, baseline) is None, (value, baseline)
 
+    def test_numpy_floats(self):
+        # a run's reports may hold numpy floats, whose repr is no decimal
+        assert pct_difference(np.float64(0.252), np.float64(0.2048)) == 23.05
+        assert round_half_away(np.float64(0.005)) == 0.01
+
     def test_half_away_from_zero(self):
         assert round_half_away(0.005) == 0.01
         assert round_half_away(-0.005) == -0.01
 
 
 class TestCompareReports:
+    """``outputs.comparison_rows``, the table of comparison.csv and `evsim compare`."""
+
+    @staticmethod
+    def rows(a, b):
+        header, *rows = comparison_rows([a], [b])
+        assert header == ["year", "metric", "value", "baseline", "pct_difference"]
+        return {r[1]: r for r in rows}
+
     def test_identical_reports_all_zero(self):
-        rows = compare_reports(report(), report())
-        assert all(r.pct_difference == 0.0 for r in rows)
+        rows = self.rows(report(), report())
+        assert list(rows) == [name for _, name, _ in KPI_METRICS]
+        assert all(r[4] == "0.00" for r in rows.values())
 
     def test_load_factor_row(self):
-        rows = compare_reports(report(load_factor=0.252),
-                               report(load_factor=0.2048))
-        by_name = {r.metric: r for r in rows}
-        assert by_name["load_factor"].pct_difference == 23.05
-
-    def test_year_mismatch(self):
-        with pytest.raises(ValueError):
-            compare_reports(report(year=2038), report(year=2039))
+        rows = self.rows(report(load_factor=0.252), report(load_factor=0.2048))
+        assert rows["load_factor"] == ["2039", "load_factor", "0.252000", "0.204800", "23.05"]
 
     def test_none_metric_marked_na(self):
-        rows = compare_reports(report(avg_charging_cost_dkk_per_kwh=None),
-                               report())
-        by_name = {r.metric: r for r in rows}
-        assert by_name["avg_charging_cost_dkk_per_kwh"].pct_difference is None
+        rows = self.rows(report(avg_charging_cost_dkk_per_kwh=None), report())
+        assert rows["avg_charging_cost_dkk_per_kwh"][2:] == ["na", "1.000000", "na"]
 
 
 class TestAssembleReport:

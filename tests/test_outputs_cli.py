@@ -17,8 +17,8 @@ from evsim.cli import main
 from evsim.engine import (ChargeSession, HouseholdBaseload, ScenarioData, Sessions,
                           run_experiment)
 from evsim.grid import LoadSeries, OverloadEvent
-from evsim.kpi import KPI_METRICS
-from evsim.outputs import (read_kpi_csv, write_all, write_baseload_csv,
+from evsim.kpi import KPI_METRICS, KpiReport
+from evsim.outputs import (comparison_rows, read_kpi_csv, write_all, write_baseload_csv,
                            write_dissatisfactions_csv, write_kpi_csv, write_load_csv,
                            write_overloads_csv, write_sessions_csv)
 from evsim.scenario import load_scenario
@@ -600,30 +600,25 @@ class TestGenSynthetic:
         assert np.allclose(sc1.data.spot.values, sc2.data.spot.values)
 
 
+def rep(lf, year=2036):
+    return KpiReport(year, 0, 1.0, 100.0, 10.0, 0, lf, 1000.0)
+
+
 class TestCompare:
     def test_compare_two_kpi_files(self, tmp_path, capsys):
-        from evsim.kpi import KpiReport
-
-        def rep(lf):
-            return KpiReport(2036, 0, 1.0, 100.0, 10.0, 0, lf, 1000.0)
-
         write_kpi_csv(tmp_path / "a.csv", "a", [rep(0.252)])
         write_kpi_csv(tmp_path / "b.csv", "b", [rep(0.2048)])
         assert main(["compare", str(tmp_path / "a.csv"),
                      str(tmp_path / "b.csv")]) == 0
         out = capsys.readouterr().out
-        assert "load_factor,0.2520,0.2048,23.05" in out
+        assert "2036,load_factor,0.252000,0.204800,23.05" in out.splitlines()
+        assert "2036,overload_count,0.000000,0.000000,0.00" in out.splitlines()
 
     @pytest.mark.parametrize("value, baseline, row", [
-        (float("inf"), 0.2048, "2036,load_factor,inf,0.2048,na"),
-        (0.252, float("inf"), "2036,load_factor,0.2520,inf,na")])
+        (float("inf"), 0.2048, "2036,load_factor,inf,0.204800,na"),
+        (0.252, float("inf"), "2036,load_factor,0.252000,inf,na")])
     def test_non_finite_kpi_compares_as_na(self, tmp_path, capsys, value, baseline,
                                            row):
-        from evsim.kpi import KpiReport
-
-        def rep(lf):
-            return KpiReport(2036, 0, 1.0, 100.0, 10.0, 0, lf, 1000.0)
-
         write_kpi_csv(tmp_path / "a.csv", "a", [rep(value)])
         write_kpi_csv(tmp_path / "b.csv", "b", [rep(baseline)])
         assert main(["compare", str(tmp_path / "a.csv"),
@@ -633,7 +628,6 @@ class TestCompare:
 
     def test_na_cell_compares_as_na_and_a_year_without_baseline_is_skipped(
             self, tmp_path, capsys):
-        from evsim.kpi import KpiReport
         write_kpi_csv(tmp_path / "a.csv", "a", [KpiReport(2036, 0, None, None, None, 0,
                                                           0.25, 1000.0),
                                                 KpiReport(2037, 1, 1.0, 100.0, 10.0, 0,
@@ -643,8 +637,8 @@ class TestCompare:
         assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "year,metric,value,baseline,pct_difference"
-        assert "2036,avg_charging_cost,na,1.0000,na" in lines
-        assert "2036,load_factor,0.2500,0.2000,25.00" in lines
+        assert "2036,avg_charging_cost_dkk_per_kwh,na,1.000000,na" in lines
+        assert "2036,load_factor,0.250000,0.200000,25.00" in lines
         assert len(lines) == 1 + len(KPI_METRICS)
         assert not any(line.startswith("2037,") for line in lines)
 
@@ -653,17 +647,56 @@ class TestCompare:
         p.write_text("foo,bar\n1,2\n")
         assert main(["compare", str(p), str(p)]) == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cells: cells[:7] + ["abc"] + cells[8:], "could not convert"),
+        (lambda cells: cells[:-1], "shorter"),
+        (lambda cells: cells + ["1"], "longer"),
+        (lambda cells: cells[:-1] + ["na"], "could not convert"),
+        (lambda cells: cells[:2] + ["1.5"] + cells[3:], "invalid literal for int"),
+    ], ids=["bad_figure", "8_cells", "10_cells", "na_revenue", "fractional_count"])
+    def test_row_it_could_not_have_written_exit_2(self, tmp_path, capsys, edit, message):
+        good = tmp_path / "good.csv"
+        write_kpi_csv(good, "a", [rep(0.25), rep(0.3, year=2037)])
+        header, first, second = good.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{first}\n{','.join(edit(second.split(',')))}\n")
+        with pytest.raises(ValueError, match=f"bad.csv: line 3: .*{message}"):
+            read_kpi_csv(bad)
+        assert main(["compare", str(bad), str(good)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_compare_prints_the_rows_of_comparison_csv(self, tmp_path, capsys):
+        ini = SHORT_INI.replace("span_start = 2036-01-01T00:00",
+                                "span_start = 2035-12-29T00:00")
+        scn = load_scenario(write_scenario(tmp_path, ini))
+        spec = next(s for s in scn.experiments if s.id == "edf")
+        base_spec = next(s for s in scn.experiments if s.id == spec.baseline_id)
+        out, base = run_experiment(spec, scn.data), run_experiment(base_spec, scn.data)
+        for s, res, against in ((spec, out, base), (base_spec, base, None)):
+            write_all(tmp_path / s.id, res, scn.content_hash,
+                      scn.data.transformer.capacity_kw, against)
+        kpi_a, kpi_b = tmp_path / spec.id / "kpi.csv", tmp_path / base_spec.id / "kpi.csv"
+        assert main(["compare", str(kpi_a), str(kpi_b)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == "".join(",".join(row) + "\n" for row in comparison_rows(
+            read_kpi_csv(kpi_a), read_kpi_csv(kpi_b)))
+        with open(tmp_path / spec.id / "comparison.csv", newline="") as fh:
+            in_file = [row[:2] for row in csv.reader(fh)]
+        assert [line.split(",")[:2] for line in printed.splitlines()] == in_file
+        assert {year for year, _ in in_file[1:]} == {"2035", "2036"}
+
 
 class TestKpiCsvRoundtrip:
     def test_read_back(self, tmp_path):
-        from evsim.kpi import KpiReport
-        reports = [KpiReport(2036, 3, 1.3495, 12000.5, 450.25, 7, 0.2048, 168397.66),
-                   KpiReport(2037, 0, None, None, None, 0, 0.3, 0.0)]
-        write_kpi_csv(tmp_path / "k.csv", "exp", reports)
-        rows = read_kpi_csv(tmp_path / "k.csv")
-        assert rows[0]["overload_count"] == "3"
-        assert rows[0]["load_factor"] == "0.2048"
-        assert rows[1]["avg_charging_cost"] == "na"
+        written = [KpiReport(2036, 3, 1.349512, 12000.4987, 450.25004, 7, 0.204812,
+                             168397.661),
+                   KpiReport(2037, 0, None, None, None, 0, None, 0.0)]
+        write_kpi_csv(tmp_path / "k.csv", "exp", written)
+        back = read_kpi_csv(tmp_path / "k.csv")
+        assert back == [KpiReport(2036, 3, 1.3495, 12000.50, 450.2500, 7, 0.2048, 168397.66),
+                        written[1]]
+        assert [type(v) for v in vars(back[0]).values()] == [int, int, float, float, float,
+                                                             int, float, float]
 
 
 class TestLoadCsv:
