@@ -341,17 +341,19 @@ class SimulationOutput:
 
 class ChargingRecord:
     """One vehicle's charging state in a run: its ``Vehicle`` (as the run found
-    it), its rate, state of charge and target, its current grant, the energy of
+    it), its rate, state of charge and target, its current grant and the kWh
+    one tick of it delivers (``step``, ``strategies.tick_kwh``), the energy of
     its open hour and session, and its next trip.
 
     The dispatcher objects of ``strategies.DISPATCHERS`` take records in
-    ``arrive`` and set the ``grant`` of the records they return from
-    ``grants``; the engine walks them in ``charge`` and ``book_hour``. A run
-    makes one per vehicle, which lives across its sessions: a vehicle that
-    leaves and returns within an hour keeps adding to the same hour.
+    ``arrive`` and set ``grant`` and ``step`` together, at the arrival or in
+    ``grants``; the engine walks the granted records in ``charge`` and
+    ``book_hour``. A run makes one per vehicle, which lives across its
+    sessions: a vehicle that leaves and returns within an hour keeps adding
+    to the same hour.
     """
 
-    __slots__ = ("vehicle", "vid", "rate", "soc_kwh", "target_kwh", "grant",
+    __slots__ = ("vehicle", "vid", "rate", "soc_kwh", "target_kwh", "grant", "step",
                  "hour_kwh", "session_kwh", "session_start", "delivered_kwh",
                  "trip_drain_kwh", "trips", "next_trip")
 
@@ -362,6 +364,7 @@ class ChargingRecord:
         self.soc_kwh = vehicle.soc_kwh
         self.target_kwh = vehicle.desired_target_kwh
         self.grant = 0.0
+        self.step = 0.0
         self.hour_kwh = 0.0            # 0.0 until it charges in the open hour
         self.session_kwh = 0.0
         self.session_start: int | None = None    # None: no open session
@@ -478,7 +481,7 @@ class _Run:
         self.keys_per_minute = _KINDS * n
         self.ev_ptr = 0
 
-        self.dispatcher = strat.DISPATCHERS[spec.strategy]()
+        self.dispatcher = strat.DISPATCHERS[spec.strategy](self.dt)
         # read here, as _dispatch_pending runs at every stop
         self.dispatch_every_boundary = self.dispatcher.every_boundary
         self.inputs_changed = True     # requests differ from the last call's
@@ -595,11 +598,10 @@ class _Run:
         tick i + ceil(n) is the first on which it may finish (i itself when
         n <= 0).
         """
-        dt = self.dt
         shrink, grow = 1.0 - _ROUNDING_SLACK, 1.0 + _ROUNDING_SLACK
         ticks = self.n_ticks - i
         for r in self.grants:
-            d = r.grant * dt / 60.0
+            d = r.step
             if d > 0.0:
                 target = r.target_kwh
                 n = ((target - r.soc_kwh) * shrink - d * grow) \
@@ -625,28 +627,30 @@ class _Run:
         # dispatcher's order; a record joins hour_records on its first charge
         # of the hour, while its hour_kwh is still 0.0
         for r in self.grants:
-            d = r.grant * dt / 60.0
+            d = r.step
+            soc = r.soc_kwh
             if quiet and d > 0.0:
                 if r.hour_kwh == 0.0:
                     hour_records.append(r)
-                soc, hour, session = r.soc_kwh, r.hour_kwh, r.session_kwh
+                hour, session = r.hour_kwh, r.session_kwh
                 for _ in range(quiet):
                     soc += d
                     hour += d
                     session += d
-                r.soc_kwh, r.hour_kwh, r.session_kwh = soc, hour, session
+                r.hour_kwh, r.session_kwh = hour, session
                 quiet_sum += d
-            headroom = r.target_kwh - r.soc_kwh
+            headroom = r.target_kwh - soc
             if d >= headroom:
                 d = headroom
                 released.append(r)
             if d > 0.0:
-                r.soc_kwh += d
+                soc += d
                 last_sum += d
                 if r.hour_kwh == 0.0:
                     hour_records.append(r)
                 r.hour_kwh += d
                 r.session_kwh += d
+            r.soc_kwh = soc
         for r in released:
             self._leave(r)
 
@@ -734,7 +738,8 @@ def simulate(spec: ExperimentSpec, data: ScenarioData,
     physics = data._physics.get(spec.physics_key)
     if physics is None or physics.fleet is not plans:
         physics = _charge(spec, data, np.concatenate(base_totals), plans)
-    return _price(spec, data, physics, years, bills, price_h, tariff_h, co2_h)
+    return _price(spec, data, physics, years, bills,
+                  price_h.tolist(), tariff_h.tolist(), co2_h.tolist())
 
 
 def _charge(spec: ExperimentSpec, data: ScenarioData, base_total_h: np.ndarray,
@@ -785,12 +790,14 @@ def _charge(spec: ExperimentSpec, data: ScenarioData, base_total_h: np.ndarray,
 
 def _price(spec: ExperimentSpec, data: ScenarioData, physics: _Physics,
            years: list[tuple[int, int, int]], bills: dict[int, list[np.ndarray]],
-           price_h: np.ndarray, tariff_h: np.ndarray, co2_h: np.ndarray) -> SimulationOutput:
+           price_h: list[float], tariff_h: list[float], co2_h: list[float]) -> SimulationOutput:
     """The pricing pass: each year's ledger (charging and baseload bills, CO2,
     DSO revenue, dissatisfactions, overloads, EV owners) and its KPI report.
     ``years`` holds each calendar year of the span with its first and end hour,
     counted from the span start. ``bills`` holds each year's baseload cost,
-    tariff and CO2 per household, in the order of ``data.household_ids``."""
+    tariff and CO2 per household, in the order of ``data.household_ids``.
+    The hourly price, tariff and CO2 come as Python floats, so the ledger's
+    sums, and the report figures made of them, are floats too."""
     start_min = spec.span.start.minutes
     booked, vids, kwhs = physics.booked, physics.booked_vids, physics.booked_kwh
     reports, all_events, delivered_by_year = [], [], {}

@@ -8,17 +8,21 @@ them on departure or target reached.
 Each strategy exists twice. The ``dispatch_*`` functions take the whole
 request list on every call; they are the reference that the tests and the
 per-tick oracle (``tests/reference_engine.py``) call. The engine runs one
-dispatcher object per run instead (``DISPATCHERS``), which keeps its order up
-to date as requests arrive and leave:
+dispatcher object per run instead (``DISPATCHERS``), built for the run's tick
+in minutes, which keeps its order up to date as requests arrive and leave:
 
 - ``arrive(record, arrival_min, departure_min)`` takes the vehicle's charging
   record (``engine.ChargingRecord``), which gives its id (``vid``) and rate;
+  a dispatcher that grants only full rates sets the record's ``grant`` and
+  ``step`` here, once, and the engine reads them only while it is granted;
 - ``leave(vid)`` drops it at its departure or target (``_Run._leave``);
-- ``grants(budget)`` sets ``grant`` on each record it grants and returns the
-  granted records in vehicle-id order, a list the caller may change. The
-  (id, grant) pairs equal the function called on the current requests in
-  vehicle-id order. FCFS and Round Robin take the arrivals and departures
-  since the last call in at the next (``_Queued``), as their functions would.
+- ``grants(budget)`` returns the granted records in vehicle-id order, a list
+  the caller may change; Equal Charge sets ``grant`` and ``step`` on each of
+  them first. The (id, grant) pairs equal the function called on the current
+  requests in vehicle-id order, and every returned record's ``step`` is
+  ``tick_kwh(grant, tick)``. FCFS and Round Robin take the arrivals and
+  departures since the last call in at the next (``_Queued``), as their
+  functions would.
 
 Each class also carries what the engine must know of its strategy (see
 ``Dispatcher``), so ``DISPATCHERS`` is the one table of strategies.
@@ -195,17 +199,22 @@ def dispatch_edf(requests: list[ChargeRequest],
 _VID = attrgetter("vid")
 
 
+def tick_kwh(kw: float, tick: int) -> float:
+    """The energy, kWh, that ``kw`` delivers over one tick of ``tick``
+    minutes: a record's ``step`` for its ``grant``."""
+    return kw * tick / 60.0
+
+
 def _admit(ordered, budget: float) -> list:
-    """``_greedy_admit`` on charging records: grant each its rate in order
-    until the head no longer fits, and return the granted records in vehicle-id
-    order. The reference functions keep their own copy, so that they stay
-    independent of the objects."""
+    """``_greedy_admit`` on charging records granted their rates at arrival:
+    admit each in order until the head no longer fits, and return the admitted
+    records in vehicle-id order. The reference functions keep their own copy,
+    so that they stay independent of the objects."""
     granted = []
     residual = budget
     for r in ordered:
         rate = r.rate
         if rate <= residual + CAPACITY_EPS:
-            r.grant = rate
             granted.append(r)
             residual -= rate
         else:
@@ -224,16 +233,26 @@ class Dispatcher:
     # otherwise or change the dispatcher's state; if not, the engine skips it
     every_boundary = False
 
+    def __init__(self, tick: int):
+        self.tick = tick          # minutes per tick of the run
+
+    def _grant_rate(self, record) -> None:
+        """Grant ``record`` its full rate, as the dispatchers that grant
+        nothing less do once, at its arrival."""
+        record.grant = record.rate
+        record.step = tick_kwh(record.rate, self.tick)
+
 
 class TraditionalDispatcher(Dispatcher):
     """``dispatch_traditional`` kept up to date: the requesters in id order,
     each granted its rate from its arrival on."""
 
-    def __init__(self):
+    def __init__(self, tick: int):
+        super().__init__(tick)
         self.records: list = []
 
     def arrive(self, record, arrival_min: int, departure_min: int) -> None:
-        record.grant = record.rate
+        self._grant_rate(record)
         insort(self.records, record, key=_VID)
 
     def leave(self, vid: int) -> None:
@@ -247,11 +266,13 @@ class EdfDispatcher(Dispatcher):
     """``dispatch_edf`` kept up to date: the requests sorted by (departure,
     arrival, id)."""
 
-    def __init__(self):
+    def __init__(self, tick: int):
+        super().__init__(tick)
         self.order: list[tuple] = []          # (departure, arrival, id, record)
         self.entry: dict[int, tuple] = {}
 
     def arrive(self, record, arrival_min: int, departure_min: int) -> None:
+        self._grant_rate(record)
         self.entry[record.vid] = entry = (departure_min, arrival_min, record.vid, record)
         insort(self.order, entry)
 
@@ -267,7 +288,8 @@ class EqualChargeDispatcher(Dispatcher):
     caps in id order, so the caps add in the function's order, and sorted by
     (cap, id) for the water-fill."""
 
-    def __init__(self):
+    def __init__(self, tick: int):
+        super().__init__(tick)
         self.records: list = []
         self.caps: list[float] = []
         self.by_cap: list[tuple] = []         # (cap, id, record)
@@ -285,19 +307,24 @@ class EqualChargeDispatcher(Dispatcher):
         del self.caps[k]
 
     def grants(self, budget: float) -> list:
+        tick = self.tick
         if sum(self.caps) <= budget + CAPACITY_EPS:
             for r in self.records:
                 r.grant = r.rate
+                r.step = tick_kwh(r.rate, tick)
         else:
             residual, remaining = budget, len(self.by_cap)
             for i, (cap, _, r) in enumerate(self.by_cap):
                 level = residual / remaining
                 if cap > level:     # so is every larger cap: all take the level
+                    step = tick_kwh(level, tick)
                     for _, _, r in self.by_cap[i:]:
                         r.grant = level
+                        r.step = step
                     break
                 # slow chargers below the common level are unaffected
                 r.grant = cap
+                r.step = tick_kwh(cap, tick)
                 residual -= cap
                 remaining -= 1
         return self.records.copy()
@@ -313,12 +340,14 @@ class _Queued(Dispatcher):
     take a vehicle out in ``_drop``.
     """
 
-    def __init__(self):
+    def __init__(self, tick: int):
+        super().__init__(tick)
         self.requests: dict[int, tuple] = {}   # id -> (record, arrival)
         self.known: set[int] = set()       # queued or charging after the last call
         self.changed: set[int] = set()     # arrived or left since the last call
 
     def arrive(self, record, arrival_min: int, departure_min: int) -> None:
+        self._grant_rate(record)
         self.requests[record.vid] = (record, arrival_min)
         self.changed.add(record.vid)
 
@@ -348,35 +377,40 @@ class _Queued(Dispatcher):
 
 
 class FcfsDispatcher(_Queued):
-    """``dispatch_fcfs`` with its ``FcfsState`` kept up to date."""
+    """``dispatch_fcfs`` with its ``FcfsState`` kept up to date, and the
+    admitted records in vehicle-id order (``granted``)."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, tick: int):
+        super().__init__(tick)
         self.queue: deque[int] = deque()
         self.active: dict[int, float] = {}    # id -> rate, in admission order
+        self.granted: list = []
 
     def _drop(self, vid: int) -> None:
         if vid in self.active:
             del self.active[vid]
+            del self.granted[bisect_left(self.granted, vid, key=_VID)]
         else:
             self.queue.remove(vid)
 
     def grants(self, budget: float) -> list:
         self._settle()
-        active, queue, requests = self.active, self.queue, self.requests
-        while active and sum(active.values()) > budget + CAPACITY_EPS:
-            vid = next(reversed(active))
-            del active[vid]
+        active, queue, requests, granted = self.active, self.queue, self.requests, self.granted
+        total = sum(active.values())
+        while active and total > budget + CAPACITY_EPS:
+            vid, _ = active.popitem()       # the most recently admitted
+            del granted[bisect_left(granted, vid, key=_VID)]
             queue.appendleft(vid)
-        residual = budget - sum(active.values())
+            total = sum(active.values())
+        residual = budget - total
         while queue:
             r = requests[queue[0]][0]
             if r.rate > residual + CAPACITY_EPS:
                 break
-            r.grant = r.rate       # held while it stays admitted
             active[queue.popleft()] = r.rate
+            insort(granted, r, key=_VID)
             residual -= r.rate
-        return [requests[vid][0] for vid in sorted(active)]
+        return granted.copy()
 
 
 class RoundRobinDispatcher(_Queued):
@@ -389,8 +423,8 @@ class RoundRobinDispatcher(_Queued):
     default_interval_min = 15    # the paper's 15-minute rotation cycle
     every_boundary = True        # each call advances the charging streaks
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, tick: int):
+        super().__init__(tick)
         self.queue: list[int] = []
         self.streaks: dict[int, int] = {}
 

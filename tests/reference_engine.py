@@ -7,8 +7,9 @@ its output must equal this loop's exactly, field by field.
 
 ``invariants_checked()`` checks the engine's invariants while it runs: each
 new grant list is in vehicle-id order, grants only requesting vehicles at
-most their rate and, for a coordinated strategy, at most the budget; every
-state of charge stays within its battery.
+most their rate and, for a coordinated strategy, at most the budget, and
+gives each the energy per tick of its grant as its ``step``; every state of
+charge stays within its battery.
 
     PYTHONPATH=src python tests/reference_engine.py SCENARIO.ini
 
@@ -83,6 +84,8 @@ def invariants_checked():
                 assert r.vid in self.requests and k < len(self.records) \
                     and r is self.records[k]
                 assert 0.0 <= r.grant <= r.vehicle.model.max_rate_kw + strat.CAPACITY_EPS
+                # charge and _horizon read step for the grant: this loop's rule
+                assert r.step == r.grant * self.dt / 60.0
             # traditional charging plugs in and charges: capacity ignored
             if not isinstance(self.dispatcher, strat.TraditionalDispatcher):
                 assert sum(r.grant for r in grants) <= budget + strat.CAPACITY_EPS

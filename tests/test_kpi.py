@@ -3,8 +3,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from evsim.engine import ExperimentSpec, VehiclePlan, simulate
-from evsim.fleet import Trips, Vehicle
+from evsim.engine import ExperimentSpec, VehiclePlan, run_experiment, simulate
+from evsim.fleet import AdoptionCurve, Trips, Vehicle
 from evsim.kpi import (KPI_METRICS, KpiReport, YearLedger, assemble_report, load_factor,
                        pct_difference, round_half_away)
 from evsim.outputs import comparison_rows
@@ -207,6 +207,17 @@ class TestAssembleReport:
         assert assemble_report(led, "minutes").overload_count == 98
         with pytest.raises(ValueError):
             assemble_report(led, "days")
+
+
+def test_run_reports_hold_python_floats():
+    # as KpiReport declares and read_kpi_csv gives; a numpy float's repr is
+    # not its decimal digits under numpy 2
+    span = make_span("2036-01-01T00:00", "2036-01-05T00:00")
+    data = flat_data(span, n_households=4, curve=AdoptionCurve([(2035, 4)]))
+    rep, = run_experiment(ExperimentSpec("t", "edf", span, seed=1), data).reports
+    floats = [getattr(rep, f.name) for f in fields(KpiReport) if "float" in f.type]
+    assert rep.avg_charging_cost_dkk_per_kwh is not None and len(floats) == 5
+    assert all(type(x) is float for x in floats if x is not None), floats
 
 
 def test_kpi_metrics_are_the_report_fields_in_order():

@@ -246,12 +246,16 @@ def check_dispatcher(strategy, data):
     and departure minutes tie often, with budgets that are often exact sums
     of some requesters' rates; vehicles often leave and return between two
     calls. The engine relies on the granted records coming back in id
-    order, so the order is compared too."""
-    dispatcher = DISPATCHERS[strategy]()
+    order, so the order is compared too, and on each one's ``step`` being the
+    energy of one tick of its grant, bit for bit."""
+    tick = data.draw(st.sampled_from([1, 5, 15]))
+    dispatcher = DISPATCHERS[strategy](tick)
     # dispatch_<strategy> as the per-tick oracle calls it: FCFS and Round
     # Robin keep one state across the calls
     reference = reference_dispatcher(ExperimentSpec("d", strategy, make_span()))
-    rates = data.draw(st.lists(st.sampled_from([3.7, 7.4, 11.0, 22.0]),
+    # 6.6 kW is a rate whose energy per tick rounds otherwise if computed as
+    # rate * (tick / 60.0), at ticks 1 and 5
+    rates = data.draw(st.lists(st.sampled_from([3.7, 6.6, 7.4, 11.0, 22.0]),
                                min_size=5, max_size=5))
     records = [ChargingRecord(Vehicle(id=vid, soc_kwh=0.0,
                                       model=EvModel(f"r{vid}", 60.0, rate, 1.0)), Trips())
@@ -276,6 +280,7 @@ def check_dispatcher(strategy, data):
             expected = reference([present[v] for v in sorted(present)], budget)
             granted = dispatcher.grants(budget)
             assert [(r.vid, r.grant) for r in granted] == sorted(expected.items())
+            assert all(r.step == r.grant * tick / 60.0 for r in granted)
 
 
 # CI runs check_dispatcher on 2000 examples
